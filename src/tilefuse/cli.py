@@ -125,11 +125,11 @@ def run_pipeline(settings):
         )
         prior_cfg = settings.sampler_config_for_prior(prior_shape)
         prior_denoiser = _build_denoiser(settings, prior_shape, workers=1)
-        sampler = TiledSampler(prior_cfg, prior_denoiser)
-        noise = make_noise(prior_shape, settings.seed, stream=0)
-        prior_small, _ = sampler.run(noise)
-        if hasattr(prior_denoiser, "close"):
-            prior_denoiser.close()
+        try:
+            sampler = TiledSampler(prior_cfg, prior_denoiser)
+            prior_small, _ = sampler.run(make_noise(prior_shape, settings.seed, stream=0))
+        finally:
+            _close(prior_denoiser)
     timings["prior"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -138,13 +138,21 @@ def run_pipeline(settings):
 
     t0 = time.perf_counter()
     denoiser = _build_denoiser(settings, canvas_shape)
-    sampler = TiledSampler(settings.sampler_config(), denoiser, prior_canvas)
-    noise = make_noise(canvas_shape, settings.seed, stream=1)
-    x_final, trace = sampler.run(noise)
-    if hasattr(denoiser, "close"):
-        denoiser.close()
+    try:
+        sampler = TiledSampler(settings.sampler_config(), denoiser, prior_canvas)
+        # no local keeps the noise: the run drops it after the first step
+        x_final, trace = sampler.run(make_noise(canvas_shape, settings.seed, stream=1))
+    finally:
+        _close(denoiser)
     timings["tiled"] = time.perf_counter() - t0
     return x_final, trace, prior_canvas, timings
+
+
+def _close(denoiser) -> None:
+    """Stop a denoiser's worker processes, if it has any."""
+    close = getattr(denoiser, "close", None)
+    if close is not None:
+        close()
 
 
 def _load_settings(args):

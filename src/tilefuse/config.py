@@ -295,7 +295,12 @@ def resolve_settings(cfg: dict) -> PipelineSettings:
     s.overlap = _get_float(cfg, "tiles", "overlap")
 
     raw_ramp = cfg["blending"]["ramp"]
-    s.ramp = None if raw_ramp == "auto" else int(raw_ramp)
+    try:
+        s.ramp = None if raw_ramp == "auto" else int(raw_ramp)
+    except ValueError as exc:
+        raise ConfigError(
+            f"blending.ramp must be auto or an integer, got {raw_ramp!r}"
+        ) from exc
     s.min_weight = _get_float(cfg, "blending", "min_weight")
 
     s.lambda_base = _get_float(cfg, "prior", "lambda_base")

@@ -8,7 +8,9 @@ the corresponding loss evaluators live here so tests can verify optimality
 independently.
 
 Accumulation runs in float64 and happens strictly in the caller's order; the
-accumulator is the only mutable object in the package and is single-writer.
+numerator is single-writer. The closed forms are elementwise, so they may be
+applied to a channel block of the accumulator with the matching blocks of
+the latents: a (1, T, H, W) slice gives the same bits as the whole canvas.
 """
 
 from __future__ import annotations
@@ -64,9 +66,17 @@ def accumulate(
         )
     r.validate_within(acc.num.shape[2], acc.num.shape[3])
     w64 = w.astype(np.float64)
-    acc.num[:, :, r.row_slice, r.col_slice] += w64 * tile_pred.astype(np.float64)
+    add_weighted_tile(acc.num, tile_pred, r, w64)
     acc.den[r.row_slice, r.col_slice] += w64
     return acc
+
+
+def add_weighted_tile(num: np.ndarray, tile_pred: np.ndarray, r: Rect, w64: np.ndarray) -> None:
+    """num[:, :, r] += w64 * tile_pred, unchecked, one channel at a time so
+    the float64 product is one channel's window rather than the whole tile."""
+    window = num[:, :, r.row_slice, r.col_slice]
+    for c in range(num.shape[0]):
+        window[c] += w64 * tile_pred[c]
 
 
 def _broadcast_strength(lam, canvas_shape):
@@ -95,7 +105,7 @@ def fuse_md(acc: FusionAccumulator) -> np.ndarray:
     if np.any(acc.den <= 0.0):
         bad = int(np.count_nonzero(acc.den <= 0.0))
         raise CoverageError(f"{bad} cells have zero accumulated weight")
-    return (acc.num / acc.den[None, None]).astype(np.float32)
+    return _divide_to_float32(acc.num, acc.den[None, None])
 
 
 def fuse_fd_flow(
@@ -118,10 +128,13 @@ def fuse_fd_flow(
         raise DomainError(f"sigma must be positive with an active prior, got {sigma_t}")
     x_t = _check_canvas(x_t, acc, "current latent")
     x_prior = _check_canvas(x_prior, acc, "prior latent")
-    num = sigma_t * lam_b * (x_t.astype(np.float64) - x_prior.astype(np.float64)) + acc.num
+    num = x_t.astype(np.float64)
+    num -= x_prior
+    num *= sigma_t * lam_b
+    num += acc.num
     den = sigma_t**2 * lam_b + acc.den[None, None]
     _check_positive_denominator(den, acc.canvas_shape)
-    return (num / den).astype(np.float32)
+    return _divide_to_float32(num, den)
 
 
 def fuse_fd_eps(
@@ -163,12 +176,17 @@ def _check_canvas(x, acc, name):
 
 
 def _check_positive_denominator(den, canvas_shape):
-    den = np.broadcast_to(den, canvas_shape)
     if np.any(den <= 0.0):
-        bad = int(np.count_nonzero(den <= 0.0))
+        bad = int(np.count_nonzero(np.broadcast_to(den, canvas_shape) <= 0.0))
         raise CoverageError(
             f"{bad} cells have neither tile coverage nor prior weight"
         )
+
+
+def _divide_to_float32(num, den):
+    """(num / den).astype(float32) without the float64 quotient array."""
+    out = np.empty(np.broadcast_shapes(num.shape, den.shape), dtype=np.float32)
+    return np.divide(num, den, out=out, casting="same_kind")
 
 
 def loss_md(y: np.ndarray, tiles) -> float:

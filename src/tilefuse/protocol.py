@@ -129,7 +129,7 @@ class _PipeReader:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ProtocolTimeoutError(
-                    f"worker sent {len(self._buf)} of {n} bytes within {timeout:.0f}s"
+                    f"worker sent {len(self._buf)} of {n} bytes within {timeout:g}s"
                 )
             ready, _, _ = select.select([self._fd], [], [], remaining)
             if not ready:

@@ -7,15 +7,22 @@ The state convention is x = clean + sigma * (noise - clean), so the model
 output approximates noise - clean, the one-step clean estimate is
 x - sigma * y, and integration follows x' = x + (sigma' - sigma) * y.
 
-Accumulation always happens in plan order after the (possibly parallel)
-predictions are gathered, so runs are bitwise reproducible regardless of the
-worker count.
+A thread pool of the configured worker count lives for the whole run. It
+predicts tiles while the calling thread adds each finished prediction to the
+float64 numerator. Predictions may finish in any order, but they are added
+strictly in plan order, and at most 2 x workers are in flight (submitted but
+not yet added). The weight denominator is the same every step and is built
+once. The merge, the trace statistic and the Euler update then run as one
+pass per channel on the same pool. Every cell sees the same arithmetic in
+the same order whatever the worker count, so runs are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +30,13 @@ import numpy as np
 from .blending import DEFAULT_MIN_WEIGHT, ramp_weight_map
 from .denoisers import DenoiserRequest
 from .errors import ConfigError, DenoiseError, ShapeError
-from .fusion import FusionAccumulator, accumulate, fuse_fd_flow, fuse_md
+from .fusion import (  # accumulate stays importable from this module
+    FusionAccumulator,
+    accumulate,
+    add_weighted_tile,
+    fuse_fd_flow,
+    fuse_md,
+)
 from .planner import TilePlan, plan_tiles
 from .schedules import PriorScheduleConfig, SigmaSchedule
 from .tensor import as_latent, crop, ensure_finite, trilinear_resize
@@ -145,30 +158,49 @@ def make_noise(canvas_shape, seed: int, stream: int = 0) -> np.ndarray:
 
 
 def build_prior(prior_latent: np.ndarray, canvas_shape) -> np.ndarray:
-    """Upsample a native-resolution prior onto the canvas grid."""
+    """Upsample a native-resolution prior onto the canvas grid. A float32
+    prior already at canvas shape is returned as is, not copied."""
     prior_latent = as_latent(prior_latent, "prior")
     c, t, h, w = canvas_shape
     if prior_latent.shape[0] != c:
         raise ShapeError(
             f"prior has {prior_latent.shape[0]} channels, canvas has {c}"
         )
+    if prior_latent.shape == tuple(canvas_shape):
+        return prior_latent
     return trilinear_resize(prior_latent, t, h, w)
 
 
-def euler_update(x: np.ndarray, y: np.ndarray, dsigma: float) -> np.ndarray:
-    return (x.astype(np.float64) + dsigma * y.astype(np.float64)).astype(np.float32)
+def euler_update(x: np.ndarray, y: np.ndarray, dsigma: float, out=None) -> np.ndarray:
+    """x + dsigma * y, evaluated in float64 and rounded to float32, into out
+    if given."""
+    x_next = y.astype(np.float64)
+    x_next *= dsigma
+    x_next += x
+    if out is None:
+        return x_next.astype(np.float32)
+    np.copyto(out, x_next, casting="same_kind")
+    return out
 
 
 def trace_prior_mse(x_t, sigma_t, y, x_prior, activity=None):
     """Mean squared distance of the one-step clean estimate from the prior,
     split by the activity partition. Empty partitions report None."""
-    x0 = x_t.astype(np.float64) - sigma_t * y.astype(np.float64)
-    sq = (x0 - x_prior.astype(np.float64)) ** 2
+    sq = y.astype(np.float64)
+    sq *= sigma_t
+    np.subtract(x_t, sq, out=sq)  # the clean estimate x_t - sigma * y
+    sq -= x_prior
+    np.square(sq, out=sq)
     if activity is None:
         return float(sq.mean()), None
-    mask = np.broadcast_to(np.asarray(activity, dtype=bool), sq.shape)
-    fg = float(sq[mask].mean()) if mask.any() else None
-    bg = float(sq[~mask].mean()) if not mask.all() else None
+    mask = np.asarray(activity, dtype=bool)
+    if mask.shape != sq.shape[sq.ndim - mask.ndim:]:
+        mask = np.broadcast_to(mask, sq.shape)
+    # a trailing-axes mask selects the same cells in the same order as the
+    # broadcast one, without index arrays over the leading axes; the means
+    # run over the flat selection so the summation order is unchanged too
+    fg = float(sq[..., mask].ravel().mean()) if mask.any() else None
+    bg = float(sq[..., ~mask].ravel().mean()) if not mask.all() else None
     return fg, bg
 
 
@@ -202,9 +234,31 @@ class TiledSampler:
         else:
             ramp = cfg.ramp
         self._weights = {
-            (r.height, r.width): ramp_weight_map(r.height, r.width, ramp, cfg.min_weight)
+            (r.height, r.width): ramp_weight_map(
+                r.height, r.width, ramp, cfg.min_weight
+            ).astype(np.float64)
             for r in self.plan.tiles
         }
+        # the weight sum is the same every step: add it up once, in plan order
+        self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
+        for r in self.plan.tiles:
+            self._den[r.row_slice, r.col_slice] += self._weights[(r.height, r.width)]
+        self._pool = None
+        self._depth = 0  # most predictions submitted but not yet added
+
+    @contextmanager
+    def _executor(self):
+        """The run's tile pool; a step called outside run gets its own."""
+        if self._pool is not None:
+            yield self._pool
+            return
+        workers = self.cfg.effective_workers()
+        with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
+            self._pool, self._depth = pool, 2 * workers
+            try:
+                yield pool
+            finally:
+                self._pool = None
 
     def _predict_tile(self, x, i, t, sigma, k, rect):
         req = DenoiserRequest(
@@ -235,33 +289,66 @@ class TiledSampler:
         ensure_finite(pred, f"step {i} tile {k} prediction")
         return pred
 
+    def _accumulate(self, pool, num, x, i, t, sigma):
+        """Add every tile's weighted prediction to num in plan order while
+        the pool predicts the next ones. On failure the queued predictions
+        are cancelled and the running ones awaited before the error leaves."""
+        pending = deque()
+
+        def add_oldest():
+            rect, future = pending.popleft()
+            pred = future.result()
+            add_weighted_tile(num, pred, rect, self._weights[(rect.height, rect.width)])
+
+        try:
+            for k, rect in enumerate(self.plan.tiles):
+                pending.append(
+                    (rect, pool.submit(self._predict_tile, x, i, t, sigma, k, rect))
+                )
+                if len(pending) == self._depth:
+                    add_oldest()
+            while pending:
+                add_oldest()
+        finally:
+            futures = [future for _, future in pending]
+            for future in futures:
+                future.cancel()
+            wait(futures)
+
     def step(self, x: np.ndarray, i: int):
         """One sampler step; returns (x_next, StepRecord)."""
         t = self.schedule.times[i]
         sigma = self.schedule.sigmas[i]
         sigma_next = self.schedule.sigmas[i + 1]
         lam = 0.0 if self.cfg.mode == "md" else self.cfg.prior.strength_at(t)
+        plain = np.ndim(lam) == 0 and float(lam) == 0.0
+        activity = self.cfg.prior.activity_map
 
-        workers = self.cfg.effective_workers()
-        tiles = list(enumerate(self.plan.tiles))
-        if workers > 1 and len(tiles) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                preds = list(
-                    pool.map(lambda kr: self._predict_tile(x, i, t, sigma, *kr), tiles)
-                )
-        else:
-            preds = [self._predict_tile(x, i, t, sigma, k, r) for k, r in tiles]
+        x = as_latent(x, "latent")
+        if x.shape != tuple(self.cfg.canvas_shape):
+            raise ShapeError(
+                f"latent {x.shape} does not match canvas {self.cfg.canvas_shape}"
+            )
+        num = np.zeros(x.shape, dtype=np.float64)
+        x_next = np.empty_like(x)
 
-        acc = FusionAccumulator.zeros(self.cfg.canvas_shape)
-        for (_, rect), pred in zip(tiles, preds):
-            accumulate(acc, pred, rect, self._weights[(rect.height, rect.width)])
+        def update(c):
+            """Merge, trace and Euler-update channel c."""
+            block = slice(c, c + 1)
+            acc = FusionAccumulator(num=num[block], den=self._den)
+            if plain:
+                y = fuse_md(acc)
+            else:
+                y = fuse_fd_flow(acc, x[block], self.prior[block], lam, sigma)
+            mse = trace_prior_mse(x[block], sigma, y, self.prior[block], activity)
+            euler_update(x[block], y, sigma_next - sigma, out=x_next[block])
+            return mse
 
-        if np.ndim(lam) == 0 and float(lam) == 0.0:
-            y = fuse_md(acc)
-        else:
-            y = fuse_fd_flow(acc, x, self.prior, lam, sigma)
+        with self._executor() as pool:
+            self._accumulate(pool, num, x, i, t, sigma)
+            per_channel = list(pool.map(update, range(x.shape[0])))
 
-        fg, bg = trace_prior_mse(x, sigma, y, self.prior, self.cfg.prior.activity_map)
+        fg, bg = (_mean_or_none(part) for part in zip(*per_channel))
         lam_arr = np.asarray(lam, dtype=np.float64)
         record = StepRecord(
             step=i,
@@ -272,13 +359,14 @@ class TiledSampler:
             fg_mse=fg,
             bg_mse=bg,
         )
-        return euler_update(x, y, sigma_next - sigma), record
+        return x_next, record
 
     def run(self, initial_noise=None):
         if initial_noise is None:
             x = make_noise(self.cfg.canvas_shape, self.cfg.seed)
         else:
             x = as_latent(initial_noise, "initial noise")
+            del initial_noise  # the first step's result replaces it
             if x.shape != self.cfg.canvas_shape:
                 raise ShapeError(
                     f"initial noise {x.shape} does not match canvas "
@@ -286,11 +374,19 @@ class TiledSampler:
                 )
         ensure_finite(x, "initial noise")
         trace = RunTrace()
-        for i in range(self.schedule.steps):
-            x, record = self.step(x, i)
-            trace.records.append(record)
+        with self._executor():
+            for i in range(self.schedule.steps):
+                x, record = self.step(x, i)
+                trace.records.append(record)
         ensure_finite(x, "final latent")
         return x, trace
+
+
+def _mean_or_none(values):
+    """Mean of equally weighted per-channel statistics; None if empty."""
+    if values[0] is None:
+        return None
+    return float(np.mean(values))
 
 
 def run(cfg: SamplerConfig, denoiser, prior=None, initial_noise=None):

@@ -117,8 +117,8 @@ def trilinear_resize(src: np.ndarray, out_t: int, out_h: int, out_w: int) -> np.
     """Endpoint-aligned trilinear interpolation over (T,H,W), channel-wise.
 
     Corners map to corners; resizing to the source dims returns the source
-    bit-exactly. Interpolation runs in float64 and the result is cast back
-    to float32.
+    bit-exactly. Interpolation runs in float64 one channel at a time and the
+    result is cast back to float32.
     """
     src = as_latent(src, "source")
     if out_t < 1 or out_h < 1 or out_w < 1:
@@ -127,18 +127,24 @@ def trilinear_resize(src: np.ndarray, out_t: int, out_h: int, out_w: int) -> np.
     if (t, h, w) == (out_t, out_h, out_w):
         return src.copy()
 
-    out = src.astype(np.float64)
-    for axis, (n_src, n_out) in zip((1, 2, 3), ((t, out_t), (h, out_h), (w, out_w))):
+    passes = []
+    for axis, (n_src, n_out) in enumerate(((t, out_t), (h, out_h), (w, out_w))):
         if n_src == n_out:
             continue
         lo, hi, frac = _axis_indices(n_src, n_out)
-        shape = [1, 1, 1, 1]
+        shape = [1, 1, 1]
         shape[axis] = n_out
-        frac = frac.reshape(shape)
-        out = (1.0 - frac) * np.take(out, lo, axis=axis) + frac * np.take(
-            out, hi, axis=axis
-        )
-    return np.ascontiguousarray(out, dtype=np.float32)
+        passes.append((axis, lo, hi, frac.reshape(shape)))
+
+    out = np.empty((c, out_t, out_h, out_w), dtype=np.float32)
+    for ch in range(c):
+        vol = src[ch].astype(np.float64)
+        for axis, lo, hi, frac in passes:
+            vol = (1.0 - frac) * np.take(vol, lo, axis=axis) + frac * np.take(
+                vol, hi, axis=axis
+            )
+        out[ch] = vol
+    return out
 
 
 def write_flt(path, tensor: np.ndarray) -> None:

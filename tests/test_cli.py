@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from tilefuse import read_flt, write_flt
+from tilefuse import GaussianAnalytic, cli, read_flt, write_flt
 from tilefuse.cli import main
 from tilefuse.netpbm import write_pgm
 
@@ -162,6 +162,43 @@ class TestSampleCommand:
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["sample", "--config", str(tmp_path / "absent.ini")]) == 4
+
+    def test_bad_ramp_is_config_error(self, tmp_path, target_file, capsys):
+        path, _ = target_file
+        cfg = base_target_config(tmp_path, path)
+        assert main(["sample", "--config", cfg, "--set", "blending.ramp=abc"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "blending.ramp" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("failing_stage", ["prior", "tiled"])
+    def test_denoisers_closed_when_a_stage_fails(
+        self, monkeypatch, tmp_path, target_file, capsys, failing_stage
+    ):
+        closed = []
+
+        class Stub:
+            def __init__(self, stage):
+                self.stage = stage
+
+            def __call__(self, req):
+                if self.stage == failing_stage:
+                    raise RuntimeError("backbone crashed")
+                return GaussianAnalytic(0.0, 1.0)(req)
+
+            def close(self):
+                closed.append(self.stage)
+
+        def build(settings, canvas_shape, workers=None):
+            return Stub("prior" if workers == 1 else "tiled")
+
+        monkeypatch.setattr(cli, "_build_denoiser", build)
+        path, _ = target_file
+        cfg = base_target_config(tmp_path, path)
+        assert main(["sample", "--config", cfg]) == 5
+        assert "backbone crashed" in capsys.readouterr().err
+        expected = ["prior"] if failing_stage == "prior" else ["prior", "tiled"]
+        assert closed == expected
 
     def test_external_denoiser_pipeline(self, rng, tmp_path, capsys):
         # gaussian echo: velocity = tile means the run is a pure decay to 0

@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 import sys
 
@@ -20,6 +21,7 @@ from tilefuse.protocol import (
     MSG_HELLO,
     WorkerClient,
     WorkerPool,
+    _PipeReader,
     pack_denoise_request,
     pack_denoise_response,
     pack_embedding,
@@ -204,6 +206,15 @@ class TestWorkerClient:
                 client.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
         finally:
             client.close()
+
+    def test_timeout_message_keeps_fractional_seconds(self):
+        read_fd, write_fd = os.pipe()
+        try:
+            with os.fdopen(read_fd, "rb") as silent:
+                with pytest.raises(ProtocolTimeoutError, match=r"within 0\.3s"):
+                    _PipeReader(silent).read_exact(4, 0.3)
+        finally:
+            os.close(write_fd)
 
     def test_error_frame_raises_protocol_error(self, rng, tmp_path):
         cmd = worker_script(

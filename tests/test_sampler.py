@@ -1,6 +1,10 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import tilefuse.sampler as sampler_module
 from tilefuse import (
     GaussianAnalytic,
     PriorScheduleConfig,
@@ -13,8 +17,11 @@ from tilefuse import (
     run,
     trace_prior_mse,
 )
+from tilefuse.blending import ramp_weight_map
 from tilefuse.denoisers import DenoiserRequest, DenoiserResponse
 from tilefuse.errors import ConfigError, DenoiseError, ShapeError
+from tilefuse.fusion import FusionAccumulator, accumulate, fuse_fd_flow, fuse_md
+from tilefuse.tensor import crop
 
 from _oracles import trilinear_loop
 
@@ -32,6 +39,10 @@ class TestBuildPrior:
         prior = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
         out = build_prior(prior, (2, 3, 4, 4))
         assert np.array_equal(out, prior)
+
+    def test_canvas_shaped_float32_prior_is_not_copied(self, rng):
+        prior = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        assert build_prior(prior, (2, 3, 4, 4)) is prior
 
     def test_constant_stays_constant(self):
         prior = np.full((1, 2, 3, 3), 1.25, dtype=np.float32)
@@ -344,3 +355,157 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="prior"):
             TiledSampler(cfg, lambda req: None)
+
+
+def reference_step(sampler, x, i):
+    """The step as a plain composition over the whole canvas: accumulate
+    every tile in plan order, merge, trace, then take the Euler step."""
+    cfg = sampler.cfg
+    sched = cfg.schedule()
+    t, sigma, sigma_next = sched.times[i], sched.sigmas[i], sched.sigmas[i + 1]
+    lam = 0.0 if cfg.mode == "md" else cfg.prior.strength_at(t)
+    acc = FusionAccumulator.zeros(cfg.canvas_shape)
+    for rect in cfg.plan().tiles:
+        req = DenoiserRequest(tile=crop(x, rect), step_index=i, t=t, sigma=sigma, rect=rect)
+        pred = sampler.denoiser(req).prediction
+        accumulate(acc, pred, rect, ramp_weight_map(rect.height, rect.width, cfg.ramp, cfg.min_weight))
+    if np.ndim(lam) == 0 and float(lam) == 0.0:
+        y = fuse_md(acc)
+    else:
+        y = fuse_fd_flow(acc, x, sampler.prior, lam, sigma)
+    fg, bg = trace_prior_mse(x, sigma, y, sampler.prior, cfg.prior.activity_map)
+    return euler_update(x, y, sigma_next - sigma), fg, bg
+
+
+def tile_index(plan, rect):
+    return plan.tiles.index(rect)
+
+
+class TestPooledStep:
+    SHAPE = (3, 2, 14, 22)
+
+    def sampler(self, rng, mode, workers):
+        target = rng.standard_normal(self.SHAPE).astype(np.float32)
+        prior = rng.standard_normal(self.SHAPE).astype(np.float32)
+        if mode == "fd":
+            prior_cfg = PriorScheduleConfig(lambda_base=1.5, mode="constant")
+        elif mode == "fd_regional":
+            activity = rng.integers(0, 2, self.SHAPE[2:]).astype(bool)
+            prior_cfg = PriorScheduleConfig(
+                lambda_base=1.5, mode="regional", tau_active=0.2,
+                tau_background=0.6, activity_map=activity,
+            )
+        else:
+            prior_cfg = PriorScheduleConfig()
+        cfg = SamplerConfig(
+            canvas_shape=self.SHAPE, steps=6, mode=mode, prior=prior_cfg,
+            window_h=6, window_w=8, overlap=0.3, ramp=2, workers=workers,
+        )
+        return TiledSampler(cfg, TargetDriver(target), prior)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("mode", ["md", "fd", "fd_regional"])
+    def test_step_equals_whole_canvas_composition(self, rng, mode, workers):
+        sampler = self.sampler(rng, mode, workers)
+        assert len(sampler.plan.tiles) > 2 * workers
+        x = rng.standard_normal(self.SHAPE).astype(np.float32)
+        # step 2 (t = 0.4) closes the active gate but not the background one
+        for i in (0, 2):
+            x_next, record = sampler.step(x, i)
+            ref_x, ref_fg, ref_bg = reference_step(sampler, x, i)
+            assert x_next.tobytes() == ref_x.tobytes()
+            assert record.fg_mse == pytest.approx(ref_fg, rel=1e-12)
+            if ref_bg is None:
+                assert record.bg_mse is None
+            else:
+                assert record.bg_mse == pytest.approx(ref_bg, rel=1e-12)
+            x = x_next
+        if mode == "fd_regional":
+            assert record.lam_min == 0.0 < record.lam_max
+
+    def test_step_rejects_wrong_canvas(self, rng):
+        sampler = self.sampler(rng, "md", 1)
+        with pytest.raises(ShapeError, match="canvas"):
+            sampler.step(np.zeros((3, 2, 14, 20), np.float32), 0)
+
+
+class TestTilePool:
+    SHAPE = (1, 1, 40, 40)  # 25 tiles of 8x8
+
+    def config(self, workers):
+        return md_config(self.SHAPE, steps=2, window_h=8, window_w=8, overlap=0.0,
+                         workers=workers)
+
+    def test_in_flight_predictions_bounded(self, monkeypatch):
+        workers = 2
+        cfg = self.config(workers)
+        plan = cfg.plan()
+        lock = threading.Lock()
+        counts = {"started": 0, "added": 0, "ahead": 0, "while_blocked": None}
+        add = sampler_module.add_weighted_tile
+
+        def counting_add(*args):
+            with lock:
+                counts["added"] += 1
+            return add(*args)
+
+        def denoiser(req):
+            with lock:
+                counts["started"] += 1
+                counts["ahead"] = max(counts["ahead"], counts["started"] - counts["added"])
+            if req.step_index == 0 and tile_index(plan, req.rect) == 0:
+                # hold the oldest tile: the pool may only run ahead by the window
+                time.sleep(0.3)
+                with lock:
+                    counts["while_blocked"] = counts["started"]
+            return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+
+        monkeypatch.setattr(sampler_module, "add_weighted_tile", counting_add)
+        run(cfg, denoiser)
+        assert counts["added"] == counts["started"] == 2 * len(plan.tiles)
+        assert counts["ahead"] <= 2 * workers
+        assert counts["while_blocked"] == 2 * workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_tile_stops_the_queue(self, rng, workers):
+        cfg = self.config(workers)
+        plan = cfg.plan()
+        bad = 3
+        calls = []
+
+        def denoiser(req):
+            k = tile_index(plan, req.rect)
+            calls.append(k)
+            if k == bad:
+                raise RuntimeError("backbone crashed")
+            if k > bad:
+                time.sleep(0.2)  # keeps every worker busy past the failure
+            return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+
+        threads = threading.active_count()
+        rect = plan.tiles[bad]
+        expected = f"step 0, tile {bad} at ({rect.row},{rect.col}): backbone crashed"
+        with pytest.raises(DenoiseError) as info:
+            run(cfg, denoiser)
+        assert str(info.value) == expected
+        assert threading.active_count() == threads
+        # of the 2 x workers - 1 tiles queued behind the failing one, at most
+        # one per worker starts; the rest are cancelled, and nothing runs on
+        assert max(calls) <= bad + workers
+        settled = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == settled
+
+    def test_threads_released_after_run(self, rng):
+        threads = threading.active_count()
+        target = rng.standard_normal(self.SHAPE).astype(np.float32)
+        x, _ = run(self.config(3), TargetDriver(target))
+        assert threading.active_count() == threads
+        assert np.isfinite(x).all()
+
+    def test_step_outside_run_releases_its_pool(self, rng):
+        threads = threading.active_count()
+        target = rng.standard_normal(self.SHAPE).astype(np.float32)
+        sampler = TiledSampler(self.config(2), TargetDriver(target))
+        sampler.step(np.zeros(self.SHAPE, np.float32), 0)
+        assert threading.active_count() == threads
