@@ -29,6 +29,7 @@ from .errors import (
     ShapeError,
     TileFuseError,
     WorkerExitError,
+    WorkerReportedError,
 )
 from .fusion import (
     FusionAccumulator,

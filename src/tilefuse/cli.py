@@ -9,6 +9,7 @@ grid and tabulate the trade-off). Exit codes: 0 ok, 2 usage, 3 config,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shlex
 import sys
@@ -81,7 +82,7 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _build_denoiser(settings, canvas_shape, workers=None):
+def _build_denoiser(settings, canvas_shape):
     if settings.denoiser_kind == "gaussian":
         return GaussianAnalytic(settings.gauss_mean, settings.gauss_std)
     if settings.denoiser_kind == "target":
@@ -96,7 +97,7 @@ def _build_denoiser(settings, canvas_shape, workers=None):
         return TargetDriver(target)
     return ExternalDenoiser(
         settings.worker_command,
-        size=settings.workers if workers is None else workers,
+        size=settings.workers,
         timeout=settings.timeout,
     )
 
@@ -108,44 +109,60 @@ def run_pipeline(settings):
     canvas_shape = settings.canvas_shape()
 
     t0 = time.perf_counter()
-    if settings.prior_latent_path:
-        prior_small = read_flt(settings.prior_latent_path)
-        if prior_small.shape[0] != settings.channels:
-            raise ConfigError(
-                f"prior latent has {prior_small.shape[0]} channels, canvas "
-                f"needs {settings.channels}"
+    # An external denoiser is one worker pool serving both stages; built-in
+    # ones are built per stage, as they may depend on the canvas shape.
+    shared = None
+    if settings.denoiser_kind == "external":
+        shared = _build_denoiser(settings, canvas_shape)
+    try:
+        if settings.prior_latent_path:
+            prior_small = read_flt(settings.prior_latent_path)
+            if prior_small.shape[0] != settings.channels:
+                raise ConfigError(
+                    f"prior latent has {prior_small.shape[0]} channels, canvas "
+                    f"needs {settings.channels}"
+                )
+        else:
+            ph, pw = prior_resolution(settings.pixel_h, settings.pixel_w)
+            prior_shape = (
+                settings.channels,
+                settings.frames,
+                max(1, ph // settings.compression),
+                max(1, pw // settings.compression),
             )
-    else:
-        ph, pw = prior_resolution(settings.pixel_h, settings.pixel_w)
-        prior_shape = (
-            settings.channels,
-            settings.frames,
-            max(1, ph // settings.compression),
-            max(1, pw // settings.compression),
-        )
-        prior_cfg = settings.sampler_config_for_prior(prior_shape)
-        prior_denoiser = _build_denoiser(settings, prior_shape, workers=1)
-        try:
-            sampler = TiledSampler(prior_cfg, prior_denoiser)
-            prior_small, _ = sampler.run(make_noise(prior_shape, settings.seed, stream=0))
-        finally:
-            _close(prior_denoiser)
-    timings["prior"] = time.perf_counter() - t0
+            prior_cfg = settings.sampler_config_for_prior(prior_shape)
+            with _stage_denoiser(settings, prior_shape, shared) as den:
+                sampler = TiledSampler(prior_cfg, den)
+                prior_small, _ = sampler.run(make_noise(prior_shape, settings.seed, stream=0))
+        timings["prior"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    prior_canvas = build_prior(prior_small, canvas_shape)
-    timings["upsample"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        prior_canvas = build_prior(prior_small, canvas_shape)
+        timings["upsample"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        with _stage_denoiser(settings, canvas_shape, shared) as den:
+            sampler = TiledSampler(settings.sampler_config(), den, prior_canvas)
+            # no local keeps the noise: the run drops it after the first step
+            x_final, trace = sampler.run(make_noise(canvas_shape, settings.seed, stream=1))
+        timings["tiled"] = time.perf_counter() - t0
+    finally:
+        _close(shared)
+    return x_final, trace, prior_canvas, timings
+
+
+@contextlib.contextmanager
+def _stage_denoiser(settings, canvas_shape, shared):
+    """The shared worker pool if there is one, else a denoiser built for
+    this stage alone and closed when the stage ends."""
+    if shared is not None:
+        yield shared
+        return
     denoiser = _build_denoiser(settings, canvas_shape)
     try:
-        sampler = TiledSampler(settings.sampler_config(), denoiser, prior_canvas)
-        # no local keeps the noise: the run drops it after the first step
-        x_final, trace = sampler.run(make_noise(canvas_shape, settings.seed, stream=1))
+        yield denoiser
     finally:
         _close(denoiser)
-    timings["tiled"] = time.perf_counter() - t0
-    return x_final, trace, prior_canvas, timings
 
 
 def _close(denoiser) -> None:

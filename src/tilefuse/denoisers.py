@@ -110,7 +110,6 @@ class ExternalDenoiser:
         kind, pred = self._backend.denoise(
             req.step_index, req.t, req.sigma, rect, req.conditioning, tile
         )
-        ensure_finite(pred, "worker prediction")
         return DenoiserResponse(prediction=pred, kind=kind)
 
     def close(self) -> None:

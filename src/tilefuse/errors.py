@@ -52,6 +52,11 @@ class ProtocolError(TileFuseError, RuntimeError):
     """Base class for wire-protocol failures against an external worker."""
 
 
+class WorkerReportedError(ProtocolError):
+    """The worker answered with an error frame; the conversation stays in
+    step and the worker may be asked again."""
+
+
 class MalformedFrameError(ProtocolError):
     """The peer sent bytes that do not parse as a protocol frame."""
 

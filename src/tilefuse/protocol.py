@@ -17,10 +17,29 @@ Embed response payload: u32 dimension + that many f32 values.
 
 All integers and floats are little-endian. Reads are select()-based so a
 hung worker trips the timeout instead of blocking forever (POSIX pipes).
+
+Tiles cross the pipe without user-space copies. A sender writes a small
+prefix (frame header, fixed fields, FLT1 header) and then the tile's own
+memory. A receiver reads the exact frame length, never past it, straight
+into a fresh buffer placed so that the tile data starts on an ALIGN-byte
+boundary, and decodes the tile in place; the arrays it returns are
+writable float32. A request whose conditioning id shifts the tile off
+float32 alignment costs the worker one copy. These are implementation
+choices: the bytes on the wire are the same as with whole-frame packing,
+and a worker built on serve() needs no change.
+
+A client whose stream may be out of step after a failure (a timeout, a
+malformed frame, the pipe closing mid-frame) is poisoned: its child is
+killed and later calls raise WorkerExitError; a WorkerPool stops lending
+it out. A worker that sends garbage (a wrong message type or kind byte, a
+bad tile, a prediction of the wrong shape) is poisoned the same way. An
+error frame from the worker is a complete reply and leaves the client
+usable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue
 import select
@@ -37,12 +56,16 @@ from .errors import (
     ProtocolTimeoutError,
     ShapeError,
     WorkerExitError,
+    WorkerReportedError,
 )
-from .tensor import Rect, flt_from_bytes, flt_to_bytes
+from .tensor import FLT_HEAD_LEN, Rect, flt_from_bytes, flt_parts
 
 MAGIC = b"FDP1"
-HEADER_LEN = 13
+_HEADER = struct.Struct("<4sBQ")
+HEADER_LEN = _HEADER.size  # 13
 MAX_PAYLOAD = 1 << 31  # sanity cap against corrupt length fields
+ALIGN = 64  # received tile data starts on this byte boundary
+_REQUEST_HEAD = struct.Struct("<Iff4IH")
 
 MSG_HELLO = 0
 MSG_DENOISE_REQUEST = 1
@@ -56,48 +79,82 @@ KIND_NAMES = {0: "flow", 1: "eps"}
 
 DEFAULT_TIMEOUT = 300.0
 
+# Where the FLT1 data starts in each payload that carries a tile (for a
+# denoise request, assuming an empty conditioning id).
+_DATA_OFFSET = {
+    MSG_DENOISE_REQUEST: _REQUEST_HEAD.size + FLT_HEAD_LEN,
+    MSG_DENOISE_RESPONSE: 1 + FLT_HEAD_LEN,
+    MSG_EMBED_REQUEST: FLT_HEAD_LEN,
+}
+
+
+def _frame_header(msg_type: int, length: int) -> bytes:
+    return _HEADER.pack(MAGIC, msg_type, length)
+
 
 def pack_frame(msg_type: int, payload: bytes) -> bytes:
-    return MAGIC + bytes([msg_type]) + struct.pack("<Q", len(payload)) + payload
+    return _frame_header(msg_type, len(payload)) + payload
+
+
+def _write_frame(out, msg_type: int, *parts) -> None:
+    """Write one frame to a buffered stream: its header, then each payload
+    part as given. A part larger than the stream's buffer goes from its own
+    memory to the file, uncopied."""
+    out.write(_frame_header(msg_type, sum(len(p) for p in parts)))
+    for part in parts:
+        out.write(part)
+    out.flush()
+
+
+def _denoise_request_parts(step, t, sigma, rect: Rect, conditioning: str, tile):
+    """A denoise request payload as (prefix, tile data view): the fixed
+    fields, the conditioning id and the FLT1 header, then the data."""
+    cond = conditioning.encode("utf-8")
+    flt_head, data = flt_parts(tile)
+    head = _REQUEST_HEAD.pack(
+        step, t, sigma, rect.row, rect.col, rect.height, rect.width, len(cond)
+    )
+    return head + cond + flt_head, data
 
 
 def pack_denoise_request(step, t, sigma, rect: Rect, conditioning: str, tile) -> bytes:
-    cond = conditioning.encode("utf-8")
-    head = struct.pack(
-        "<Iff4IH",
-        step,
-        t,
-        sigma,
-        rect.row,
-        rect.col,
-        rect.height,
-        rect.width,
-        len(cond),
-    )
-    return head + cond + flt_to_bytes(tile)
+    return b"".join(_denoise_request_parts(step, t, sigma, rect, conditioning, tile))
 
 
-def unpack_denoise_request(payload: bytes):
-    fixed = struct.calcsize("<Iff4IH")
+def unpack_denoise_request(payload):
+    fixed = _REQUEST_HEAD.size
     if len(payload) < fixed:
         raise MalformedFrameError(f"denoise request truncated at {len(payload)} bytes")
-    step, t, sigma, row, col, height, width, cond_len = struct.unpack(
-        "<Iff4IH", payload[:fixed]
+    step, t, sigma, row, col, height, width, cond_len = _REQUEST_HEAD.unpack(
+        payload[:fixed]
     )
-    cond = payload[fixed : fixed + cond_len].decode("utf-8")
+    cond = bytes(payload[fixed : fixed + cond_len]).decode("utf-8")
     tile = flt_from_bytes(payload[fixed + cond_len :], "request tile")
     return step, t, sigma, Rect(row, col, height, width), cond, tile
 
 
+def _denoise_response_parts(kind: str, tile):
+    flt_head, data = flt_parts(tile)
+    return bytes([KIND_CODES[kind]]) + flt_head, data
+
+
 def pack_denoise_response(kind: str, tile) -> bytes:
-    return bytes([KIND_CODES[kind]]) + flt_to_bytes(tile)
+    return b"".join(_denoise_response_parts(kind, tile))
 
 
-def unpack_denoise_response(payload: bytes):
+def unpack_denoise_response(payload):
     if not payload or payload[0] not in KIND_NAMES:
         code = payload[0] if payload else None
         raise MalformedFrameError(f"unknown prediction kind byte {code!r}")
     return KIND_NAMES[payload[0]], flt_from_bytes(payload[1:], "response tile")
+
+
+def _aligned_buffer(length: int, msg_type: int) -> memoryview:
+    """A writable length-byte buffer for a msg_type payload, placed so that
+    the payload's tile data starts on an ALIGN-byte boundary."""
+    raw = np.empty(length + ALIGN, dtype=np.uint8)
+    start = -(raw.ctypes.data + _DATA_OFFSET.get(msg_type, 0)) % ALIGN
+    return memoryview(raw[start : start + length])
 
 
 def pack_embedding(vec: np.ndarray) -> bytes:
@@ -117,38 +174,51 @@ def unpack_embedding(payload: bytes) -> np.ndarray:
 
 
 class _PipeReader:
-    """Exact-length reads over a pipe fd with a deadline."""
+    """Exact-length reads over a pipe fd with a deadline. Bytes go straight
+    into the caller's buffer and nothing past its end is read, so no part
+    of a later frame is held here."""
 
     def __init__(self, fileobj):
         self._fd = fileobj.fileno()
-        self._buf = bytearray()
 
-    def read_exact(self, n: int, timeout: float) -> bytes:
+    def read_into(self, view: memoryview, timeout: float) -> None:
+        n = len(view)
+        got = 0
         deadline = time.monotonic() + timeout
-        while len(self._buf) < n:
+        while got < n:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ProtocolTimeoutError(
-                    f"worker sent {len(self._buf)} of {n} bytes within {timeout:g}s"
+                    f"worker sent {got} of {n} bytes within {timeout:g}s"
                 )
             ready, _, _ = select.select([self._fd], [], [], remaining)
             if not ready:
                 continue
-            chunk = os.read(self._fd, 1 << 16)
-            if not chunk:
+            count = os.readv(self._fd, [view[got:]])
+            if not count:
                 raise WorkerExitError("worker closed its output pipe")
-            self._buf += chunk
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
+            got += count
+
+    def read_exact(self, n: int, timeout: float) -> bytes:
+        buf = bytearray(n)
+        self.read_into(memoryview(buf), timeout)
+        return bytes(buf)
 
 
 class WorkerClient:
-    """One child process; requests are strictly serial per client."""
+    """One child process; requests are strictly serial per client.
+
+    Any failed exchange other than an error frame from the worker poisons
+    the client: a timeout, a malformed or unexpected frame, the pipe
+    closing, a prediction of the wrong shape. The stream may be out of step
+    after it, so the child is killed and every later call raises
+    WorkerExitError at once. An error frame leaves the client usable.
+    """
 
     def __init__(self, command, timeout: float = DEFAULT_TIMEOUT):
         self.command = list(command)
         self.timeout = float(timeout)
+        self.poisoned = None  # why the child was killed, once it has been
         self._proc = subprocess.Popen(
             self.command,
             stdin=subprocess.PIPE,
@@ -156,70 +226,99 @@ class WorkerClient:
             stderr=None,
         )
         self._reader = _PipeReader(self._proc.stdout)
-        self._send(MSG_HELLO, b"")
-        msg_type, payload = self._recv()
-        if msg_type != MSG_HELLO:
-            raise MalformedFrameError(f"expected hello, got message type {msg_type}")
-
-    def _send(self, msg_type: int, payload: bytes) -> None:
         try:
-            self._proc.stdin.write(pack_frame(msg_type, payload))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+            self._send(MSG_HELLO)
+            msg_type, _ = self._recv()
+            if msg_type != MSG_HELLO:
+                raise MalformedFrameError(f"expected hello, got message type {msg_type}")
+        except BaseException as exc:
+            self._poison(exc)
+            raise
+
+    def _poison(self, exc: BaseException) -> None:
+        self.poisoned = f"{type(exc).__name__}: {exc}"
+        self._proc.kill()
+        self.close()
+
+    @contextlib.contextmanager
+    def _exchange(self):
+        """Guard one request and its reply; see the class docstring."""
+        if self.poisoned is not None:
+            raise WorkerExitError(f"worker was stopped after a failure ({self.poisoned})")
+        try:
+            yield
+        except WorkerReportedError:
+            raise
+        except BaseException as exc:
+            self._poison(exc)
+            raise
+
+    def _send(self, msg_type: int, *parts) -> None:
+        try:
+            _write_frame(self._proc.stdin, msg_type, *parts)
+        except OSError as exc:
             raise WorkerExitError(f"worker pipe closed while sending: {exc}") from exc
 
     def _recv(self):
+        """Read one frame. The payload is a fresh writable buffer whose tile
+        data, if it carries one, starts on an ALIGN-byte boundary."""
         header = self._reader.read_exact(HEADER_LEN, self.timeout)
-        if header[:4] != MAGIC:
-            raise MalformedFrameError(f"bad frame magic {header[:4]!r}")
-        msg_type = header[4]
-        (length,) = struct.unpack("<Q", header[5:])
+        magic, msg_type, length = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise MalformedFrameError(f"bad frame magic {magic!r}")
         if length > MAX_PAYLOAD:
             raise MalformedFrameError(f"frame length {length} exceeds cap")
-        payload = self._reader.read_exact(length, self.timeout)
+        payload = _aligned_buffer(length, msg_type)
+        self._reader.read_into(payload, self.timeout)
         if msg_type == MSG_ERROR:
-            raise ProtocolError(f"worker error: {payload.decode('utf-8', 'replace')}")
+            text = bytes(payload).decode("utf-8", "replace")
+            raise WorkerReportedError(f"worker error: {text}")
         return msg_type, payload
 
     def denoise(self, step, t, sigma, rect: Rect, conditioning: str, tile):
         """Returns (kind, prediction). The prediction must match the tile
-        shape bit for bit in layout."""
-        self._send(
-            MSG_DENOISE_REQUEST,
-            pack_denoise_request(step, t, sigma, rect, conditioning, tile),
-        )
-        msg_type, payload = self._recv()
-        if msg_type != MSG_DENOISE_RESPONSE:
-            raise MalformedFrameError(
-                f"expected denoise response, got message type {msg_type}"
-            )
-        kind, pred = unpack_denoise_response(payload)
-        if pred.shape != tuple(tile.shape):
-            raise ShapeError(
-                f"worker returned shape {pred.shape} for a {tuple(tile.shape)} tile"
-            )
+        shape bit for bit in layout. It is a writable float32 array whose
+        data starts on an ALIGN-byte boundary."""
+        parts = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
+        with self._exchange():
+            self._send(MSG_DENOISE_REQUEST, *parts)
+            msg_type, payload = self._recv()
+            if msg_type != MSG_DENOISE_RESPONSE:
+                raise MalformedFrameError(
+                    f"expected denoise response, got message type {msg_type}"
+                )
+            kind, pred = unpack_denoise_response(payload)
+            if pred.shape != tuple(tile.shape):
+                raise ShapeError(
+                    f"worker returned shape {pred.shape} for a {tuple(tile.shape)} tile"
+                )
         return kind, pred
 
     def embed(self, tensor) -> np.ndarray:
-        self._send(MSG_EMBED_REQUEST, flt_to_bytes(tensor))
-        msg_type, payload = self._recv()
-        if msg_type != MSG_EMBED_RESPONSE:
-            raise MalformedFrameError(
-                f"expected embed response, got message type {msg_type}"
-            )
-        return unpack_embedding(payload)
+        parts = flt_parts(tensor)
+        with self._exchange():
+            self._send(MSG_EMBED_REQUEST, *parts)
+            msg_type, payload = self._recv()
+            if msg_type != MSG_EMBED_RESPONSE:
+                raise MalformedFrameError(
+                    f"expected embed response, got message type {msg_type}"
+                )
+            return unpack_embedding(payload)
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        """End the child: EOF on its stdin, and a kill if it has not exited
+        within 5 s. Safe to call more than once."""
+        proc = self._proc
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def __enter__(self):
         return self
@@ -230,29 +329,45 @@ class WorkerClient:
 
 class WorkerPool:
     """Fixed set of worker clients, one in-flight request each. Thread-safe:
-    callers borrow an idle client for the duration of a call."""
+    callers borrow an idle client for the duration of a call. A poisoned
+    client is never lent again; once all are, every call raises
+    WorkerExitError at once."""
 
     def __init__(self, command, size: int = 1, timeout: float = DEFAULT_TIMEOUT):
         if size < 1:
             raise ProtocolError(f"pool size must be >= 1, got {size}")
-        self._clients = [WorkerClient(command, timeout) for _ in range(size)]
+        self._clients = []
+        try:
+            for _ in range(size):
+                self._clients.append(WorkerClient(command, timeout))
+        except BaseException:
+            self.close()
+            raise
         self._idle = queue.Queue()
         for c in self._clients:
             self._idle.put(c)
 
-    def denoise(self, *args, **kwargs):
+    @contextlib.contextmanager
+    def _borrow(self):
         client = self._idle.get()
+        if client is None:
+            self._idle.put(None)  # pass the news on to the next borrower
+            raise WorkerExitError("every worker in the pool was stopped after a failure")
         try:
-            return client.denoise(*args, **kwargs)
+            yield client
         finally:
-            self._idle.put(client)
+            if client.poisoned is None:
+                self._idle.put(client)
+            elif all(c.poisoned is not None for c in self._clients):
+                self._idle.put(None)
+
+    def denoise(self, *args, **kwargs):
+        with self._borrow() as client:
+            return client.denoise(*args, **kwargs)
 
     def embed(self, *args, **kwargs):
-        client = self._idle.get()
-        try:
+        with self._borrow() as client:
             return client.embed(*args, **kwargs)
-        finally:
-            self._idle.put(client)
 
     def close(self) -> None:
         for c in self._clients:
@@ -276,46 +391,44 @@ def serve(denoise=None, embed=None, stdin=None, stdout=None) -> None:
     inp = stdin if stdin is not None else sys.stdin.buffer
     out = stdout if stdout is not None else sys.stdout.buffer
 
-    def read_exact(n):
-        chunks = b""
-        while len(chunks) < n:
-            block = inp.read(n - len(chunks))
-            if not block:
-                return None
-            chunks += block
-        return chunks
+    def read_into(view):
+        got = 0
+        while got < len(view):
+            count = inp.readinto(view[got:])
+            if not count:
+                return False
+            got += count
+        return True
 
-    def reply(msg_type, payload):
-        out.write(pack_frame(msg_type, payload))
-        out.flush()
-
+    header = memoryview(bytearray(HEADER_LEN))
     while True:
-        header = read_exact(HEADER_LEN)
-        if header is None:
+        if not read_into(header):
             return
-        if header[:4] != MAGIC:
-            reply(MSG_ERROR, b"bad frame magic")
+        magic, msg_type, length = _HEADER.unpack(header)
+        if magic != MAGIC:
+            _write_frame(out, MSG_ERROR, b"bad frame magic")
             return
-        msg_type = header[4]
-        (length,) = struct.unpack("<Q", header[5:])
-        payload = read_exact(length)
-        if payload is None:
+        if length > MAX_PAYLOAD:
+            _write_frame(out, MSG_ERROR, b"frame length exceeds cap")
+            return
+        payload = _aligned_buffer(length, msg_type)
+        if not read_into(payload):
             return
         try:
             if msg_type == MSG_HELLO:
-                reply(MSG_HELLO, b"")
+                _write_frame(out, MSG_HELLO)
             elif msg_type == MSG_DENOISE_REQUEST:
                 if denoise is None:
                     raise ProtocolError("worker has no denoise handler")
                 step, t, sigma, rect, cond, tile = unpack_denoise_request(payload)
                 kind, pred = denoise(step, t, sigma, rect, cond, tile)
-                reply(MSG_DENOISE_RESPONSE, pack_denoise_response(kind, pred))
+                _write_frame(out, MSG_DENOISE_RESPONSE, *_denoise_response_parts(kind, pred))
             elif msg_type == MSG_EMBED_REQUEST:
                 if embed is None:
                     raise ProtocolError("worker has no embed handler")
                 tensor = flt_from_bytes(payload, "embed request")
-                reply(MSG_EMBED_RESPONSE, pack_embedding(embed(tensor)))
+                _write_frame(out, MSG_EMBED_RESPONSE, pack_embedding(embed(tensor)))
             else:
                 raise ProtocolError(f"unsupported message type {msg_type}")
         except Exception as exc:  # keep serving after handler failures
-            reply(MSG_ERROR, str(exc).encode("utf-8"))
+            _write_frame(out, MSG_ERROR, str(exc).encode("utf-8"))

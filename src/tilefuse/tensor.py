@@ -2,7 +2,8 @@
 
 A latent tensor is a C-contiguous float32 ndarray of shape
 (channels, frames, rows, cols), W fastest-varying. All public operations
-return new arrays; nothing here mutates its inputs.
+return new arrays, except that the FLT1 codec (flt_parts, flt_from_bytes)
+may share memory with its argument; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import ArgumentError, BoundsError, FileFormatError, ShapeError
 
 FLT_MAGIC = b"FLT1"
 FLT_VERSION = 1
+FLT_HEAD_LEN = 24  # magic + version + 4 dims
 
 
 @dataclass(frozen=True)
@@ -149,30 +151,41 @@ def trilinear_resize(src: np.ndarray, out_t: int, out_h: int, out_w: int) -> np.
 
 def write_flt(path, tensor: np.ndarray) -> None:
     """Write a latent tensor in the FLT1 container (atomic: write + rename)."""
-    tensor = as_latent(tensor, "tensor")
+    head, data = flt_parts(tensor)
     tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(FLT_MAGIC)
-        fh.write(struct.pack("<5I", FLT_VERSION, *tensor.shape))
-        fh.write(tensor.astype("<f4", copy=False).tobytes())
+        fh.write(head)
+        fh.write(data)
     os.replace(tmp, path)
 
 
-def flt_to_bytes(tensor: np.ndarray) -> bytes:
+def flt_parts(tensor: np.ndarray) -> tuple[bytes, memoryview]:
+    """The FLT1 container as its header bytes and a byte view of the
+    little-endian data, so a writer can send the data without copying it.
+    The view shares memory with the tensor when the tensor is already
+    C-contiguous little-endian float32."""
     tensor = as_latent(tensor, "tensor")
-    return (
-        FLT_MAGIC
-        + struct.pack("<5I", FLT_VERSION, *tensor.shape)
-        + tensor.astype("<f4", copy=False).tobytes()
-    )
+    head = FLT_MAGIC + struct.pack("<5I", FLT_VERSION, *tensor.shape)
+    data = tensor.astype("<f4", copy=False).reshape(-1).view(np.uint8)
+    return head, memoryview(data)
 
 
-def flt_from_bytes(blob: bytes, name: str = "payload") -> np.ndarray:
-    head = len(FLT_MAGIC) + 20
+def flt_to_bytes(tensor: np.ndarray) -> bytes:
+    return b"".join(flt_parts(tensor))
+
+
+def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:
+    """Decode an FLT1 container from any bytes-like object.
+
+    A writable buffer whose data is aligned little-endian float32 is used in
+    place: the result shares its memory. Anything else, immutable bytes
+    included, is copied, so the result is always a writable array.
+    """
+    head = FLT_HEAD_LEN
     if len(blob) < head:
         raise FileFormatError(f"{name}: truncated FLT1 header ({len(blob)} bytes)")
-    if blob[:4] != FLT_MAGIC:
-        raise FileFormatError(f"{name}: bad magic {blob[:4]!r}")
+    if bytes(blob[:4]) != FLT_MAGIC:
+        raise FileFormatError(f"{name}: bad magic {bytes(blob[:4])!r}")
     version, c, t, h, w = struct.unpack("<5I", blob[4:head])
     if version != FLT_VERSION:
         raise FileFormatError(f"{name}: unsupported FLT version {version}")
@@ -184,8 +197,9 @@ def flt_from_bytes(blob: bytes, name: str = "payload") -> np.ndarray:
             f"{name}: payload holds {len(blob) - head} bytes, header promises "
             f"{4 * count}"
         )
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=head)
-    arr = np.ascontiguousarray(data.reshape(c, t, h, w).astype(np.float32))
+    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=head).reshape(c, t, h, w)
+    if not (arr.flags.writeable and arr.flags.aligned and arr.dtype == np.float32):
+        arr = arr.astype(np.float32)
     return ensure_finite(arr, name)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 
 import numpy as np
@@ -189,8 +190,9 @@ class TestSampleCommand:
             def close(self):
                 closed.append(self.stage)
 
-        def build(settings, canvas_shape, workers=None):
-            return Stub("prior" if workers == 1 else "tiled")
+        def build(settings, canvas_shape):
+            tiled = tuple(canvas_shape) == settings.canvas_shape()
+            return Stub("tiled" if tiled else "prior")
 
         monkeypatch.setattr(cli, "_build_denoiser", build)
         path, _ = target_file
@@ -230,6 +232,75 @@ timeout = 60
         assert main(["sample", "--config", cfg]) == 0
         out = read_flt(tmp_path / "ext.flt")
         assert np.isfinite(out).all()
+
+
+    @staticmethod
+    def external_config(tmp_path, command, extra=""):
+        return write_config(
+            tmp_path / "ext.ini",
+            f"""
+[run]
+seed = 5
+mode = fd
+steps = 3
+workers = 2
+output = {tmp_path}/ext.flt
+
+[canvas]
+channels = 2
+frames = 2
+height = 16
+width = 24
+
+[tiles]
+window_height = 8
+window_width = 8
+overlap = 0.25
+
+[denoiser]
+kind = external
+command = {command}
+{extra}
+""",
+        )
+
+    def test_one_worker_pool_serves_both_stages(self, monkeypatch, tmp_path):
+        built, closed = [], []
+
+        class Pool:
+            def __call__(self, req):
+                return GaussianAnalytic(0.0, 1.0)(req)
+
+            def close(self):
+                closed.append(self)
+
+        def build(settings, canvas_shape):
+            built.append(tuple(canvas_shape))
+            return Pool()
+
+        monkeypatch.setattr(cli, "_build_denoiser", build)
+        cfg = self.external_config(tmp_path, "unused")
+        assert main(["sample", "--config", cfg]) == 0
+        assert built == [(2, 2, 16, 24)]  # one pool, built for the canvas
+        assert len(closed) == 1
+
+    def test_no_worker_outlives_a_failed_start(self, tmp_path, capsys):
+        pids = tmp_path / "pids"
+        script = tmp_path / "mute.py"
+        script.write_text(
+            "import os, sys, time\n"
+            "with open(sys.argv[1], 'a') as fh:\n"
+            "    fh.write(f'{os.getpid()}\\n')\n"
+            "time.sleep(600)\n"
+        )
+        cfg = self.external_config(
+            tmp_path, f"{sys.executable} {script} {pids}", "timeout = 1"
+        )
+        assert main(["sample", "--config", cfg]) == 5
+        assert capsys.readouterr().err.count("\n") == 1
+        for pid in (int(v) for v in pids.read_text().split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestMetricsCommand:

@@ -2,6 +2,9 @@ import io
 import os
 import struct
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from tilefuse.errors import (
     WorkerExitError,
 )
 from tilefuse.protocol import (
+    ALIGN,
     MSG_DENOISE_REQUEST,
     MSG_DENOISE_RESPONSE,
     MSG_HELLO,
@@ -31,6 +35,7 @@ from tilefuse.protocol import (
     unpack_denoise_response,
     unpack_embedding,
 )
+from tilefuse.tensor import flt_from_bytes, flt_to_bytes
 
 ECHO_CMD = [sys.executable, "-m", "tilefuse.echo_worker"]
 
@@ -40,6 +45,33 @@ def worker_script(tmp_path, body):
     path = tmp_path / "worker.py"
     path.write_text(body)
     return [sys.executable, str(path)]
+
+
+# Appends the worker's pid to the file named by its first argument.
+RECORD_PID = (
+    "import os, sys\n"
+    "with open(sys.argv[1], 'a') as fh:\n"
+    "    fh.write(f'{os.getpid()}\\n')\n"
+)
+
+
+def recorded_pids(path):
+    return [int(line) for line in path.read_text().split()]
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def assert_decoded_tile(pred, tile):
+    assert pred.dtype == np.float32
+    assert pred.flags.writeable and pred.flags.c_contiguous and pred.flags.aligned
+    assert pred.ctypes.data % ALIGN == 0
+    assert pred.tobytes() == tile.tobytes()
 
 
 class TestFraming:
@@ -115,6 +147,27 @@ class TestServeLoop:
         assert out[4] == 3  # error frame
         assert b"backbone on fire" in out
 
+    def test_conditioning_id_shifts_tile_off_alignment(self, rng):
+        # one byte of conditioning id puts the tile data off float32
+        # alignment, so the worker decodes it from a copy
+        tile = rng.standard_normal((2, 3, 5, 7)).astype(np.float32)
+        frames = pack_frame(
+            MSG_DENOISE_REQUEST,
+            pack_denoise_request(4, 0.5, 0.25, Rect(1, 2, 5, 7), "c", tile),
+        )
+        seen = []
+
+        def denoise(step, t, sigma, rect, cond, x):
+            seen.append((step, rect, cond))
+            assert x.dtype == np.float32 and x.flags.writeable and x.flags.aligned
+            return "eps", x
+
+        out = self.run_loop(frames, denoise=denoise)
+        assert seen == [(4, Rect(1, 2, 5, 7), "c")]
+        assert out[4] == MSG_DENOISE_RESPONSE
+        kind, back = unpack_denoise_response(out[13:])
+        assert kind == "eps" and back.tobytes() == tile.tobytes()
+
 
 class TestWorkerClient:
     def test_echo_round_trip_bit_exact(self, rng):
@@ -174,6 +227,10 @@ class TestWorkerClient:
             tile = np.zeros((1, 1, 2, 2), np.float32)
             with pytest.raises(MalformedFrameError):
                 client.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+            # the stream is out of step: the worker is killed, never asked again
+            assert client._proc.poll() is not None
+            with pytest.raises(WorkerExitError, match="MalformedFrameError"):
+                client.denoise(1, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
 
     def test_worker_exit_is_distinct_error(self, rng, tmp_path):
         cmd = worker_script(
@@ -268,3 +325,238 @@ class TestExternalDenoiser:
             )
             assert resp.kind == "eps"
             assert np.allclose(resp.prediction, 2.0 * tile)
+
+
+class TestCopyFreeWire:
+    def test_sent_bytes_equal_whole_frame_packing(self, rng, tmp_path):
+        dump = tmp_path / "stdin.bin"
+        cmd = worker_script(
+            tmp_path,
+            "import struct, sys\n"
+            "from tilefuse.protocol import (HEADER_LEN, pack_denoise_response,\n"
+            "    pack_frame, unpack_denoise_request)\n"
+            "inp, out = sys.stdin.buffer, sys.stdout.buffer\n"
+            "with open(sys.argv[1], 'wb') as dump:\n"
+            "    while True:\n"
+            "        header = inp.read(HEADER_LEN)\n"
+            "        if not header:\n"
+            "            break\n"
+            "        payload = inp.read(struct.unpack('<Q', header[5:])[0])\n"
+            "        dump.write(header + payload)\n"
+            "        if header[4] == 0:\n"
+            "            out.write(pack_frame(0, b''))\n"
+            "        else:\n"
+            "            tile = unpack_denoise_request(payload)[-1]\n"
+            "            out.write(pack_frame(2, pack_denoise_response('flow', tile)))\n"
+            "        out.flush()\n",
+        ) + [str(dump)]
+        tile = rng.standard_normal((3, 2, 5, 9)).astype(np.float32)
+        args = (12, 0.375, 0.625, Rect(4, 6, 5, 9), "prompt-β", tile)
+        with WorkerClient(cmd, timeout=30) as client:
+            _, pred = client.denoise(*args)
+        assert pred.tobytes() == tile.tobytes()
+        assert dump.read_bytes() == pack_frame(MSG_HELLO, b"") + pack_frame(
+            MSG_DENOISE_REQUEST, pack_denoise_request(*args)
+        )
+
+    def test_tile_larger_than_pipe_through_pool_from_threads(self):
+        shape = (16, 21, 60, 104)  # 8.4 MB, far past a pipe's capacity
+
+        def roundtrip(k):
+            tiles = np.random.default_rng(k).standard_normal((2,) + shape)
+            for j, tile in enumerate(tiles.astype(np.float32)):
+                _, pred = pool.denoise(k, 0.5, 0.5, Rect(0, 0, 60, 104), f"t{j}", tile)
+                assert_decoded_tile(pred, tile)
+            return True
+
+        with WorkerPool(ECHO_CMD, size=2, timeout=60) as pool:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                assert all(ex.map(roundtrip, range(4)))
+
+    def test_reply_in_uneven_chunks_with_pauses(self, rng, tmp_path):
+        cmd = worker_script(
+            tmp_path,
+            "import sys, time\n"
+            "from tilefuse.protocol import serve\n"
+            "class Trickle:\n"
+            "    def __init__(self, raw):\n"
+            "        self.raw = raw\n"
+            "    def write(self, data):\n"
+            "        data = bytes(data)\n"
+            "        sizes = [1, 2, 3, 5, 8, 13, 4093, 70001]\n"
+            "        while data:\n"
+            "            n = sizes[len(data) % len(sizes)]\n"
+            "            self.raw.write(data[:n])\n"
+            "            self.raw.flush()\n"
+            "            data = data[n:]\n"
+            "            time.sleep(0.002)\n"
+            "    def flush(self):\n"
+            "        self.raw.flush()\n"
+            "serve(denoise=lambda s, t, g, r, c, x: ('eps', x),\n"
+            "      stdout=Trickle(sys.stdout.buffer))\n",
+        )
+        with WorkerClient(cmd, timeout=30) as client:
+            for shape in [(1, 1, 1, 1), (2, 3, 17, 29), (4, 5, 40, 48)]:
+                tile = rng.standard_normal(shape).astype(np.float32)
+                kind, pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, *shape[2:]), "", tile)
+                assert kind == "eps"
+                assert_decoded_tile(pred, tile)
+
+    def test_decoded_predictions_are_owned_aligned_float32(self, rng):
+        with ExternalDenoiser(ECHO_CMD, timeout=30) as den:
+            for shape in [(1, 1, 1, 1), (3, 2, 7, 5), (4, 3, 16, 24)]:
+                tile = rng.standard_normal(shape).astype(np.float32)
+                pred = den(
+                    DenoiserRequest(tile=tile, step_index=0, t=0.5, sigma=0.5,
+                                    rect=Rect(0, 0, *shape[2:]))
+                ).prediction
+                assert_decoded_tile(pred, tile)
+                pred += 1.0  # the caller may update it in place
+
+    def test_flt_from_immutable_bytes_is_a_writable_copy(self, rng):
+        tile = rng.standard_normal((2, 1, 3, 4)).astype(np.float32)
+        blob = flt_to_bytes(tile)
+        back = flt_from_bytes(blob)
+        assert back.flags.writeable and back.dtype == np.float32
+        back[...] = 0.0
+        assert flt_from_bytes(blob).tobytes() == tile.tobytes()
+
+
+SLOW_FIRST_REQUEST = (
+    "import time\n"
+    "from tilefuse.protocol import serve\n"
+    "calls = []\n"
+    "def denoise(step, t, sigma, rect, cond, tile):\n"
+    "    calls.append(step)\n"
+    "    if len(calls) == 1:\n"
+    "        time.sleep(1.5)\n"
+    "    return 'flow', tile\n"
+    "serve(denoise=denoise)\n"
+)
+
+
+class TestPoisonedClient:
+    def test_late_reply_never_answers_the_next_request(self, tmp_path):
+        cmd = worker_script(tmp_path, SLOW_FIRST_REQUEST)
+        first = np.full((1, 1, 2, 2), 1.0, np.float32)
+        second = np.full((1, 1, 2, 2), 2.0, np.float32)
+        client = WorkerClient(cmd, timeout=1.0)
+        try:
+            with pytest.raises(ProtocolTimeoutError):
+                client.denoise(1, 0.0, 1.0, Rect(0, 0, 2, 2), "", first)
+            assert client._proc.poll() is not None  # killed, not left running
+            time.sleep(0.7)  # the first reply would be due by now
+            start = time.monotonic()
+            with pytest.raises(WorkerExitError, match="stopped after a failure"):
+                client.denoise(2, 0.0, 1.0, Rect(0, 0, 2, 2), "", second)
+            with pytest.raises(WorkerExitError):
+                client.embed(second)
+            assert time.monotonic() - start < 0.5
+        finally:
+            client.close()
+
+    def test_pipe_closing_mid_frame_poisons(self, tmp_path):
+        cmd = worker_script(
+            tmp_path,
+            "import struct, sys\n"
+            "from tilefuse.protocol import HEADER_LEN, pack_frame\n"
+            "inp, out = sys.stdin.buffer, sys.stdout.buffer\n"
+            "inp.read(HEADER_LEN)\n"
+            "out.write(pack_frame(0, b''))\n"
+            "out.flush()\n"
+            "header = inp.read(HEADER_LEN)\n"
+            "inp.read(struct.unpack('<Q', header[5:])[0])\n"
+            "out.write(b'FDP1' + bytes([2]) + struct.pack('<Q', 1000) + b'x' * 10)\n"
+            "out.flush()\n",
+        )
+        tile = np.zeros((1, 1, 2, 2), np.float32)
+        with WorkerClient(cmd, timeout=30) as client:
+            with pytest.raises(WorkerExitError, match="closed its output pipe"):
+                client.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+            with pytest.raises(WorkerExitError, match="stopped after a failure"):
+                client.denoise(1, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+
+    def test_error_frame_leaves_client_usable(self, rng, tmp_path):
+        cmd = worker_script(
+            tmp_path,
+            "from tilefuse.protocol import serve\n"
+            "def denoise(step, t, sigma, rect, cond, tile):\n"
+            "    if step == 0:\n"
+            "        raise ValueError('not this step')\n"
+            "    return 'flow', tile\n"
+            "serve(denoise=denoise)\n",
+        )
+        tile = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
+        with WorkerClient(cmd, timeout=30) as client:
+            with pytest.raises(ProtocolError, match="not this step"):
+                client.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+            assert client.poisoned is None
+            _, pred = client.denoise(1, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+            assert pred.tobytes() == tile.tobytes()
+
+    def test_pool_never_lends_a_poisoned_client(self, rng, tmp_path):
+        cmd = worker_script(
+            tmp_path,
+            "import time\n"
+            "from tilefuse.protocol import serve\n"
+            "def denoise(step, t, sigma, rect, cond, tile):\n"
+            "    if step == 1:\n"
+            "        time.sleep(1.5)\n"
+            "    return 'flow', tile\n"
+            "serve(denoise=denoise)\n",
+        )
+        tile = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
+        rect = Rect(0, 0, 3, 3)
+        with WorkerPool(cmd, size=2, timeout=1.0) as pool:
+            with pytest.raises(ProtocolTimeoutError):
+                pool.denoise(1, 0.0, 1.0, rect, "", tile)
+            time.sleep(0.7)  # the late reply is due: a lent-out client would see it
+            for _ in range(4):
+                _, pred = pool.denoise(0, 0.0, 1.0, rect, "", tile)
+                assert pred.tobytes() == tile.tobytes()
+            with pytest.raises(ProtocolTimeoutError):
+                pool.denoise(1, 0.0, 1.0, rect, "", tile)
+
+            errors = []
+
+            def call():
+                try:
+                    pool.denoise(0, 0.0, 1.0, rect, "", tile)
+                except WorkerExitError as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=call) for _ in range(3)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+            assert not any(th.is_alive() for th in threads)
+            assert len(errors) == 3
+
+
+class TestFailedStart:
+    def test_client_reaps_a_worker_that_never_says_hello(self, tmp_path):
+        pids = tmp_path / "pids"
+        cmd = worker_script(tmp_path, RECORD_PID + "import time\ntime.sleep(600)\n")
+        with pytest.raises(ProtocolTimeoutError):
+            WorkerClient(cmd + [str(pids)], timeout=1.0)
+        (pid,) = recorded_pids(pids)
+        assert not alive(pid)
+
+    def test_pool_closes_started_clients_when_a_later_one_fails(self, tmp_path):
+        pids = tmp_path / "pids"
+        cmd = worker_script(
+            tmp_path,
+            RECORD_PID
+            + "import time\n"
+            "from tilefuse.protocol import serve\n"
+            "if open(sys.argv[1]).read().split()[0] == str(os.getpid()):\n"
+            "    serve(denoise=lambda *a: ('flow', a[-1]))\n"
+            "else:\n"
+            "    time.sleep(600)\n",
+        )
+        with pytest.raises(ProtocolTimeoutError):
+            WorkerPool(cmd + [str(pids)], size=3, timeout=1.0)
+        started = recorded_pids(pids)
+        assert len(started) == 2  # the second one failed; no third was started
+        assert not any(alive(pid) for pid in started)
