@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import shlex
 import sys
@@ -35,7 +36,7 @@ from .metrics import (
     video_tenengrad,
 )
 from .netpbm import read_pnm
-from .planner import plan_tiles, plan_tiles_pixels, prior_resolution
+from .planner import plan_tiles, plan_tiles_pixels
 from .protocol import WorkerClient
 from .sampler import TiledSampler, build_prior, make_noise
 from .tensor import read_flt, trilinear_resize, write_flt
@@ -83,10 +84,11 @@ def cmd_plan(args) -> int:
 
 
 def _build_denoiser(settings, canvas_shape):
-    if settings.denoiser_kind == "gaussian":
-        return GaussianAnalytic(settings.gauss_mean, settings.gauss_std)
-    if settings.denoiser_kind == "target":
-        target = read_flt(settings.target_path)
+    d = settings.denoiser
+    if d.kind == "gaussian":
+        return GaussianAnalytic(d.mean, d.std)
+    if d.kind == "target":
+        target = read_flt(d.target)
         c, t, h, w = canvas_shape
         if target.shape[0] != c:
             raise ConfigError(
@@ -96,55 +98,50 @@ def _build_denoiser(settings, canvas_shape):
             target = trilinear_resize(target, t, h, w)
         return TargetDriver(target)
     return ExternalDenoiser(
-        settings.worker_command,
-        size=settings.workers,
-        timeout=settings.timeout,
+        d.command,
+        size=settings.run.workers,
+        timeout=d.timeout,
     )
 
 
-def run_pipeline(settings):
+def run_pipeline(settings, prior=None):
     """Prior pass, upsample, tiled pass. Returns (x_final, trace,
-    prior_canvas, timings)."""
+    prior_canvas, timings). A prior from an earlier run of the same
+    settings, bar prior strength and gates, skips the prior pass; the
+    returned prior_canvas is the prior the tiled pass used."""
     timings = {}
     canvas_shape = settings.canvas_shape()
 
     t0 = time.perf_counter()
+    if prior is None and settings.prior_stage is None:  # read before any worker starts
+        prior = read_flt(settings.prior.latent)
+        if prior.shape[0] != settings.canvas.channels:
+            raise ConfigError(
+                f"prior latent has {prior.shape[0]} channels, canvas "
+                f"needs {settings.canvas.channels}"
+            )
     # An external denoiser is one worker pool serving both stages; built-in
     # ones are built per stage, as they may depend on the canvas shape.
     shared = None
-    if settings.denoiser_kind == "external":
+    if settings.denoiser.kind == "external":
         shared = _build_denoiser(settings, canvas_shape)
     try:
-        if settings.prior_latent_path:
-            prior_small = read_flt(settings.prior_latent_path)
-            if prior_small.shape[0] != settings.channels:
-                raise ConfigError(
-                    f"prior latent has {prior_small.shape[0]} channels, canvas "
-                    f"needs {settings.channels}"
-                )
-        else:
-            ph, pw = prior_resolution(settings.pixel_h, settings.pixel_w)
-            prior_shape = (
-                settings.channels,
-                settings.frames,
-                max(1, ph // settings.compression),
-                max(1, pw // settings.compression),
-            )
-            prior_cfg = settings.sampler_config_for_prior(prior_shape)
-            with _stage_denoiser(settings, prior_shape, shared) as den:
-                sampler = TiledSampler(prior_cfg, den)
-                prior_small, _ = sampler.run(make_noise(prior_shape, settings.seed, stream=0))
+        if prior is None:  # the thumbnail pass
+            cfg = settings.prior_stage
+            with _stage_denoiser(settings, cfg.canvas_shape, shared) as den:
+                sampler = TiledSampler(cfg, den)
+                prior, _ = sampler.run(make_noise(cfg.canvas_shape, settings.run.seed, stream=0))
         timings["prior"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        prior_canvas = build_prior(prior_small, canvas_shape)
+        prior_canvas = build_prior(prior, canvas_shape)
         timings["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         with _stage_denoiser(settings, canvas_shape, shared) as den:
-            sampler = TiledSampler(settings.sampler_config(), den, prior_canvas)
+            sampler = TiledSampler(settings.tiled, den, prior_canvas)
             # no local keeps the noise: the run drops it after the first step
-            x_final, trace = sampler.run(make_noise(canvas_shape, settings.seed, stream=1))
+            x_final, trace = sampler.run(make_noise(canvas_shape, settings.run.seed, stream=1))
         timings["tiled"] = time.perf_counter() - t0
     finally:
         _close(shared)
@@ -155,14 +152,12 @@ def run_pipeline(settings):
 def _stage_denoiser(settings, canvas_shape, shared):
     """The shared worker pool if there is one, else a denoiser built for
     this stage alone and closed when the stage ends."""
-    if shared is not None:
-        yield shared
-        return
-    denoiser = _build_denoiser(settings, canvas_shape)
+    denoiser = shared if shared is not None else _build_denoiser(settings, canvas_shape)
     try:
         yield denoiser
     finally:
-        _close(denoiser)
+        if denoiser is not shared:
+            _close(denoiser)
 
 
 def _close(denoiser) -> None:
@@ -172,46 +167,42 @@ def _close(denoiser) -> None:
         close()
 
 
-def _load_settings(args):
-    if getattr(args, "from_manifest", None):
+def _load_settings(args, overrides=()):
+    """Settings from the manifest, the INI file or the defaults, with the
+    --set overrides and then the given ones applied."""
+    if args.from_manifest:
         cfg = config_from_manifest(args.from_manifest)
     elif args.config:
         cfg = load_config_file(args.config)
     else:
         cfg = default_config()
-    apply_overrides(cfg, getattr(args, "set", None))
+    apply_overrides(cfg, [*args.set, *overrides])
     return resolve_settings(cfg)
 
 
 def cmd_sample(args) -> int:
-    settings = _load_settings(args)
-    if args.output:
-        settings.output = args.output
-        settings.trace_path = settings.raw["run"]["trace"] or args.output + ".trace.tsv"
-        settings.manifest_path = (
-            settings.raw["run"]["manifest"] or args.output + ".manifest.json"
-        )
-        settings.raw["run"]["output"] = args.output
-    if not settings.output:
+    settings = _load_settings(args, [f"run.output={args.output}"] if args.output else ())
+    output = settings.run.output
+    if not output:
         raise ConfigError("run.output (or --output) is required for sample")
+    trace_path = settings.run.trace or output + ".trace.tsv"
+    manifest_path = settings.run.manifest or output + ".manifest.json"
 
     x_final, trace, _, timings = run_pipeline(settings)
 
-    write_flt(settings.output, x_final)
-    if settings.trace_path:
-        _atomic_write_text(settings.trace_path, trace.to_tsv())
-    if settings.manifest_path:
-        write_manifest(
-            settings.manifest_path,
-            settings,
-            outputs={
-                "latent": settings.output,
-                "trace": settings.trace_path,
-            },
-            timings=timings,
-            version=__version__,
-        )
-    print(f"wrote {settings.output}")
+    write_flt(output, x_final)
+    _atomic_write_text(trace_path, trace.to_tsv())
+    write_manifest(
+        manifest_path,
+        settings,
+        outputs={
+            "latent": output,
+            "trace": trace_path,
+        },
+        timings=timings,
+        version=__version__,
+    )
+    print(f"wrote {output}")
     return EXIT_OK
 
 
@@ -220,6 +211,14 @@ def _atomic_write_text(path, text) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_table(table, out) -> None:
+    """A TSV table to the out file, or to stdout if there is none."""
+    if out:
+        _atomic_write_text(out, table)
+    else:
+        sys.stdout.write(table)
 
 
 FRAME_SUFFIXES = (".pgm", ".ppm", ".flt")
@@ -264,42 +263,33 @@ def cmd_metrics(args) -> int:
         f"{video_tenengrad(frames):.8g}",
         f"{temporal_consistency(frames):.8g}" if len(frames) > 1 else "-",
     ]
-    embedder_client = None
-    try:
-        if args.prior_frames:
-            prior_frames = _load_frames(args.prior_frames)
-            if not args.embedder:
-                raise ConfigError("prior alignment needs --embedder")
-            embedder_client = WorkerClient(shlex.split(args.embedder), timeout=args.timeout)
+    if args.prior_frames:
+        prior_frames = _load_frames(args.prior_frames)
+        if not args.embedder:
+            raise ConfigError("prior alignment needs --embedder")
+        with WorkerClient(shlex.split(args.embedder), timeout=args.timeout) as embedder:
             score = prior_alignment(
                 frames,
                 prior_frames,
-                lambda f: embedder_client.embed(_frame_to_tensor(f)),
+                lambda f: embedder.embed(_frame_to_tensor(f)),
             )
-            cols.append("prior_alignment")
-            vals.append(f"{score:.8g}")
-        if args.seam_window:
-            wh, ww = _parse_dims(args.seam_window)
-            first = np.asarray(frames[0])
-            plan = plan_tiles(
-                first.shape[0] // args.seam_factor,
-                first.shape[1] // args.seam_factor,
-                wh,
-                ww,
-                args.seam_overlap,
-            )
-            excess = float(np.mean([seam_energy(f, plan, args.seam_factor) for f in frames]))
-            cols.append("seam_excess")
-            vals.append(f"{excess:.8g}")
-    finally:
-        if embedder_client is not None:
-            embedder_client.close()
+        cols.append("prior_alignment")
+        vals.append(f"{score:.8g}")
+    if args.seam_window:
+        wh, ww = _parse_dims(args.seam_window)
+        first = np.asarray(frames[0])
+        plan = plan_tiles(
+            first.shape[0] // args.seam_factor,
+            first.shape[1] // args.seam_factor,
+            wh,
+            ww,
+            args.seam_overlap,
+        )
+        excess = float(np.mean([seam_energy(f, plan, args.seam_factor) for f in frames]))
+        cols.append("seam_excess")
+        vals.append(f"{excess:.8g}")
 
-    table = "\t".join(cols) + "\n" + "\t".join(vals) + "\n"
-    if args.out:
-        _atomic_write_text(args.out, table)
-    else:
-        sys.stdout.write(table)
+    _write_table("\t".join(cols) + "\n" + "\t".join(vals) + "\n", args.out)
     return EXIT_OK
 
 
@@ -309,55 +299,47 @@ def _latent_frames(latent):
     return [latent[:, t].mean(axis=0).astype(np.float64) for t in range(latent.shape[1])]
 
 
+def _grid(args, name):
+    text = getattr(args, f"{name}_grid")
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ArgumentError(f"--{name}-grid needs comma-separated numbers, got {text!r}") from exc
+
+
 def cmd_sweep(args) -> int:
-    lambdas = [float(v) for v in args.lambda_grid.split(",")]
-    taus = [float(v) for v in args.tau_grid.split(",")]
+    """One run per (lambda, tau) point; the prior pass, which depends on
+    neither, runs once. Every point is resolved before any runs."""
+    points = [
+        (lam, tau, _load_settings(args, [f"prior.lambda_base={lam}", f"prior.tau={tau}"]))
+        for lam, tau in itertools.product(_grid(args, "lambda"), _grid(args, "tau"))
+    ]
     header = "lambda_base\ttau\tprior_l2\tsharpness\ttemporal_consistency"
-    embedder_client = None
+    embedder = None
     if args.embedder:
-        embedder_client = WorkerClient(shlex.split(args.embedder), timeout=args.timeout)
+        embedder = WorkerClient(shlex.split(args.embedder), timeout=args.timeout)
         header += "\tprior_alignment"
     rows = [header]
-    try:
-        for lam in lambdas:
-            for tau in taus:
-                if args.from_manifest:
-                    cfg = config_from_manifest(args.from_manifest)
-                elif args.config:
-                    cfg = load_config_file(args.config)
-                else:
-                    cfg = default_config()
-                apply_overrides(cfg, args.set)
-                apply_overrides(
-                    cfg, [f"prior.lambda_base={lam}", f"prior.tau={tau}"]
+    prior = None
+    with embedder or contextlib.nullcontext():
+        for lam, tau, settings in points:
+            x_final, _, prior, _ = run_pipeline(settings, prior)
+            dist = float(
+                np.linalg.norm(x_final.astype(np.float64) - prior.astype(np.float64))
+            )
+            frames = _latent_frames(x_final)
+            sharp = video_tenengrad(frames)
+            temp = temporal_consistency(frames) if len(frames) > 1 else float("nan")
+            row = f"{lam:g}\t{tau:g}\t{dist:.8g}\t{sharp:.8g}\t{temp:.8g}"
+            if embedder is not None:
+                align = prior_alignment(
+                    frames,
+                    _latent_frames(prior),
+                    lambda f: embedder.embed(_frame_to_tensor(f)),
                 )
-                settings = resolve_settings(cfg)
-                x_final, _, prior_canvas, _ = run_pipeline(settings)
-                dist = float(
-                    np.linalg.norm(
-                        x_final.astype(np.float64) - prior_canvas.astype(np.float64)
-                    )
-                )
-                frames = _latent_frames(x_final)
-                sharp = video_tenengrad(frames)
-                temp = temporal_consistency(frames) if len(frames) > 1 else float("nan")
-                row = f"{lam:g}\t{tau:g}\t{dist:.8g}\t{sharp:.8g}\t{temp:.8g}"
-                if embedder_client is not None:
-                    align = prior_alignment(
-                        frames,
-                        _latent_frames(prior_canvas),
-                        lambda f: embedder_client.embed(_frame_to_tensor(f)),
-                    )
-                    row += f"\t{align:.8g}"
-                rows.append(row)
-    finally:
-        if embedder_client is not None:
-            embedder_client.close()
-    table = "\n".join(rows) + "\n"
-    if args.out:
-        _atomic_write_text(args.out, table)
-    else:
-        sys.stdout.write(table)
+                row += f"\t{align:.8g}"
+            rows.append(row)
+    _write_table("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 
 

@@ -1,80 +1,114 @@
 """Run configuration: INI files with flag overrides, resolved settings, and
-the run manifest.
-
-The manifest JSON written at the end of a sampling run embeds the fully
-resolved configuration, so feeding a manifest back reproduces the run
-exactly.
+the run manifest. Each key is one row of KEYS: section, name, default text
+and parser. Defaults, the reading of files, overrides and manifests, the
+error text and the typed view settings.<section>.<key> all come from that
+table. Resolving also builds both stages' sampler configurations, so every
+bad value fails before any work starts. The manifest embeds the raw
+configuration, so feeding it back reproduces the run exactly.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import replace
+from types import SimpleNamespace
 
-from .errors import ConfigError
-from .planner import DEFAULT_COMPRESSION, snap_dim
+from .errors import ArgumentError, ConfigError
+from .planner import DEFAULT_COMPRESSION, prior_resolution, snap_dim
 from .schedules import PriorScheduleConfig, load_activity_map
 from .sampler import SamplerConfig
 
-DEFAULTS = {
-    "run": {
-        "seed": "0",
-        "mode": "fd",
-        "prediction": "flow",
-        "steps": "6",
-        "sigmas": "",
-        "workers": "1",
-        "strict": "true",
-        "output": "",
-        "trace": "",
-        "manifest": "",
-    },
-    "canvas": {
-        "channels": "16",
-        "frames": "21",
-        "height": "",
-        "width": "",
-        "pixel_height": "",
-        "pixel_width": "",
-        "factor": str(DEFAULT_COMPRESSION),
-    },
-    "tiles": {
-        "window_height": "",
-        "window_width": "",
-        "pixel_window_height": "480",
-        "pixel_window_width": "832",
-        "overlap": "0.3",
-    },
-    "blending": {
-        "ramp": "auto",
-        "min_weight": "0.1",
-    },
-    "prior": {
-        "lambda_base": "1.5",
-        "schedule": "gated_cosine",
-        "tau": "0.1",
-        "tau_active": "0.1",
-        "tau_background": "0.35",
-        "activity_map": "",
-        "latent": "",
-    },
-    "denoiser": {
-        "kind": "gaussian",
-        "mean": "0.0",
-        "std": "1.0",
-        "target": "",
-        "command": "",
-        "timeout": "300",
-        "conditioning": "",
-    },
-}
+
+def _parser(what, convert, valid=lambda value: True):
+    """A key's parser: the converted text, or ValueError(what) if the text
+    does not convert or the value is not valid."""
+
+    def parse(raw):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise ValueError(what) from None
+        if not valid(value):
+            raise ValueError(what)
+        return value
+
+    return parse
+
+
+def _choice(*names):
+    return _parser("one of " + ", ".join(names), str, lambda value: value in names)
+
+
+def _numbers(raw):
+    return tuple(float(v) for v in raw.split(",")) if raw else None
+
+
+INTEGER = _parser("an integer", int)
+OPTIONAL_INTEGER = _parser("an integer or empty", lambda raw: int(raw) if raw else None)
+POSITIVE_INTEGER = _parser("an integer >= 1", int, lambda v: v >= 1)
+NUMBER = _parser("a finite number", float, math.isfinite)
+NONNEGATIVE = _parser("a finite number >= 0", float, lambda v: 0 <= v < math.inf)
+POSITIVE = _parser("a finite number > 0", float, lambda v: 0 < v < math.inf)
+SIGMAS = _parser("empty or comma-separated numbers", _numbers)  # the schedule checks them
+RAMP = _parser("auto or an integer", lambda raw: None if raw == "auto" else int(raw))
+
+KEYS = (
+    ("run", "seed", "0", INTEGER),
+    ("run", "mode", "fd", _choice("md", "fd", "fd_regional")),
+    ("run", "steps", "6", INTEGER),
+    ("run", "sigmas", "", SIGMAS),
+    ("run", "workers", "1", INTEGER),
+    ("run", "output", "", str),
+    ("run", "trace", "", str),
+    ("run", "manifest", "", str),
+    ("canvas", "channels", "16", INTEGER),
+    ("canvas", "frames", "21", INTEGER),
+    ("canvas", "height", "", OPTIONAL_INTEGER),
+    ("canvas", "width", "", OPTIONAL_INTEGER),
+    ("canvas", "pixel_height", "", OPTIONAL_INTEGER),
+    ("canvas", "pixel_width", "", OPTIONAL_INTEGER),
+    ("canvas", "factor", str(DEFAULT_COMPRESSION), POSITIVE_INTEGER),
+    ("tiles", "window_height", "", OPTIONAL_INTEGER),
+    ("tiles", "window_width", "", OPTIONAL_INTEGER),
+    ("tiles", "pixel_window_height", "480", INTEGER),
+    ("tiles", "pixel_window_width", "832", INTEGER),
+    ("tiles", "overlap", "0.3", NUMBER),
+    ("blending", "ramp", "auto", RAMP),
+    ("blending", "min_weight", "0.1", NUMBER),
+    ("prior", "lambda_base", "1.5", NUMBER),
+    ("prior", "schedule", "gated_cosine", _choice("constant", "cosine", "gated_cosine")),
+    ("prior", "tau", "0.1", NUMBER),
+    ("prior", "tau_active", "0.1", NUMBER),
+    ("prior", "tau_background", "0.35", NUMBER),
+    ("prior", "activity_map", "", str),
+    ("prior", "latent", "", str),
+    ("denoiser", "kind", "gaussian", _choice("gaussian", "target", "external")),
+    ("denoiser", "mean", "0.0", NUMBER),
+    ("denoiser", "std", "1.0", NONNEGATIVE),
+    ("denoiser", "target", "", str),
+    ("denoiser", "command", "", _parser("a shell command line", shlex.split)),
+    ("denoiser", "timeout", "300", POSITIVE),
+    ("denoiser", "conditioning", "", str),
+)
+
+RETIRED = (("run", "strict"), ("run", "prediction"))  # skipped in old manifests
 
 
 def default_config() -> dict:
-    return {sec: dict(keys) for sec, keys in DEFAULTS.items()}
+    cfg = {}
+    for section, key, default, _ in KEYS:
+        cfg.setdefault(section, {})[key] = default
+    return cfg
+
+
+def _put(cfg, source, section, key, value) -> None:
+    if key not in cfg.get(section, ()):
+        raise ConfigError(f"{source}unknown key {section}.{key}")
+    cfg[section][key] = str(value).strip()
 
 
 def load_config_file(path) -> dict:
@@ -82,8 +116,6 @@ def load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg = default_config()
@@ -91,9 +123,7 @@ def load_config_file(path) -> dict:
         if section not in cfg:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, value in parser.items(section):
-            if key not in cfg[section]:
-                raise ConfigError(f"{path}: unknown key {section}.{key}")
-            cfg[section][key] = value.strip()
+            _put(cfg, f"{path}: ", section, key, value)
     return cfg
 
 
@@ -103,259 +133,118 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         head, sep, value = item.partition("=")
         if not sep or "." not in head:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
-        section, key = head.split(".", 1)
-        if section not in cfg or key not in cfg[section]:
-            raise ConfigError(f"unknown config entry {section}.{key}")
-        cfg[section][key] = value.strip()
+        _put(cfg, "", *head.split(".", 1), value)
     return cfg
 
 
-def _get_int(cfg, section, key):
-    raw = cfg[section][key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
+class Settings:
+    """One resolved run. settings.<section>.<key> is each key's parsed
+    value and raw its text, the manifest's config snapshot. tiled and
+    prior_stage are the sampler configurations of the two stages;
+    prior_stage is None when prior.latent supplies the prior."""
 
-
-def _get_float(cfg, section, key):
-    raw = cfg[section][key]
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from exc
-
-
-def _get_bool(cfg, section, key):
-    raw = cfg[section][key].lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{section}.{key} must be a boolean, got {raw!r}")
-
-
-@dataclass
-class PipelineSettings:
-    """Typed view of one sampling pipeline configuration."""
-
-    raw: dict = field(repr=False)
-    seed: int = 0
-    mode: str = "fd"
-    prediction: str = "flow"
-    steps: int = 6
-    sigmas: tuple | None = None
-    workers: int = 1
-    strict: bool = True
-    output: str = ""
-    trace_path: str = ""
-    manifest_path: str = ""
-    channels: int = 16
-    frames: int = 21
-    latent_h: int = 0
-    latent_w: int = 0
-    pixel_h: int = 0
-    pixel_w: int = 0
-    compression: int = DEFAULT_COMPRESSION
-    window_h: int = 60
-    window_w: int = 104
-    overlap: float = 0.3
-    ramp: object = None
-    min_weight: float = 0.1
-    lambda_base: float = 1.5
-    prior_schedule: str = "gated_cosine"
-    tau: float = 0.1
-    tau_active: float = 0.1
-    tau_background: float = 0.35
-    activity_path: str = ""
-    prior_latent_path: str = ""
-    denoiser_kind: str = "gaussian"
-    gauss_mean: float = 0.0
-    gauss_std: float = 1.0
-    target_path: str = ""
-    worker_command: list = field(default_factory=list)
-    timeout: float = 300.0
-    conditioning: str = ""
+    def __init__(self, raw: dict):
+        self.raw = raw
+        parsed = {}
+        for section, key, _, parse in KEYS:
+            text = raw[section][key]
+            try:
+                parsed.setdefault(section, {})[key] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key} must be {exc}, got {text!r}") from None
+        for section, values in parsed.items():
+            setattr(self, section, SimpleNamespace(**values))
 
     def canvas_shape(self):
-        return (self.channels, self.frames, self.latent_h, self.latent_w)
-
-    def prior_schedule_config(self) -> PriorScheduleConfig:
-        if self.mode == "md":
-            return PriorScheduleConfig(lambda_base=0.0, mode="gated_cosine")
-        if self.mode == "fd_regional":
-            if not self.activity_path:
-                raise ConfigError("fd_regional mode requires prior.activity_map")
-            activity = load_activity_map(self.activity_path, self.latent_h, self.latent_w)
-            return PriorScheduleConfig(
-                lambda_base=self.lambda_base,
-                mode="regional",
-                tau=self.tau,
-                tau_active=self.tau_active,
-                tau_background=self.tau_background,
-                activity_map=activity,
-            )
-        return PriorScheduleConfig(
-            lambda_base=self.lambda_base,
-            mode=self.prior_schedule,
-            tau=self.tau,
-            tau_active=self.tau_active,
-            tau_background=self.tau_background,
-        )
-
-    def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            canvas_shape=self.canvas_shape(),
-            steps=self.steps,
-            sigmas=self.sigmas,
-            window_h=self.window_h,
-            window_w=self.window_w,
-            overlap=self.overlap,
-            ramp=self.ramp,
-            min_weight=self.min_weight,
-            prior=self.prior_schedule_config(),
-            mode=self.mode,
-            prediction=self.prediction,
-            seed=self.seed,
-            workers=self.workers,
-            strict=self.strict,
-            conditioning=self.conditioning,
-        )
-
-    def sampler_config_for_prior(self, prior_shape) -> SamplerConfig:
-        """Thumbnail stage: one full-canvas tile, no prior term."""
-        return SamplerConfig(
-            canvas_shape=tuple(prior_shape),
-            steps=self.steps,
-            sigmas=self.sigmas,
-            window_h=prior_shape[2],
-            window_w=prior_shape[3],
-            overlap=self.overlap,
-            ramp=self.ramp,
-            min_weight=self.min_weight,
-            mode="md",
-            prediction=self.prediction,
-            seed=self.seed,
-            workers=1,
-            strict=self.strict,
-            conditioning=self.conditioning,
-        )
+        return self.tiled.canvas_shape
 
 
-def resolve_settings(cfg: dict) -> PipelineSettings:
-    s = PipelineSettings(raw={sec: dict(keys) for sec, keys in cfg.items()})
-    s.seed = _get_int(cfg, "run", "seed")
-    s.mode = cfg["run"]["mode"]
-    if s.mode not in ("md", "fd", "fd_regional"):
-        raise ConfigError(f"run.mode must be md, fd, or fd_regional, got {s.mode!r}")
-    s.prediction = cfg["run"]["prediction"]
-    s.steps = _get_int(cfg, "run", "steps")
-    raw_sigmas = cfg["run"]["sigmas"]
-    if raw_sigmas:
-        try:
-            s.sigmas = tuple(float(v) for v in raw_sigmas.split(","))
-        except ValueError as exc:
-            raise ConfigError("run.sigmas must be comma-separated numbers") from exc
-    s.workers = _get_int(cfg, "run", "workers")
-    s.strict = _get_bool(cfg, "run", "strict")
-    s.output = cfg["run"]["output"]
-    s.trace_path = cfg["run"]["trace"] or (s.output + ".trace.tsv" if s.output else "")
-    s.manifest_path = cfg["run"]["manifest"] or (
-        s.output + ".manifest.json" if s.output else ""
-    )
-
-    s.channels = _get_int(cfg, "canvas", "channels")
-    s.frames = _get_int(cfg, "canvas", "frames")
-    s.compression = _get_int(cfg, "canvas", "factor")
-    if s.compression < 1:
-        raise ConfigError(f"canvas.factor must be >= 1, got {s.compression}")
-    if cfg["canvas"]["height"] and cfg["canvas"]["width"]:
-        s.latent_h = _get_int(cfg, "canvas", "height")
-        s.latent_w = _get_int(cfg, "canvas", "width")
-        s.pixel_h = s.latent_h * s.compression
-        s.pixel_w = s.latent_w * s.compression
-    elif cfg["canvas"]["pixel_height"] and cfg["canvas"]["pixel_width"]:
-        s.pixel_h = snap_dim(_get_int(cfg, "canvas", "pixel_height"))
-        s.pixel_w = snap_dim(_get_int(cfg, "canvas", "pixel_width"))
-        s.latent_h = max(1, s.pixel_h // s.compression)
-        s.latent_w = max(1, s.pixel_w // s.compression)
-    else:
-        raise ConfigError(
-            "canvas needs height+width (latent) or pixel_height+pixel_width"
-        )
-    if min(s.channels, s.frames, s.latent_h, s.latent_w) < 1:
-        raise ConfigError(f"degenerate canvas {s.canvas_shape()}")
-
-    if cfg["tiles"]["window_height"] and cfg["tiles"]["window_width"]:
-        s.window_h = _get_int(cfg, "tiles", "window_height")
-        s.window_w = _get_int(cfg, "tiles", "window_width")
-    else:
-        s.window_h = max(1, _get_int(cfg, "tiles", "pixel_window_height") // s.compression)
-        s.window_w = max(1, _get_int(cfg, "tiles", "pixel_window_width") // s.compression)
-    s.overlap = _get_float(cfg, "tiles", "overlap")
-
-    raw_ramp = cfg["blending"]["ramp"]
-    try:
-        s.ramp = None if raw_ramp == "auto" else int(raw_ramp)
-    except ValueError as exc:
-        raise ConfigError(
-            f"blending.ramp must be auto or an integer, got {raw_ramp!r}"
-        ) from exc
-    s.min_weight = _get_float(cfg, "blending", "min_weight")
-
-    s.lambda_base = _get_float(cfg, "prior", "lambda_base")
-    s.prior_schedule = cfg["prior"]["schedule"]
-    if s.prior_schedule not in ("constant", "cosine", "gated_cosine"):
-        raise ConfigError(
-            f"prior.schedule must be constant, cosine, or gated_cosine, got "
-            f"{s.prior_schedule!r} (regional comes from run.mode)"
-        )
-    s.tau = _get_float(cfg, "prior", "tau")
-    s.tau_active = _get_float(cfg, "prior", "tau_active")
-    s.tau_background = _get_float(cfg, "prior", "tau_background")
-    s.activity_path = cfg["prior"]["activity_map"]
-    s.prior_latent_path = cfg["prior"]["latent"]
-
-    s.denoiser_kind = cfg["denoiser"]["kind"]
-    if s.denoiser_kind not in ("gaussian", "target", "external"):
-        raise ConfigError(
-            f"denoiser.kind must be gaussian, target, or external, got "
-            f"{s.denoiser_kind!r}"
-        )
-    s.gauss_mean = _get_float(cfg, "denoiser", "mean")
-    s.gauss_std = _get_float(cfg, "denoiser", "std")
-    s.target_path = cfg["denoiser"]["target"]
-    if s.denoiser_kind == "target" and not s.target_path:
+def resolve_settings(cfg: dict) -> Settings:
+    s = Settings({section: dict(keys) for section, keys in cfg.items()})
+    if s.denoiser.kind == "target" and not s.denoiser.target:
         raise ConfigError("denoiser.kind=target requires denoiser.target")
-    command = cfg["denoiser"]["command"]
-    s.worker_command = shlex.split(command) if command else []
-    if s.denoiser_kind == "external" and not s.worker_command:
+    if s.denoiser.kind == "external" and not s.denoiser.command:
         raise ConfigError("denoiser.kind=external requires denoiser.command")
-    s.timeout = _get_float(cfg, "denoiser", "timeout")
-    s.conditioning = cfg["denoiser"]["conditioning"]
-
-    # fail fast on inconsistent regional setup, before any compute
-    if s.mode == "fd_regional" and not s.activity_path:
+    if s.run.mode == "fd_regional" and not s.prior.activity_map:
         raise ConfigError("fd_regional mode requires prior.activity_map")
+    try:
+        _build_stages(s)
+    except ArgumentError as exc:  # a range check of a lower layer
+        raise ConfigError(str(exc)) from exc
     return s
 
 
-def write_manifest(path, settings: PipelineSettings, outputs: dict, timings: dict, version: str) -> None:
-    inputs = {
-        key: value
-        for key, value in (
-            ("prior_latent", settings.prior_latent_path),
-            ("activity_map", settings.activity_path),
-            ("target", settings.target_path),
+def _build_stages(s: Settings) -> None:
+    """Canvas geometry and both stages' sampler configurations."""
+    c, t = s.canvas, s.tiles
+    latent, pixel = (c.height, c.width), (c.pixel_height, c.pixel_width)
+    if None not in latent:  # a given 0 is given, and fails as a bad shape
+        pixel = tuple(n * c.factor for n in latent)
+    elif None not in pixel:
+        pixel = tuple(map(snap_dim, pixel))
+        latent = tuple(max(1, p // c.factor) for p in pixel)
+    else:
+        raise ConfigError("canvas needs height+width (latent) or pixel_height+pixel_width")
+    window = (t.window_height, t.window_width)
+    if None in window:
+        window = (t.pixel_window_height, t.pixel_window_width)
+        window = tuple(max(1, p // c.factor) for p in window)
+    s.tiled = SamplerConfig(
+        canvas_shape=(c.channels, c.frames, *latent),
+        steps=s.run.steps,
+        sigmas=s.run.sigmas,
+        window_h=window[0],
+        window_w=window[1],
+        overlap=t.overlap,
+        ramp=s.blending.ramp,
+        min_weight=s.blending.min_weight,
+        prior=_prior_schedule(s, *latent),
+        mode=s.run.mode,
+        seed=s.run.seed,
+        workers=s.run.workers,
+        conditioning=s.denoiser.conditioning,
+    )
+    s.prior_stage = None
+    if not s.prior.latent:  # thumbnail stage: one full-canvas tile, no prior term
+        ph, pw = prior_resolution(*pixel)
+        shape = (c.channels, c.frames, max(1, ph // c.factor), max(1, pw // c.factor))
+        s.prior_stage = replace(
+            s.tiled,
+            canvas_shape=shape,
+            window_h=shape[2],
+            window_w=shape[3],
+            prior=PriorScheduleConfig(),
+            mode="md",
+            workers=1,
         )
-        if value
+
+
+def _prior_schedule(s: Settings, h: int, w: int) -> PriorScheduleConfig:
+    if s.run.mode == "md":
+        return PriorScheduleConfig()
+    p, regional = s.prior, s.run.mode == "fd_regional"
+    return PriorScheduleConfig(
+        lambda_base=p.lambda_base,
+        mode="regional" if regional else p.schedule,
+        tau=p.tau,
+        tau_active=p.tau_active,
+        tau_background=p.tau_background,
+        activity_map=load_activity_map(p.activity_map, h, w) if regional else None,
+    )
+
+
+def write_manifest(path, settings: Settings, outputs: dict, timings: dict, version: str) -> None:
+    inputs = {
+        "prior_latent": settings.prior.latent,
+        "activity_map": settings.prior.activity_map,
+        "target": settings.denoiser.target,
     }
     doc = {
         "version": version,
-        "seed": settings.seed,
+        "seed": settings.run.seed,
         "config": settings.raw,
         "canvas_shape": list(settings.canvas_shape()),
-        "inputs": inputs,
+        "inputs": {key: value for key, value in inputs.items() if value},
         "outputs": outputs,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
@@ -368,15 +257,16 @@ def write_manifest(path, settings: PipelineSettings, outputs: dict, timings: dic
 
 def config_from_manifest(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "config" not in doc:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: manifest is not JSON ({exc})") from exc
+    snapshot = doc.get("config") if isinstance(doc, dict) else None
+    if not isinstance(snapshot, dict) or not all(isinstance(v, dict) for v in snapshot.values()):
         raise ConfigError(f"{path}: manifest has no config snapshot")
     cfg = default_config()
-    for section, keys in doc["config"].items():
-        if section not in cfg:
-            raise ConfigError(f"{path}: unknown section [{section}] in manifest")
+    for section, keys in snapshot.items():
         for key, value in keys.items():
-            if key not in cfg[section]:
-                raise ConfigError(f"{path}: unknown key {section}.{key} in manifest")
-            cfg[section][key] = str(value)
+            if (section, key) not in RETIRED:
+                _put(cfg, f"{path}: manifest: ", section, key, value)
     return cfg

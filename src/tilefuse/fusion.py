@@ -126,15 +126,8 @@ def fuse_fd_flow(
         return fuse_md(acc)
     if sigma_t <= 0.0 and np.any(lam_b > 0):
         raise DomainError(f"sigma must be positive with an active prior, got {sigma_t}")
-    x_t = _check_canvas(x_t, acc, "current latent")
-    x_prior = _check_canvas(x_prior, acc, "prior latent")
-    num = x_t.astype(np.float64)
-    num -= x_prior
-    num *= sigma_t * lam_b
-    num += acc.num
-    den = sigma_t**2 * lam_b + acc.den[None, None]
-    _check_positive_denominator(den, acc.canvas_shape)
-    return _divide_to_float32(num, den)
+    x_hat = _check_canvas(x_t, acc, "current latent").astype(np.float64)
+    return _fuse_prior(acc, x_hat, x_prior, lam_b, sigma_t, sigma_t**2)
 
 
 def fuse_fd_eps(
@@ -154,18 +147,23 @@ def fuse_fd_eps(
     lam_b = _broadcast_strength(lam, acc.canvas_shape)
     if lam_b.ndim == 0 and float(lam_b) == 0.0:
         return fuse_md(acc)
-    x_t = _check_canvas(x_t, acc, "current latent")
-    x_prior = _check_canvas(x_prior, acc, "prior latent")
+    x_hat = _check_canvas(x_t, acc, "current latent").astype(np.float64)
+    x_hat /= np.sqrt(alpha_t)
     ratio = (1.0 - alpha_t) / alpha_t
-    num = (
-        np.sqrt(ratio)
-        * lam_b
-        * (x_t.astype(np.float64) / np.sqrt(alpha_t) - x_prior.astype(np.float64))
-        + acc.num
-    )
-    den = ratio * lam_b + acc.den[None, None]
+    return _fuse_prior(acc, x_hat, x_prior, lam_b, np.sqrt(ratio), ratio)
+
+
+def _fuse_prior(acc, x_hat, x_prior, lam_b, s, s2):
+    """The prior-regularized closed form both variants share, elementwise
+    (s * lam * (x_hat - x_prior) + num) / (s2 * lam + den), computed in the
+    float64 x_hat, which it overwrites."""
+    num = x_hat
+    num -= _check_canvas(x_prior, acc, "prior latent")
+    num *= s * lam_b
+    num += acc.num
+    den = s2 * lam_b + acc.den[None, None]
     _check_positive_denominator(den, acc.canvas_shape)
-    return (num / den).astype(np.float32)
+    return _divide_to_float32(num, den)
 
 
 def _check_canvas(x, acc, name):

@@ -42,12 +42,15 @@ from .schedules import PriorScheduleConfig, SigmaSchedule
 from .tensor import as_latent, crop, ensure_finite, trilinear_resize
 
 RUN_MODES = ("md", "fd", "fd_regional")
-PREDICTION_KINDS = ("flow", "eps")
 WORKER_CAP_ENV = "TILEFUSE_MAX_WORKERS"
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """One sampling run's settings. The plan, the sigma schedule and the
+    tile weight maps are built here, once, so a bad value fails at
+    construction; the lower layers' range checks raise ArgumentError."""
+
     canvas_shape: tuple[int, int, int, int]
     steps: int = 6
     sigmas: tuple[float, ...] | None = None  # custom sampled levels, sans final 0
@@ -58,17 +61,13 @@ class SamplerConfig:
     min_weight: float = DEFAULT_MIN_WEIGHT
     prior: PriorScheduleConfig = field(default_factory=PriorScheduleConfig)
     mode: str = "fd"
-    prediction: str = "flow"
     seed: int = 0
     workers: int = 1
-    strict: bool = True
     conditioning: str = ""
 
     def __post_init__(self):
         if self.mode not in RUN_MODES:
             raise ConfigError(f"unknown run mode {self.mode!r}")
-        if self.prediction not in PREDICTION_KINDS:
-            raise ConfigError(f"unknown prediction kind {self.prediction!r}")
         if len(self.canvas_shape) != 4 or min(self.canvas_shape) < 1:
             raise ConfigError(f"bad canvas shape {self.canvas_shape}")
         if not 0 <= self.seed < 2**64:
@@ -87,24 +86,45 @@ class SamplerConfig:
         elif self.mode == "fd" and self.prior.mode == "regional":
             raise ConfigError("regional prior schedule requires fd_regional mode")
 
-    def schedule(self) -> SigmaSchedule:
-        if self.sigmas is not None:
-            sched = SigmaSchedule.from_list(list(self.sigmas))
-            if sched.steps != self.steps:
+        if self.sigmas is None:
+            schedule = SigmaSchedule.linear(self.steps)
+        else:
+            schedule = SigmaSchedule.from_list(list(self.sigmas))
+            if schedule.steps != self.steps:
                 raise ConfigError(
-                    f"custom schedule has {sched.steps} steps, config says {self.steps}"
+                    f"custom schedule has {schedule.steps} steps, config says {self.steps}"
                 )
-            return sched
-        return SigmaSchedule.linear(self.steps)
-
-    def plan(self) -> TilePlan:
-        return plan_tiles(
+        plan = plan_tiles(
             self.canvas_shape[2],
             self.canvas_shape[3],
             self.window_h,
             self.window_w,
             self.overlap,
         )
+        ramp = self.ramp
+        if ramp is None:
+            ramp = (
+                max(0, plan.window_h - plan.stride_h),
+                max(0, plan.window_w - plan.stride_w),
+            )
+        weights = {
+            (r.height, r.width): ramp_weight_map(
+                r.height, r.width, ramp, self.min_weight
+            ).astype(np.float64)
+            for r in plan.tiles
+        }
+        # frozen: the built parts go straight into the instance dict
+        self.__dict__.update(_schedule=schedule, _plan=plan, _weights=weights)
+
+    def schedule(self) -> SigmaSchedule:
+        return self._schedule
+
+    def plan(self) -> TilePlan:
+        return self._plan
+
+    def weights(self) -> dict:
+        """float64 weight map of each tile size, keyed by (height, width)."""
+        return self._weights
 
     def effective_workers(self) -> int:
         cap = os.environ.get(WORKER_CAP_ENV)
@@ -208,37 +228,19 @@ class TiledSampler:
     """Bound sampling state: plan, schedule, weight maps, prior, denoiser."""
 
     def __init__(self, cfg: SamplerConfig, denoiser, prior=None):
-        if cfg.prediction == "eps":
-            raise ConfigError(
-                "the sampling loop integrates flow velocities; epsilon "
-                "prediction is supported at the fusion level only"
-            )
         self.cfg = cfg
         self.denoiser = denoiser
         self.plan = cfg.plan()
         self.schedule = cfg.schedule()
+        self._weights = cfg.weights()
 
-        needs_prior = cfg.mode != "md" and cfg.prior.lambda_base > 0
         if prior is None:
-            if needs_prior:
+            if cfg.mode != "md" and cfg.prior.lambda_base > 0:
                 raise ConfigError("prior-regularized run needs a prior latent")
             self.prior = np.zeros(cfg.canvas_shape, dtype=np.float32)
         else:
             self.prior = build_prior(prior, cfg.canvas_shape)
 
-        if cfg.ramp is None:
-            ramp = (
-                max(0, self.plan.window_h - self.plan.stride_h),
-                max(0, self.plan.window_w - self.plan.stride_w),
-            )
-        else:
-            ramp = cfg.ramp
-        self._weights = {
-            (r.height, r.width): ramp_weight_map(
-                r.height, r.width, ramp, cfg.min_weight
-            ).astype(np.float64)
-            for r in self.plan.tiles
-        }
         # the weight sum is the same every step: add it up once, in plan order
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
         for r in self.plan.tiles:
@@ -275,10 +277,10 @@ class TiledSampler:
             raise DenoiseError(
                 f"step {i}, tile {k} at ({rect.row},{rect.col}): {exc}"
             ) from exc
-        if resp.kind != self.cfg.prediction:
+        if resp.kind != "flow":
             raise DenoiseError(
                 f"step {i}, tile {k}: denoiser returned {resp.kind!r} "
-                f"prediction, run expects {self.cfg.prediction!r}"
+                f"prediction, the loop integrates 'flow'"
             )
         pred = resp.prediction
         if pred.shape != req.tile.shape:

@@ -153,7 +153,7 @@ def test_criterion_02_reduction_to_plain_fusion(tmp_path):
 
     shape = (1, 2, 16, 16)
     target = rng.standard_normal(shape).astype(np.float32)
-    common = dict(canvas_shape=shape, steps=4, window_h=8, window_w=8, seed=77, strict=True)
+    common = dict(canvas_shape=shape, steps=4, window_h=8, window_w=8, seed=77)
     x_md, _ = run(SamplerConfig(mode="md", **common), TargetDriver(target))
     x_fd, _ = run(
         SamplerConfig(
@@ -426,7 +426,6 @@ def test_criterion_10_cli_determinism(tmp_path):
 seed = 31337
 mode = fd_regional
 steps = 6
-strict = true
 output = {tmp_path}/first.flt
 
 [canvas]

@@ -302,6 +302,80 @@ command = {command}
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.parametrize(
+        "override, code",
+        [
+            ("run.steps=0", 3),
+            ("run.sigmas=1.0,1.0,0.5", 3),  # not strictly decreasing
+            ("tiles.overlap=1.5", 3),
+            ("tiles.window_height=0", 3),  # a given 0 is given
+            ("canvas.height=0", 3),
+            ("blending.min_weight=2", 3),
+            ("blending.ramp=-3", 3),
+            ("run.workers=0", 3),
+            ("denoiser.timeout=0", 3),
+            ("denoiser.timeout=-1", 3),
+            ("denoiser.std=-1", 3),
+            ("prior.lambda_base=-1", 3),
+            ("prior.lambda_base=inf", 3),
+            ("prior.tau=nan", 3),
+            ("prior.tau_active=0.5", 3),  # above tau_background
+            ("run.mode=fd_regional", 3),  # no activity map
+            ("run.seed=-1", 3),
+            ("prior.activity_map=absent.pgm", 4),  # unreadable: an i/o error
+            ("prior.latent=absent.flt", 4),
+        ],
+    )
+    def test_bad_value_fails_before_any_work(
+        self, monkeypatch, tmp_path, capsys, override, code
+    ):
+        built = []
+        monkeypatch.setattr(cli, "_build_denoiser", lambda *a: built.append(a))
+        cfg = self.external_config(tmp_path, "unused")
+        extra = ["--set", "run.mode=fd_regional"] if "activity_map" in override else []
+        assert main(["sample", "--config", cfg, *extra, "--set", override]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert built == []
+
+    def test_manifest_with_retired_keys_reproduces_run(self, tmp_path, target_file, capsys):
+        path, _ = target_file
+        cfg = base_target_config(tmp_path, path)
+        assert main(["sample", "--config", cfg]) == 0
+        manifest = tmp_path / "out.flt.manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert "strict" not in doc["config"]["run"]
+        doc["config"]["run"].update(strict="true", prediction="flow")
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(doc))
+        assert main(["sample", "--from-manifest", str(old),
+                     "--output", str(tmp_path / "redo.flt")]) == 0
+        assert (tmp_path / "redo.flt").read_bytes() == (tmp_path / "out.flt").read_bytes()
+        capsys.readouterr()
+        for key in ("strict=true", "prediction=flow"):
+            assert main(["sample", "--config", cfg, "--set", f"run.{key}"]) == 3
+            assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, manifest, code",
+    [
+        (["sample", "--output", "o.flt", "--set", "canvas.height=8", "--set",
+          "canvas.width=8", "--set", 'denoiser.command=python "x'], None, 3),
+        (["sample", "--from-manifest", "m.json"], "{not json", 3),
+        (["sample", "--from-manifest", "m.json"], '{"config": {"run": 1}}', 3),
+        (["sweep", "--lambda-grid", "abc"], None, 2),
+        (["sweep", "--tau-grid", ""], None, 2),
+    ],
+    ids=["command-quote", "manifest-not-json", "manifest-config-shape", "lambda-grid", "tau-grid"],
+)
+def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, code):
+    monkeypatch.chdir(tmp_path)
+    if manifest is not None:
+        (tmp_path / "m.json").write_text(manifest)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestMetricsCommand:
     def test_static_video_scores(self, tmp_path, capsys):
@@ -419,3 +493,47 @@ target = {target_path}
         assert lines[0].split("\t")[-1] == "prior_alignment"
         aligns = [float(line.split("\t")[-1]) for line in lines[1:]]
         assert aligns[-1] >= aligns[0] - 1e-6  # stronger prior, closer frames
+
+    def test_prior_pass_runs_once_and_rows_match_single_runs(self, monkeypatch, tmp_path):
+        cfg = write_config(
+            tmp_path / "sweep.ini",
+            """
+[run]
+seed = 21
+mode = fd
+steps = 3
+
+[canvas]
+channels = 1
+frames = 2
+height = 16
+width = 24
+
+[tiles]
+window_height = 8
+window_width = 8
+""",
+        )
+        streams = []
+        make_noise = cli.make_noise
+
+        def counting_noise(shape, seed, stream=0):
+            streams.append(stream)
+            return make_noise(shape, seed, stream)
+
+        monkeypatch.setattr(cli, "make_noise", counting_noise)
+
+        def sweep(lambdas, taus, name):
+            out = tmp_path / name
+            assert main(["sweep", "--config", cfg, "--lambda-grid", lambdas,
+                         "--tau-grid", taus, "--out", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        table = sweep("0.5,1.5", "0.2,1", "grid.tsv")
+        assert streams == [0, 1, 1, 1, 1]  # one prior pass, four tiled passes
+        singles = [
+            sweep(lam, tau, f"{lam}-{tau}.tsv")
+            for lam in ("0.5", "1.5")
+            for tau in ("0.2", "1")
+        ]
+        assert table == singles[0][:1] + [rows[1] for rows in singles]

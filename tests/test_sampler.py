@@ -148,14 +148,6 @@ class TestStepMechanics:
         with pytest.raises(DenoiseError, match="eps"):
             sampler.step(np.zeros(shape, np.float32), 0)
 
-    def test_eps_run_mode_rejected(self):
-        cfg = SamplerConfig(
-            canvas_shape=(1, 1, 4, 4), steps=2, mode="md", prediction="eps",
-            window_h=4, window_w=4,
-        )
-        with pytest.raises(ConfigError, match="fusion level"):
-            TiledSampler(cfg, lambda req: None)
-
 
 class TestRuns:
     def test_md_equals_fd_with_zero_base_bitwise(self, rng):
