@@ -18,7 +18,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 from .errors import ArgumentError, ConfigError
-from .planner import DEFAULT_COMPRESSION, prior_resolution, snap_dim
+from .planner import DEFAULT_COMPRESSION, _latent_dims, prior_resolution, snap_dim
 from .schedules import PriorScheduleConfig, load_activity_map
 from .sampler import SamplerConfig
 
@@ -181,14 +181,13 @@ def _build_stages(s: Settings) -> None:
     if None not in latent:  # a given 0 is given, and fails as a bad shape
         pixel = tuple(n * c.factor for n in latent)
     elif None not in pixel:
-        pixel = tuple(map(snap_dim, pixel))
-        latent = tuple(max(1, p // c.factor) for p in pixel)
+        latent = _latent_dims(pixel, c.factor, snap=True)
+        pixel = tuple(map(snap_dim, pixel))  # the thumbnail keeps the snapped aspect
     else:
         raise ConfigError("canvas needs height+width (latent) or pixel_height+pixel_width")
     window = (t.window_height, t.window_width)
     if None in window:
-        window = (t.pixel_window_height, t.pixel_window_width)
-        window = tuple(max(1, p // c.factor) for p in window)
+        window = _latent_dims((t.pixel_window_height, t.pixel_window_width), c.factor)
     s.tiled = SamplerConfig(
         canvas_shape=(c.channels, c.frames, *latent),
         steps=s.run.steps,
@@ -206,8 +205,8 @@ def _build_stages(s: Settings) -> None:
     )
     s.prior_stage = None
     if not s.prior.latent:  # thumbnail stage: one full-canvas tile, no prior term
-        ph, pw = prior_resolution(*pixel)
-        shape = (c.channels, c.frames, max(1, ph // c.factor), max(1, pw // c.factor))
+        thumbnail = _latent_dims(prior_resolution(*pixel), c.factor, snap=True)
+        shape = (c.channels, c.frames, *thumbnail)
         s.prior_stage = replace(
             s.tiled,
             canvas_shape=shape,
@@ -215,7 +214,6 @@ def _build_stages(s: Settings) -> None:
             window_w=shape[3],
             prior=PriorScheduleConfig(),
             mode="md",
-            workers=1,
         )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .protocol import DEFAULT_TIMEOUT, WorkerClient, WorkerPool
+from .protocol import DEFAULT_TIMEOUT, WorkerPool
 from .tensor import Rect, as_latent, crop, ensure_finite
 
 
@@ -92,17 +92,14 @@ class TargetDriver:
 
 
 class ExternalDenoiser:
-    """Denoiser served by one or more FDP1 worker processes.
+    """Denoiser served by a pool of `size` FDP1 worker processes.
 
-    With size > 1 the call is thread-safe and requests fan out across the
-    pool, one in flight per child.
+    The call is thread-safe at any size: requests fan out across the pool,
+    one in flight per child, and a pool of one serialises them.
     """
 
     def __init__(self, command, size: int = 1, timeout: float = DEFAULT_TIMEOUT):
-        if size == 1:
-            self._backend = WorkerClient(command, timeout)
-        else:
-            self._backend = WorkerPool(command, size, timeout)
+        self._backend = WorkerPool(command, size, timeout)
 
     def __call__(self, req: DenoiserRequest) -> DenoiserResponse:
         tile = as_latent(req.tile, "tile")

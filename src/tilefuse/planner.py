@@ -2,8 +2,8 @@
 
 Grid positions march by a fixed stride; whenever the last grid position
 leaves the canvas edge uncovered an extra window is appended flush with that
-edge, so coverage is total by construction. Pixel-level entry points apply
-the resolution snapping rules before converting to latent cells.
+edge, so coverage is total by construction. Pixel geometry converts to
+latent cells by one rule, _latent_dims, for `plan` and `sample` alike.
 """
 
 from __future__ import annotations
@@ -126,6 +126,15 @@ def plan_tiles(
     return _build_plan(canvas_h, canvas_w, window_h, window_w, stride_h, stride_w)
 
 
+def _latent_dims(pixels, factor: int, snap: bool = False) -> tuple[int, ...]:
+    """Latent cells of pixel dimensions: floor division by factor, never
+    below one cell. A canvas (snap=True) first snaps down to a multiple of
+    16; a window does not. `plan` and `sample` size their grids by this."""
+    if factor < 1:
+        raise ArgumentError(f"compression factor must be >= 1, got {factor}")
+    return tuple(max(1, (snap_dim(p) if snap else p) // factor) for p in pixels)
+
+
 def plan_tiles_pixels(
     canvas_h_px: int,
     canvas_w_px: int,
@@ -134,19 +143,7 @@ def plan_tiles_pixels(
     overlap_fraction: float,
     compression: int = DEFAULT_COMPRESSION,
 ) -> TilePlan:
-    """Plan in latent cells from pixel geometry.
-
-    Pixel window and pixel stride convert to latent cells independently by
-    floor division; the canvas floor-divides onto the latent grid.
-    """
-    if compression < 1:
-        raise ArgumentError(f"compression factor must be >= 1, got {compression}")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ArgumentError(f"overlap fraction must be in [0, 1), got {overlap_fraction}")
-    canvas_h = max(1, canvas_h_px // compression)
-    canvas_w = max(1, canvas_w_px // compression)
-    window_h = max(1, window_h_px // compression)
-    window_w = max(1, window_w_px // compression)
-    stride_h = max(1, math.floor(window_h_px * (1.0 - overlap_fraction)) // compression)
-    stride_w = max(1, math.floor(window_w_px * (1.0 - overlap_fraction)) // compression)
-    return _build_plan(canvas_h, canvas_w, window_h, window_w, stride_h, stride_w)
+    """Plan in latent cells from pixel geometry, converted by _latent_dims."""
+    canvas = _latent_dims((canvas_h_px, canvas_w_px), compression, snap=True)
+    window = _latent_dims((window_h_px, window_w_px), compression)
+    return plan_tiles(*canvas, *window, overlap_fraction)

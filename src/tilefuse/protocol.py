@@ -365,10 +365,6 @@ class WorkerPool:
         with self._borrow() as client:
             return client.denoise(*args, **kwargs)
 
-    def embed(self, *args, **kwargs):
-        with self._borrow() as client:
-            return client.embed(*args, **kwargs)
-
     def close(self) -> None:
         for c in self._clients:
             c.close()

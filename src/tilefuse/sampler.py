@@ -19,7 +19,6 @@ the same order whatever the worker count, so runs are bitwise reproducible.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -42,7 +41,6 @@ from .schedules import PriorScheduleConfig, SigmaSchedule
 from .tensor import as_latent, crop, ensure_finite, trilinear_resize
 
 RUN_MODES = ("md", "fd", "fd_regional")
-WORKER_CAP_ENV = "TILEFUSE_MAX_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -125,17 +123,6 @@ class SamplerConfig:
     def weights(self) -> dict:
         """float64 weight map of each tile size, keyed by (height, width)."""
         return self._weights
-
-    def effective_workers(self) -> int:
-        cap = os.environ.get(WORKER_CAP_ENV)
-        if cap:
-            try:
-                return max(1, min(self.workers, int(cap)))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{WORKER_CAP_ENV} must be an integer, got {cap!r}"
-                ) from exc
-        return self.workers
 
 
 @dataclass(frozen=True)
@@ -254,7 +241,7 @@ class TiledSampler:
         if self._pool is not None:
             yield self._pool
             return
-        workers = self.cfg.effective_workers()
+        workers = self.cfg.workers
         with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
             self._pool, self._depth = pool, 2 * workers
             try:

@@ -7,6 +7,7 @@ import pytest
 
 from tilefuse import GaussianAnalytic, cli, read_flt, write_flt
 from tilefuse.cli import main
+from tilefuse.config import apply_overrides, default_config, resolve_settings
 from tilefuse.netpbm import write_pgm
 
 ECHO_EMBEDDER = f"{sys.executable} -m tilefuse.echo_worker"
@@ -81,6 +82,28 @@ class TestPlanCommand:
 
     def test_bad_dims_rejected(self, capsys):
         assert main(["plan", "--canvas", "64", "--window", "32x32"]) == 2
+
+    @pytest.mark.parametrize("canvas, window, overlap", [
+        ((1080, 1920), (480, 832), 0.3),  # 1080 is not a multiple of 16
+        ((256, 256), (36, 36), 0.3),  # pixel and latent strides disagree
+    ])
+    def test_prints_the_plan_sample_runs(self, capsys, canvas, window, overlap):
+        settings = resolve_settings(apply_overrides(default_config(), [
+            f"canvas.pixel_height={canvas[0]}", f"canvas.pixel_width={canvas[1]}",
+            f"tiles.pixel_window_height={window[0]}",
+            f"tiles.pixel_window_width={window[1]}", f"tiles.overlap={overlap}",
+        ]))
+        plan = settings.tiled.plan()
+        assert main(["plan", "--canvas", "{}x{}".format(*canvas), "--window",
+                     "{}x{}".format(*window), "--overlap", str(overlap),
+                     "--machine"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(
+            f"canvas {plan.canvas_h}x{plan.canvas_w} latent, window "
+            f"{plan.window_h}x{plan.window_w}, stride {plan.stride_h}x{plan.stride_w}, "
+            f"{len(plan.tiles)} tiles"
+        )
+        assert lines[2:] == [f"{r.row} {r.col} {r.height} {r.width}" for r in plan.tiles]
 
 
 class TestSampleCommand:

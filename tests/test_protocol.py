@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tilefuse import ExternalDenoiser, Rect
+from tilefuse import ExternalDenoiser, Rect, SamplerConfig, run
 from tilefuse.denoisers import DenoiserRequest
 from tilefuse.errors import (
     MalformedFrameError,
@@ -325,6 +325,17 @@ class TestExternalDenoiser:
             )
             assert resp.kind == "eps"
             assert np.allclose(resp.prediction, 2.0 * tile)
+
+    def test_default_size_is_safe_to_share_between_tile_threads(self):
+        # one worker serves four tile threads; replies must not interleave
+        def latent(workers):
+            cfg = SamplerConfig(canvas_shape=(2, 1, 16, 16), steps=3, mode="md",
+                                window_h=6, window_w=6, seed=5, workers=workers)
+            with ExternalDenoiser(ECHO_CMD, timeout=30) as den:
+                x, _ = run(cfg, den)
+            return x.tobytes()
+
+        assert latent(4) == latent(1)
 
 
 class TestCopyFreeWire:

@@ -307,21 +307,6 @@ class TestTracePriorMse:
         assert bg == pytest.approx(acc_bg / n_bg, rel=1e-5)
 
 
-class TestWorkerCap:
-    def test_env_var_caps_workers(self, monkeypatch):
-        cfg = SamplerConfig(canvas_shape=(1, 1, 4, 4), workers=8)
-        monkeypatch.setenv("TILEFUSE_MAX_WORKERS", "2")
-        assert cfg.effective_workers() == 2
-        monkeypatch.setenv("TILEFUSE_MAX_WORKERS", "16")
-        assert cfg.effective_workers() == 8
-
-    def test_junk_env_var_rejected(self, monkeypatch):
-        cfg = SamplerConfig(canvas_shape=(1, 1, 4, 4), workers=2)
-        monkeypatch.setenv("TILEFUSE_MAX_WORKERS", "lots")
-        with pytest.raises(ConfigError):
-            cfg.effective_workers()
-
-
 class TestConfigValidation:
     def test_regional_mode_needs_regional_schedule(self):
         with pytest.raises(ConfigError):
