@@ -134,13 +134,14 @@ def run_pipeline(settings, prior=None):
         timings["prior"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        prior_canvas = build_prior(prior, canvas_shape)
+        prior_canvas = build_prior(prior, canvas_shape, settings.run.workers)
         timings["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         with _stage_denoiser(settings, canvas_shape, shared) as den:
             sampler = TiledSampler(settings.tiled, den, prior_canvas)
-            # no local keeps the noise: the run drops it after the first step
+            # the noise is a temporary: run takes its private copy, and the
+            # original is freed before the first step
             x_final, trace = sampler.run(make_noise(canvas_shape, settings.run.seed, stream=1))
         timings["tiled"] = time.perf_counter() - t0
     finally:

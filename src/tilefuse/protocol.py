@@ -205,6 +205,31 @@ class _PipeReader:
         return bytes(buf)
 
 
+def _spawn(command) -> subprocess.Popen:
+    """Start one worker child with pipes on its stdin and stdout."""
+    return subprocess.Popen(
+        list(command),
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=None,
+    )
+
+
+def _end(proc: subprocess.Popen) -> None:
+    """EOF on the child's stdin, and a kill if it has not exited within 5 s.
+    Safe to call more than once."""
+    try:
+        proc.stdin.close()
+    except OSError:
+        pass
+    try:
+        proc.wait(timeout=5.0)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+
+
 class WorkerClient:
     """One child process; requests are strictly serial per client.
 
@@ -215,16 +240,13 @@ class WorkerClient:
     WorkerExitError at once. An error frame leaves the client usable.
     """
 
-    def __init__(self, command, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, command, timeout: float = DEFAULT_TIMEOUT, process=None):
+        """Start the child, or take `process`, one already started from
+        command, and exchange hellos with it."""
         self.command = list(command)
         self.timeout = float(timeout)
         self.poisoned = None  # why the child was killed, once it has been
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=None,
-        )
+        self._proc = process if process is not None else _spawn(self.command)
         self._reader = _PipeReader(self._proc.stdout)
         try:
             self._send(MSG_HELLO)
@@ -308,17 +330,7 @@ class WorkerClient:
     def close(self) -> None:
         """End the child: EOF on its stdin, and a kill if it has not exited
         within 5 s. Safe to call more than once."""
-        proc = self._proc
-        try:
-            proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
+        _end(self._proc)
 
     def __enter__(self):
         return self
@@ -331,17 +343,25 @@ class WorkerPool:
     """Fixed set of worker clients, one in-flight request each. Thread-safe:
     callers borrow an idle client for the duration of a call. A poisoned
     client is never lent again; once all are, every call raises
-    WorkerExitError at once."""
+    WorkerExitError at once.
+
+    Every child is started before the first hello is awaited, so the
+    children boot in parallel; each hello then has the pool's timeout. A
+    start that fails kills every child it started."""
 
     def __init__(self, command, size: int = 1, timeout: float = DEFAULT_TIMEOUT):
         if size < 1:
             raise ProtocolError(f"pool size must be >= 1, got {size}")
-        self._clients = []
+        procs, self._clients = [], []
         try:
             for _ in range(size):
-                self._clients.append(WorkerClient(command, timeout))
+                procs.append(_spawn(command))
+            for proc in procs:
+                self._clients.append(WorkerClient(command, timeout, proc))
         except BaseException:
-            self.close()
+            for proc in procs:
+                proc.kill()
+                _end(proc)
             raise
         self._idle = queue.Queue()
         for c in self._clients:

@@ -8,13 +8,28 @@ output approximates noise - clean, the one-step clean estimate is
 x - sigma * y, and integration follows x' = x + (sigma' - sigma) * y.
 
 A thread pool of the configured worker count lives for the whole run. It
-predicts tiles while the calling thread adds each finished prediction to the
-float64 numerator. Predictions may finish in any order, but they are added
-strictly in plan order, and at most 2 x workers are in flight (submitted but
-not yet added). The weight denominator is the same every step and is built
-once. The merge, the trace statistic and the Euler update then run as one
-pass per channel on the same pool. Every cell sees the same arithmetic in
-the same order whatever the worker count, so runs are bitwise reproducible.
+predicts tiles while the calling thread adds each finished prediction to
+the float64 numerator. Predictions may finish in any order, but they are
+added strictly in plan order, and at most 2 x workers are in flight
+(submitted but not yet added). The weight denominator is the same every
+step and is built once.
+
+A step streams over row bands. The plan is row-major and tile tops never
+decrease, so once the last tile of a tile row has been added, the rows
+above the next tile row's top are final: no later tile adds to them or
+crops them. That band goes to the pool at once, where the merge, the trace
+statistic and the Euler update run per (band, channel) and write the new
+values straight into the latent, while later tiles are still predicted.
+The numerator is a ring of window_h + stride_h rows, reused across the
+run's steps: rows are zeroed as tiles first reach them, and a band's ring
+rows are reused only after its update has finished. The trace means are
+float64 sums and cell counts over the bands.
+
+Every cell sees the same additions in the same order and the same
+elementwise closed form whatever the worker count, so runs are bitwise
+reproducible. run takes one private copy of its initial noise and lets
+each step update that copy in place; step given any other array copies it
+first and never writes to the caller's array.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,9 +179,10 @@ def make_noise(canvas_shape, seed: int, stream: int = 0) -> np.ndarray:
     return gen.standard_normal(canvas_shape, dtype=np.float32)
 
 
-def build_prior(prior_latent: np.ndarray, canvas_shape) -> np.ndarray:
-    """Upsample a native-resolution prior onto the canvas grid. A float32
-    prior already at canvas shape is returned as is, not copied."""
+def build_prior(prior_latent: np.ndarray, canvas_shape, workers: int = 1) -> np.ndarray:
+    """Upsample a native-resolution prior onto the canvas grid, channels on
+    `workers` threads. A float32 prior already at canvas shape is returned
+    as is, not copied."""
     prior_latent = as_latent(prior_latent, "prior")
     c, t, h, w = canvas_shape
     if prior_latent.shape[0] != c:
@@ -175,7 +191,7 @@ def build_prior(prior_latent: np.ndarray, canvas_shape) -> np.ndarray:
         )
     if prior_latent.shape == tuple(canvas_shape):
         return prior_latent
-    return trilinear_resize(prior_latent, t, h, w)
+    return trilinear_resize(prior_latent, t, h, w, workers)
 
 
 def euler_update(x: np.ndarray, y: np.ndarray, dsigma: float, out=None) -> np.ndarray:
@@ -226,7 +242,7 @@ class TiledSampler:
                 raise ConfigError("prior-regularized run needs a prior latent")
             self.prior = np.zeros(cfg.canvas_shape, dtype=np.float32)
         else:
-            self.prior = build_prior(prior, cfg.canvas_shape)
+            self.prior = build_prior(prior, cfg.canvas_shape, cfg.workers)
 
         # the weight sum is the same every step: add it up once, in plan order
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
@@ -234,20 +250,26 @@ class TiledSampler:
             self._den[r.row_slice, r.col_slice] += self._weights[(r.height, r.width)]
         self._pool = None
         self._depth = 0  # most predictions submitted but not yet added
+        self._ring = None  # float64 numerator rows, (C, T, rows, W)
+        self._latent = None  # the latent the running run owns
 
     @contextmanager
     def _executor(self):
-        """The run's tile pool; a step called outside run gets its own."""
+        """The run's tile pool and numerator ring; a step called outside
+        run gets its own."""
         if self._pool is not None:
             yield self._pool
             return
         workers = self.cfg.workers
+        c, t, h, w = self.cfg.canvas_shape
+        rows = min(h, self.plan.window_h + self.plan.stride_h)
         with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
             self._pool, self._depth = pool, 2 * workers
+            self._ring = np.empty((c, t, rows, w), dtype=np.float64)
             try:
                 yield pool
             finally:
-                self._pool = None
+                self._pool = self._ring = None
 
     def _predict_tile(self, x, i, t, sigma, k, rect):
         req = DenoiserRequest(
@@ -278,66 +300,111 @@ class TiledSampler:
         ensure_finite(pred, f"step {i} tile {k} prediction")
         return pred
 
-    def _accumulate(self, pool, num, x, i, t, sigma):
-        """Add every tile's weighted prediction to num in plan order while
-        the pool predicts the next ones. On failure the queued predictions
-        are cancelled and the running ones awaited before the error leaves."""
-        pending = deque()
+    def _stream(self, pool, x, i, t, sigma, update, collect):
+        """Add every tile's weighted prediction to the numerator ring in
+        plan order while the pool predicts the next ones, and submit
+        update(c, rows, ring_rows) for each channel of a band as soon as the
+        band is final. Each update's result goes to collect, in band order.
+        On failure the queued tasks are cancelled and the running ones
+        awaited before the error leaves."""
+        ring, tiles = self._ring, self.plan.tiles
+        size = ring.shape[2]
+        pending, bands = deque(), deque()
+        opened = 0  # canvas rows [0, opened) have been given ring rows
+
+        def retire_oldest_band():
+            for future in bands[0][1]:
+                collect(*future.result())
+            bands.popleft()
 
         def add_oldest():
-            rect, future = pending.popleft()
+            nonlocal opened
+            k, rect, future = pending.popleft()
             pred = future.result()
-            add_weighted_tile(num, pred, rect, self._weights[(rect.height, rect.width)])
+            stop = rect.row + rect.height
+            if stop > opened:
+                # the new rows reuse the ring rows of the rows `size` above
+                while bands and bands[0][0] < stop - size:
+                    retire_oldest_band()
+                for _, ring_rows in _ring_slices(opened, stop, size):
+                    ring[:, :, ring_rows] = 0.0
+                opened = stop
+            w = self._weights[(rect.height, rect.width)]
+            for rows, ring_rows in _ring_slices(rect.row, stop, size):
+                part = slice(rows.start - rect.row, rows.stop - rect.row)
+                at = replace(rect, row=ring_rows.start, height=ring_rows.stop - ring_rows.start)
+                add_weighted_tile(ring, pred[:, :, part], at, w[part])
+            below = tiles[k + 1].row if k + 1 < len(tiles) else x.shape[2]
+            if below != rect.row:  # the rows above `below` are final
+                bands.append((rect.row, [
+                    pool.submit(update, c, rows, ring_rows)
+                    for rows, ring_rows in _ring_slices(rect.row, below, size)
+                    for c in range(x.shape[0])
+                ]))
 
         try:
-            for k, rect in enumerate(self.plan.tiles):
+            for k, rect in enumerate(tiles):
                 pending.append(
-                    (rect, pool.submit(self._predict_tile, x, i, t, sigma, k, rect))
+                    (k, rect, pool.submit(self._predict_tile, x, i, t, sigma, k, rect))
                 )
                 if len(pending) == self._depth:
                     add_oldest()
             while pending:
                 add_oldest()
+            while bands:
+                retire_oldest_band()
         finally:
-            futures = [future for _, future in pending]
+            futures = [future for *_, future in pending]
+            futures += [future for _, band in bands for future in band]
             for future in futures:
                 future.cancel()
             wait(futures)
 
     def step(self, x: np.ndarray, i: int):
-        """One sampler step; returns (x_next, StepRecord)."""
+        """One sampler step; returns (x_next, StepRecord). The latent the
+        running run owns is updated in place and returned; any other x is
+        copied first and left as it is."""
         t = self.schedule.times[i]
         sigma = self.schedule.sigmas[i]
-        sigma_next = self.schedule.sigmas[i + 1]
+        dsigma = self.schedule.sigmas[i + 1] - sigma
         lam = 0.0 if self.cfg.mode == "md" else self.cfg.prior.strength_at(t)
         plain = np.ndim(lam) == 0 and float(lam) == 0.0
+        plane = np.ndim(lam) == 2
         activity = self.cfg.prior.activity_map
 
+        owned = x is self._latent
         x = as_latent(x, "latent")
         if x.shape != tuple(self.cfg.canvas_shape):
             raise ShapeError(
                 f"latent {x.shape} does not match canvas {self.cfg.canvas_shape}"
             )
-        num = np.zeros(x.shape, dtype=np.float64)
-        x_next = np.empty_like(x)
+        if not owned:
+            x = x.copy()
 
-        def update(c):
-            """Merge, trace and Euler-update channel c."""
-            block = slice(c, c + 1)
-            acc = FusionAccumulator(num=num[block], den=self._den)
+        def update(c, rows, ring_rows):
+            """Merge, trace and Euler-update channel c on canvas rows `rows`,
+            in place. Returns c and the trace's (sum, cells) per partition."""
+            block = x[c : c + 1, :, rows]
+            prior = self.prior[c : c + 1, :, rows]
+            acc = FusionAccumulator(num=self._ring[c : c + 1, :, ring_rows], den=self._den[rows])
             if plain:
                 y = fuse_md(acc)
             else:
-                y = fuse_fd_flow(acc, x[block], self.prior[block], lam, sigma)
-            mse = trace_prior_mse(x[block], sigma, y, self.prior[block], activity)
-            euler_update(x[block], y, sigma_next - sigma, out=x_next[block])
-            return mse
+                y = fuse_fd_flow(acc, block, prior, lam[rows] if plane else lam, sigma)
+            part = None if activity is None else activity[rows]
+            fg, bg = trace_prior_mse(block, sigma, y, prior, part)
+            euler_update(block, y, dsigma, out=block)
+            n_fg = y.size if part is None else np.count_nonzero(part) * (y.size // part.size)
+            n_bg = y.size - n_fg
+            return c, (fg or 0.0) * n_fg, n_fg, (bg or 0.0) * n_bg, n_bg
+
+        sums = np.zeros((x.shape[0], 4))  # per channel: fg sum, cells, bg sum, cells
+
+        def collect(c, *values):
+            sums[c] += values
 
         with self._executor() as pool:
-            self._accumulate(pool, num, x, i, t, sigma)
-            per_channel = list(pool.map(update, range(x.shape[0])))
-
-        fg, bg = (_mean_or_none(part) for part in zip(*per_channel))
+            self._stream(pool, x, i, t, sigma, update, collect)
         lam_arr = np.asarray(lam, dtype=np.float64)
         record = StepRecord(
             step=i,
@@ -345,17 +412,18 @@ class TiledSampler:
             sigma=sigma,
             lam_min=float(lam_arr.min()),
             lam_max=float(lam_arr.max()),
-            fg_mse=fg,
-            bg_mse=bg,
+            fg_mse=_mean_or_none(sums[:, 0], sums[:, 1]),
+            bg_mse=_mean_or_none(sums[:, 2], sums[:, 3]),
         )
-        return x_next, record
+        return x, record
 
     def run(self, initial_noise=None):
         if initial_noise is None:
             x = make_noise(self.cfg.canvas_shape, self.cfg.seed)
         else:
-            x = as_latent(initial_noise, "initial noise")
-            del initial_noise  # the first step's result replaces it
+            # one private copy, which the steps update in place
+            x = np.array(as_latent(initial_noise, "initial noise"))
+            del initial_noise
             if x.shape != self.cfg.canvas_shape:
                 raise ShapeError(
                     f"initial noise {x.shape} does not match canvas "
@@ -364,18 +432,35 @@ class TiledSampler:
         ensure_finite(x, "initial noise")
         trace = RunTrace()
         with self._executor():
-            for i in range(self.schedule.steps):
-                x, record = self.step(x, i)
-                trace.records.append(record)
+            try:
+                for i in range(self.schedule.steps):
+                    self._latent = x
+                    x, record = self.step(x, i)
+                    trace.records.append(record)
+            finally:
+                self._latent = None
         ensure_finite(x, "final latent")
         return x, trace
 
 
-def _mean_or_none(values):
-    """Mean of equally weighted per-channel statistics; None if empty."""
-    if values[0] is None:
+def _ring_slices(start, stop, size):
+    """Canvas rows [start, stop) as (canvas rows, ring rows) slice pairs in
+    a ring of `size` rows: one pair, or two where the rows wrap."""
+    pairs = []
+    while start < stop:
+        at = start % size
+        n = min(stop - start, size - at)
+        pairs.append((slice(start, start + n), slice(at, at + n)))
+        start += n
+    return pairs
+
+
+def _mean_or_none(sums, counts):
+    """Mean over channels of each channel's sum / count; None if the
+    partition holds no cell (every channel counts the same cells)."""
+    if counts[0] == 0:
         return None
-    return float(np.mean(values))
+    return float(np.mean(sums / counts))
 
 
 def run(cfg: SamplerConfig, denoiser, prior=None, initial_noise=None):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,12 +116,16 @@ def _axis_indices(src_len: int, out_len: int):
     return lo, lo + 1, frac
 
 
-def trilinear_resize(src: np.ndarray, out_t: int, out_h: int, out_w: int) -> np.ndarray:
+def trilinear_resize(
+    src: np.ndarray, out_t: int, out_h: int, out_w: int, workers: int = 1
+) -> np.ndarray:
     """Endpoint-aligned trilinear interpolation over (T,H,W), channel-wise.
 
     Corners map to corners; resizing to the source dims returns the source
     bit-exactly. Interpolation runs in float64 one channel at a time and the
-    result is cast back to float32.
+    result is cast back to float32. The channels run on a pool of `workers`
+    threads; each channel's arithmetic is the same whatever the count, so
+    the result is bit-identical.
     """
     src = as_latent(src, "source")
     if out_t < 1 or out_h < 1 or out_w < 1:
@@ -136,16 +141,25 @@ def trilinear_resize(src: np.ndarray, out_t: int, out_h: int, out_w: int) -> np.
         lo, hi, frac = _axis_indices(n_src, n_out)
         shape = [1, 1, 1]
         shape[axis] = n_out
-        passes.append((axis, lo, hi, frac.reshape(shape)))
+        frac = frac.reshape(shape)
+        passes.append((axis, lo, hi, 1.0 - frac, frac))
 
     out = np.empty((c, out_t, out_h, out_w), dtype=np.float32)
-    for ch in range(c):
+
+    def resize_channel(ch):
         vol = src[ch].astype(np.float64)
-        for axis, lo, hi, frac in passes:
-            vol = (1.0 - frac) * np.take(vol, lo, axis=axis) + frac * np.take(
-                vol, hi, axis=axis
-            )
+        for axis, lo, hi, w_lo, w_hi in passes:
+            # (1 - frac) * vol[lo] + frac * vol[hi], in two buffers
+            near = np.take(vol, lo, axis=axis)
+            near *= w_lo
+            far = np.take(vol, hi, axis=axis)
+            far *= w_hi
+            near += far
+            vol = near
         out[ch] = vol
+
+    with ThreadPoolExecutor(max(1, min(workers, c)), thread_name_prefix="tilefuse-resize") as pool:
+        list(pool.map(resize_channel, range(c)))
     return out
 
 

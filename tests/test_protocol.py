@@ -569,5 +569,40 @@ class TestFailedStart:
         with pytest.raises(ProtocolTimeoutError):
             WorkerPool(cmd + [str(pids)], size=3, timeout=1.0)
         started = recorded_pids(pids)
-        assert len(started) == 2  # the second one failed; no third was started
+        assert len(started) == 3  # every child starts before the first hello
+        assert not any(alive(pid) for pid in started)
+
+    def test_pool_starts_its_workers_in_parallel(self, tmp_path):
+        delay = 1.5
+        cmd = worker_script(
+            tmp_path,
+            "import time\n"
+            f"time.sleep({delay})\n"
+            "from tilefuse.protocol import serve\n"
+            "serve(denoise=lambda *a: ('flow', a[-1]))\n",
+        )
+        start = time.monotonic()
+        with WorkerPool(cmd, size=3, timeout=30) as pool:
+            elapsed = time.monotonic() - start
+            tile = np.ones((1, 1, 2, 2), np.float32)
+            _, pred = pool.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+            assert pred.tobytes() == tile.tobytes()
+        assert elapsed < 2 * delay  # one after another takes over 3 x delay
+
+    def test_pool_start_fails_and_reaps_when_one_worker_exits(self, tmp_path):
+        pids = tmp_path / "pids"
+        cmd = worker_script(
+            tmp_path,
+            RECORD_PID
+            + "from tilefuse.protocol import serve\n"
+            "if open(sys.argv[1]).read().split()[0] == str(os.getpid()):\n"
+            "    sys.exit(0)\n"
+            "serve(denoise=lambda *a: ('flow', a[-1]))\n",
+        )
+        start = time.monotonic()
+        with pytest.raises(WorkerExitError):
+            WorkerPool(cmd + [str(pids)], size=3, timeout=30)
+        assert time.monotonic() - start < 10  # the exit is seen, not timed out
+        started = recorded_pids(pids)
+        assert len(started) == 3
         assert not any(alive(pid) for pid in started)
