@@ -7,6 +7,8 @@ does not grow with the canvas height.
 """
 
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tilefuse.sampler as sampler_module
 from tilefuse import PriorScheduleConfig, SamplerConfig, TargetDriver, TiledSampler
+from tilefuse.denoisers import DenoiserResponse
+from tilefuse.errors import DenoiseError
 
 from test_sampler import reference_step
 
@@ -119,6 +124,39 @@ def test_more_threads_than_cores_match_one_thread():
             assert x.tobytes() == expected.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_failure_after_bands_were_handed_out_stops_every_task(monkeypatch):
+    """A tile that fails in a later tile row leaves the step only after the
+    band updates already on the pool have finished: none runs afterwards."""
+    cfg = SamplerConfig(
+        canvas_shape=(2, 1, 40, 16), steps=2, mode="md", window_h=8,
+        window_w=8, overlap=0.0, workers=2,
+    )
+    plan = cfg.plan()
+    bad = plan.tiles.index(next(r for r in plan.tiles if r.row == 24))
+    updates = []
+    euler = sampler_module.euler_update
+
+    def slow_euler(*args, **kwargs):
+        time.sleep(0.02)
+        updates.append(1)
+        return euler(*args, **kwargs)
+
+    def denoiser(req):
+        if plan.tiles.index(req.rect) == bad:
+            raise RuntimeError("backbone crashed")
+        return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+
+    monkeypatch.setattr(sampler_module, "euler_update", slow_euler)
+    threads = threading.active_count()
+    with pytest.raises(DenoiseError, match=f"tile {bad} "):
+        TiledSampler(cfg, denoiser).run()
+    assert threading.active_count() == threads
+    assert updates  # the bands above row 24 were handed to the pool
+    settled = len(updates)
+    time.sleep(0.1)
+    assert len(updates) == settled
 
 
 def test_run_memory_does_not_grow_with_height():
