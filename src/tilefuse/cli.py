@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import math
 import os
 import shlex
 import sys
@@ -39,7 +40,7 @@ from .netpbm import read_pnm
 from .planner import plan_tiles, plan_tiles_pixels
 from .protocol import WorkerClient
 from .sampler import TiledSampler, build_prior, make_noise
-from .tensor import read_flt, trilinear_resize, write_flt
+from .tensor import atomic_write, read_flt, trilinear_resize, write_flt
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -208,10 +209,7 @@ def cmd_sample(args) -> int:
 
 
 def _atomic_write_text(path, text) -> None:
-    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, text.encode("utf-8"))
 
 
 def _write_table(table, out) -> None:
@@ -300,6 +298,13 @@ def _latent_frames(latent):
     return [latent[:, t].mean(axis=0).astype(np.float64) for t in range(latent.shape[1])]
 
 
+def _distance(a, b) -> float:
+    """Euclidean distance between two latents, summed in float64 one
+    channel at a time, so no whole-canvas float64 copy is made."""
+    total = sum(np.square(ch.astype(np.float64) - ref).sum() for ch, ref in zip(a, b))
+    return math.sqrt(total)
+
+
 def _grid(args, name):
     text = getattr(args, f"{name}_grid")
     try:
@@ -325,9 +330,7 @@ def cmd_sweep(args) -> int:
     with embedder or contextlib.nullcontext():
         for lam, tau, settings in points:
             x_final, _, prior, _ = run_pipeline(settings, prior)
-            dist = float(
-                np.linalg.norm(x_final.astype(np.float64) - prior.astype(np.float64))
-            )
+            dist = _distance(x_final, prior)
             frames = _latent_frames(x_final)
             sharp = video_tenengrad(frames)
             temp = temporal_consistency(frames) if len(frames) > 1 else float("nan")
@@ -340,6 +343,7 @@ def cmd_sweep(args) -> int:
                 )
                 row += f"\t{align:.8g}"
             rows.append(row)
+            del x_final, frames  # free this point's canvas before the next run
     _write_table("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

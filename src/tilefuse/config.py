@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import json
 import math
-import os
 import shlex
 from dataclasses import replace
 from types import SimpleNamespace
@@ -21,6 +20,7 @@ from .errors import ArgumentError, ConfigError
 from .planner import DEFAULT_COMPRESSION, _latent_dims, prior_resolution, snap_dim
 from .schedules import PriorScheduleConfig, load_activity_map
 from .sampler import SamplerConfig
+from .tensor import atomic_write
 
 
 def _parser(what, convert, valid=lambda value: True):
@@ -246,11 +246,8 @@ def write_manifest(path, settings: Settings, outputs: dict, timings: dict, versi
         "outputs": outputs,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
-    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, text.encode("utf-8"))
 
 
 def config_from_manifest(path) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .protocol import DEFAULT_TIMEOUT, WorkerPool
+from .protocol import WorkerPool
 from .tensor import Rect, as_latent, crop, ensure_finite
 
 
@@ -91,29 +91,18 @@ class TargetDriver:
         return DenoiserResponse(prediction=y, kind="flow")
 
 
-class ExternalDenoiser:
-    """Denoiser served by a pool of `size` FDP1 worker processes.
+class ExternalDenoiser(WorkerPool):
+    """Denoiser served by a pool of `size` FDP1 worker processes: a
+    WorkerPool that takes DenoiserRequests, closed like any pool.
 
     The call is thread-safe at any size: requests fan out across the pool,
     one in flight per child, and a pool of one serialises them.
     """
 
-    def __init__(self, command, size: int = 1, timeout: float = DEFAULT_TIMEOUT):
-        self._backend = WorkerPool(command, size, timeout)
-
     def __call__(self, req: DenoiserRequest) -> DenoiserResponse:
         tile = as_latent(req.tile, "tile")
         rect = req.rect or Rect(0, 0, tile.shape[2], tile.shape[3])
-        kind, pred = self._backend.denoise(
+        kind, pred = self.denoise(
             req.step_index, req.t, req.sigma, rect, req.conditioning, tile
         )
         return DenoiserResponse(prediction=pred, kind=kind)
-
-    def close(self) -> None:
-        self._backend.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -11,6 +11,7 @@ import os
 import numpy as np
 
 from .errors import FileFormatError
+from .tensor import atomic_write
 
 
 def _tokens(blob: bytes, path: str):
@@ -74,17 +75,19 @@ def write_pgm(path, img: np.ndarray) -> None:
     img = np.asarray(img)
     if img.ndim != 2:
         raise FileFormatError(f"grayscale image must be 2-D, got {img.ndim}-D")
-    arr = np.clip(np.rint(img), 0, 255).astype(np.uint8) if img.dtype != np.uint8 else img
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+    _write_pnm(path, b"P5", img)
 
 
 def write_ppm(path, img: np.ndarray) -> None:
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise FileFormatError(f"color image must be (H, W, 3), got {img.shape}")
+    _write_pnm(path, b"P6", img)
+
+
+def _write_pnm(path, magic: bytes, img: np.ndarray) -> None:
+    """An 8-bit netpbm file, by atomic_write; other dtypes are rounded and
+    clipped to [0, 255]."""
     arr = np.clip(np.rint(img), 0, 255).astype(np.uint8) if img.dtype != np.uint8 else img
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+    head = b"%s\n%d %d\n255\n" % (magic, arr.shape[1], arr.shape[0])
+    atomic_write(path, head, arr.tobytes())

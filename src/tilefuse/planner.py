@@ -42,7 +42,7 @@ def prior_resolution(h: int, w: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TilePlan:
-    """Ordered, deduplicated tile rectangles covering a latent canvas."""
+    """Distinct tile rectangles in row-major order, covering a latent canvas."""
 
     tiles: tuple[Rect, ...]
     canvas_h: int
@@ -68,10 +68,6 @@ class TilePlan:
     def min_coverage(self) -> int:
         return int(self._coverage.min())
 
-    @property
-    def max_coverage(self) -> int:
-        return int(self._coverage.max())
-
 
 def _axis_positions(canvas: int, window: int, stride: int) -> list[int]:
     if window >= canvas:
@@ -86,13 +82,9 @@ def _axis_positions(canvas: int, window: int, stride: int) -> list[int]:
 def _build_plan(canvas_h, canvas_w, window_h, window_w, stride_h, stride_w) -> TilePlan:
     eff_h = min(window_h, canvas_h)
     eff_w = min(window_w, canvas_w)
-    seen = set()
     tiles = []
     for row in _axis_positions(canvas_h, eff_h, stride_h):
         for col in _axis_positions(canvas_w, eff_w, stride_w):
-            if (row, col) in seen:
-                continue
-            seen.add((row, col))
             tiles.append(Rect(row, col, eff_h, eff_w))
     return TilePlan(
         tiles=tuple(tiles),

@@ -8,6 +8,7 @@ may share memory with its argument; nothing here mutates its inputs.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -163,14 +164,25 @@ def trilinear_resize(
     return out
 
 
-def write_flt(path, tensor: np.ndarray) -> None:
-    """Write a latent tensor in the FLT1 container (atomic: write + rename)."""
-    head, data = flt_parts(tensor)
+def atomic_write(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order and uncopied, to path: first to
+    a temporary sibling, which is then renamed over path. A failure at any
+    point removes the temporary file and leaves path as it was."""
     tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(head)
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def write_flt(path, tensor: np.ndarray) -> None:
+    """Write a latent tensor in the FLT1 container, by atomic_write."""
+    atomic_write(path, *flt_parts(tensor))
 
 
 def flt_parts(tensor: np.ndarray) -> tuple[bytes, memoryview]:

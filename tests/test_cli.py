@@ -379,6 +379,11 @@ command = {command}
             assert "unknown key" in capsys.readouterr().err
 
 
+# a one-step run on a one-cell-deep 8x8 canvas
+TINY_RUN = ["--set", "canvas.channels=1", "--set", "canvas.frames=1", "--set",
+            "canvas.height=8", "--set", "canvas.width=8", "--set", "run.steps=1"]
+
+
 @pytest.mark.parametrize(
     "argv, manifest, code",
     [
@@ -388,16 +393,26 @@ command = {command}
         (["sample", "--from-manifest", "m.json"], '{"config": {"run": 1}}', 3),
         (["sweep", "--lambda-grid", "abc"], None, 2),
         (["sweep", "--tau-grid", ""], None, 2),
+        # the output path is the existing directory d
+        (["sample", "--output", "d", *TINY_RUN], None, 4),
+        (["sample", "--output", "o.flt", "--set", "run.manifest=d", *TINY_RUN], None, 4),
+        (["sweep", "--lambda-grid", "0", "--out", "d", *TINY_RUN], None, 4),
+        (["metrics", "--frames", "d", "--out", "d"], None, 4),
     ],
-    ids=["command-quote", "manifest-not-json", "manifest-config-shape", "lambda-grid", "tau-grid"],
+    ids=["command-quote", "manifest-not-json", "manifest-config-shape", "lambda-grid", "tau-grid",
+         "sample-output-dir", "manifest-dir", "sweep-out-dir", "metrics-out-dir"],
 )
 def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, code):
     monkeypatch.chdir(tmp_path)
     if manifest is not None:
         (tmp_path / "m.json").write_text(manifest)
+    (tmp_path / "d").mkdir()
+    write_pgm(tmp_path / "d" / "f0.pgm", np.zeros((8, 8), dtype=np.uint8))
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert (tmp_path / "d").is_dir()
+    assert not list(tmp_path.rglob("*.tmp.*"))
 
 
 class TestMetricsCommand:

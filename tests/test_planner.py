@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilefuse import plan_tiles, plan_tiles_pixels, prior_resolution, snap_dim
+from tilefuse.config import apply_overrides, default_config, resolve_settings
 from tilefuse.errors import ArgumentError
 
 
@@ -114,3 +117,46 @@ class TestPlanTilesPixels:
         a = plan_tiles_pixels(1024, 1024, 480, 832, 0.3, compression=8)
         b = plan_tiles(128, 128, 60, 104, 0.3)
         assert a.tiles == b.tiles
+
+
+OVERLAPS = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9])
+
+
+@given(
+    canvas=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+    window=st.tuples(st.integers(1, 90), st.integers(1, 90)),
+    overlap=OVERLAPS,
+)
+def test_plan_properties(canvas, window, overlap):
+    """Full coverage, row-major order with non-decreasing tops (the
+    streamed step relies on it), distinct rects, a flush last row and
+    column, and one tile size."""
+    plan = plan_tiles(*canvas, *window, overlap)
+    covered = np.zeros(canvas, dtype=bool)
+    for r in plan.tiles:
+        covered[r.row_slice, r.col_slice] = True
+    assert covered.all()
+    corners = [(r.row, r.col) for r in plan.tiles]
+    assert corners == sorted(corners)
+    assert len(set(plan.tiles)) == len(plan.tiles)
+    last = plan.tiles[-1]
+    assert (last.row + last.height, last.col + last.width) == canvas
+    assert {(r.height, r.width) for r in plan.tiles} == {(plan.window_h, plan.window_w)}
+    assert (plan.window_h, plan.window_w) == tuple(map(min, window, canvas))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    canvas=st.tuples(st.integers(1, 700), st.integers(1, 700)),
+    window=st.tuples(st.integers(1, 900), st.integers(1, 900)),
+    overlap=OVERLAPS,
+    factor=st.integers(4, 16),
+)
+def test_pixel_plan_is_the_plan_sample_runs(canvas, window, overlap, factor):
+    cfg = apply_overrides(default_config(), [
+        f"canvas.pixel_height={canvas[0]}", f"canvas.pixel_width={canvas[1]}",
+        f"tiles.pixel_window_height={window[0]}", f"tiles.pixel_window_width={window[1]}",
+        f"tiles.overlap={overlap}", f"canvas.factor={factor}",
+    ])
+    expected = plan_tiles_pixels(*canvas, *window, overlap, compression=factor)
+    assert resolve_settings(cfg).tiled.plan().tiles == expected.tiles

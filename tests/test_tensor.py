@@ -3,7 +3,7 @@ import pytest
 
 from tilefuse import Rect, crop, read_flt, trilinear_resize, write_flt, zero_pad
 from tilefuse.errors import ArgumentError, BoundsError, FileFormatError, ShapeError
-from tilefuse.tensor import flt_from_bytes, flt_to_bytes
+from tilefuse.tensor import atomic_write, flt_from_bytes, flt_to_bytes
 
 from _oracles import crop_loop, trilinear_loop
 
@@ -165,3 +165,27 @@ class TestFltFormat:
         x = np.full((1, 1, 1, 2), np.nan, dtype=np.float32)
         with pytest.raises(ShapeError):
             flt_from_bytes(flt_to_bytes(x))
+
+
+class TestAtomicWrite:
+    def test_writes_chunks_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write(path, b"ab", memoryview(b"cd"), bytearray(b"e"))
+        assert path.read_bytes() == b"abcde"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_chunk_keeps_old_content_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            atomic_write(path, b"new", "not bytes")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_rename_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        with pytest.raises(OSError):
+            atomic_write(target, b"data")
+        assert target.is_dir()
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
