@@ -13,7 +13,6 @@ import contextlib
 import itertools
 import math
 import os
-import shlex
 import sys
 import time
 
@@ -21,6 +20,10 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    COMMAND,
+    GRID,
+    POSITIVE,
+    POSITIVE_INTEGER,
     apply_overrides,
     config_from_manifest,
     default_config,
@@ -254,7 +257,30 @@ def _frame_to_tensor(frame):
     return np.moveaxis(frame.astype(np.float32), -1, 0)[:, None]
 
 
+def _flag(args, name, parse):
+    """A flag's value by a config parser; a bad one is a usage error."""
+    raw = getattr(args, name)
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ArgumentError(f"--{name.replace('_', '-')} must be {exc}, got {raw!r}") from None
+
+
+def _embedder(args):
+    """A worker client for --embedder, or None without one. The command line
+    and --timeout follow the denoiser.command and denoiser.timeout rules, and
+    are checked before the worker starts."""
+    if not args.embedder:
+        return None
+    timeout = _flag(args, "timeout", POSITIVE)
+    command = _flag(args, "embedder", COMMAND)
+    if not command:
+        raise ArgumentError(f"--embedder must be a shell command line, got {args.embedder!r}")
+    return WorkerClient(command, timeout=timeout)
+
+
 def cmd_metrics(args) -> int:
+    seam_factor = _flag(args, "seam_factor", POSITIVE_INTEGER)
     frames = _load_frames(args.frames)
     cols = ["frames", "tenengrad", "temporal_consistency"]
     vals = [
@@ -264,9 +290,10 @@ def cmd_metrics(args) -> int:
     ]
     if args.prior_frames:
         prior_frames = _load_frames(args.prior_frames)
-        if not args.embedder:
+        embedder = _embedder(args)
+        if embedder is None:
             raise ConfigError("prior alignment needs --embedder")
-        with WorkerClient(shlex.split(args.embedder), timeout=args.timeout) as embedder:
+        with embedder:
             score = prior_alignment(
                 frames,
                 prior_frames,
@@ -278,13 +305,13 @@ def cmd_metrics(args) -> int:
         wh, ww = _parse_dims(args.seam_window)
         first = np.asarray(frames[0])
         plan = plan_tiles(
-            first.shape[0] // args.seam_factor,
-            first.shape[1] // args.seam_factor,
+            first.shape[0] // seam_factor,
+            first.shape[1] // seam_factor,
             wh,
             ww,
             args.seam_overlap,
         )
-        excess = float(np.mean([seam_energy(f, plan, args.seam_factor) for f in frames]))
+        excess = float(np.mean([seam_energy(f, plan, seam_factor) for f in frames]))
         cols.append("seam_excess")
         vals.append(f"{excess:.8g}")
 
@@ -305,25 +332,17 @@ def _distance(a, b) -> float:
     return math.sqrt(total)
 
 
-def _grid(args, name):
-    text = getattr(args, f"{name}_grid")
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ArgumentError(f"--{name}-grid needs comma-separated numbers, got {text!r}") from exc
-
-
 def cmd_sweep(args) -> int:
     """One run per (lambda, tau) point; the prior pass, which depends on
     neither, runs once. Every point is resolved before any runs."""
+    grid = [_flag(args, f"{name}_grid", GRID) for name in ("lambda", "tau")]
     points = [
         (lam, tau, _load_settings(args, [f"prior.lambda_base={lam}", f"prior.tau={tau}"]))
-        for lam, tau in itertools.product(_grid(args, "lambda"), _grid(args, "tau"))
+        for lam, tau in itertools.product(*grid)
     ]
     header = "lambda_base\ttau\tprior_l2\tsharpness\ttemporal_consistency"
-    embedder = None
-    if args.embedder:
-        embedder = WorkerClient(shlex.split(args.embedder), timeout=args.timeout)
+    embedder = _embedder(args)
+    if embedder is not None:
         header += "\tprior_alignment"
     rows = [header]
     prior = None

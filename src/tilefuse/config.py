@@ -54,7 +54,9 @@ NUMBER = _parser("a finite number", float, math.isfinite)
 NONNEGATIVE = _parser("a finite number >= 0", float, lambda v: 0 <= v < math.inf)
 POSITIVE = _parser("a finite number > 0", float, lambda v: 0 < v < math.inf)
 SIGMAS = _parser("empty or comma-separated numbers", _numbers)  # the schedule checks them
+GRID = _parser("comma-separated numbers", _numbers, bool)  # the sweep's --*-grid flags
 RAMP = _parser("auto or an integer", lambda raw: None if raw == "auto" else int(raw))
+COMMAND = _parser("a shell command line", shlex.split)
 
 KEYS = (
     ("run", "seed", "0", INTEGER),
@@ -90,7 +92,7 @@ KEYS = (
     ("denoiser", "mean", "0.0", NUMBER),
     ("denoiser", "std", "1.0", NONNEGATIVE),
     ("denoiser", "target", "", str),
-    ("denoiser", "command", "", _parser("a shell command line", shlex.split)),
+    ("denoiser", "command", "", COMMAND),
     ("denoiser", "timeout", "300", POSITIVE),
     ("denoiser", "conditioning", "", str),
 )

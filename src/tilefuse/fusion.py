@@ -167,7 +167,7 @@ def _fuse_prior(acc, x_hat, x_prior, lam_b, s, s2):
 
 
 def _check_canvas(x, acc, name):
-    x = as_latent(x, name)
+    x = np.asarray(x, dtype=np.float32)  # a strided band view stays a view
     if x.shape != acc.canvas_shape:
         raise ShapeError(f"{name} shape {x.shape} does not match canvas {acc.canvas_shape}")
     return x

@@ -74,8 +74,7 @@ MSG_ERROR = 3
 MSG_EMBED_REQUEST = 4
 MSG_EMBED_RESPONSE = 5
 
-KIND_CODES = {"flow": 0, "eps": 1}
-KIND_NAMES = {0: "flow", 1: "eps"}
+KINDS = ("flow", "eps")  # a prediction kind's wire byte is its index
 
 DEFAULT_TIMEOUT = 300.0
 
@@ -134,8 +133,10 @@ def unpack_denoise_request(payload):
 
 
 def _denoise_response_parts(kind: str, tile):
+    if kind not in KINDS:
+        raise ProtocolError(f"unknown prediction kind {kind!r}")
     flt_head, data = flt_parts(tile)
-    return bytes([KIND_CODES[kind]]) + flt_head, data
+    return bytes([KINDS.index(kind)]) + flt_head, data
 
 
 def pack_denoise_response(kind: str, tile) -> bytes:
@@ -143,10 +144,10 @@ def pack_denoise_response(kind: str, tile) -> bytes:
 
 
 def unpack_denoise_response(payload):
-    if not payload or payload[0] not in KIND_NAMES:
-        code = payload[0] if payload else None
+    code = payload[0] if payload else None
+    if code not in range(len(KINDS)):
         raise MalformedFrameError(f"unknown prediction kind byte {code!r}")
-    return KIND_NAMES[payload[0]], flt_from_bytes(payload[1:], "response tile")
+    return KINDS[code], flt_from_bytes(payload[1:], "response tile")
 
 
 def _aligned_buffer(length: int, msg_type: int) -> memoryview:
@@ -155,6 +156,22 @@ def _aligned_buffer(length: int, msg_type: int) -> memoryview:
     raw = np.empty(length + ALIGN, dtype=np.uint8)
     start = -(raw.ctypes.data + _DATA_OFFSET.get(msg_type, 0)) % ALIGN
     return memoryview(raw[start : start + length])
+
+
+def _read_frame(read_into):
+    """One frame as (msg_type, payload from _aligned_buffer), read through
+    read_into(view), which fills the whole view or raises. A bad magic or an
+    oversized length raises MalformedFrameError before the payload is read."""
+    header = memoryview(bytearray(HEADER_LEN))
+    read_into(header)
+    magic, msg_type, length = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise MalformedFrameError(f"bad frame magic {magic!r}")
+    if length > MAX_PAYLOAD:
+        raise MalformedFrameError(f"frame length {length} exceeds cap")
+    payload = _aligned_buffer(length, msg_type)
+    read_into(payload)
+    return msg_type, payload
 
 
 def pack_embedding(vec: np.ndarray) -> bytes:
@@ -173,38 +190,6 @@ def unpack_embedding(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4", count=dim, offset=4).astype(np.float32)
 
 
-class _PipeReader:
-    """Exact-length reads over a pipe fd with a deadline. Bytes go straight
-    into the caller's buffer and nothing past its end is read, so no part
-    of a later frame is held here."""
-
-    def __init__(self, fileobj):
-        self._fd = fileobj.fileno()
-
-    def read_into(self, view: memoryview, timeout: float) -> None:
-        n = len(view)
-        got = 0
-        deadline = time.monotonic() + timeout
-        while got < n:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ProtocolTimeoutError(
-                    f"worker sent {got} of {n} bytes within {timeout:g}s"
-                )
-            ready, _, _ = select.select([self._fd], [], [], remaining)
-            if not ready:
-                continue
-            count = os.readv(self._fd, [view[got:]])
-            if not count:
-                raise WorkerExitError("worker closed its output pipe")
-            got += count
-
-    def read_exact(self, n: int, timeout: float) -> bytes:
-        buf = bytearray(n)
-        self.read_into(memoryview(buf), timeout)
-        return bytes(buf)
-
-
 def _spawn(command) -> subprocess.Popen:
     """Start one worker child with pipes on its stdin and stdout."""
     return subprocess.Popen(
@@ -218,10 +203,8 @@ def _spawn(command) -> subprocess.Popen:
 def _end(proc: subprocess.Popen) -> None:
     """EOF on the child's stdin, and a kill if it has not exited within 5 s.
     Safe to call more than once."""
-    try:
+    with contextlib.suppress(OSError):
         proc.stdin.close()
-    except OSError:
-        pass
     try:
         proc.wait(timeout=5.0)
     except subprocess.TimeoutExpired:
@@ -237,7 +220,8 @@ class WorkerClient:
     the client: a timeout, a malformed or unexpected frame, the pipe
     closing, a prediction of the wrong shape. The stream may be out of step
     after it, so the child is killed and every later call raises
-    WorkerExitError at once. An error frame leaves the client usable.
+    WorkerExitError at once. An error frame answering a request leaves the
+    client usable; one in place of the hello does not.
     """
 
     def __init__(self, command, timeout: float = DEFAULT_TIMEOUT, process=None):
@@ -247,32 +231,27 @@ class WorkerClient:
         self.timeout = float(timeout)
         self.poisoned = None  # why the child was killed, once it has been
         self._proc = process if process is not None else _spawn(self.command)
-        self._reader = _PipeReader(self._proc.stdout)
-        try:
-            self._send(MSG_HELLO)
-            msg_type, _ = self._recv()
-            if msg_type != MSG_HELLO:
-                raise MalformedFrameError(f"expected hello, got message type {msg_type}")
-        except BaseException as exc:
-            self._poison(exc)
-            raise
+        self._ask(MSG_HELLO, (), MSG_HELLO, bytes)
 
     def _poison(self, exc: BaseException) -> None:
         self.poisoned = f"{type(exc).__name__}: {exc}"
         self._proc.kill()
         self.close()
 
-    @contextlib.contextmanager
-    def _exchange(self):
-        """Guard one request and its reply; see the class docstring."""
+    def _ask(self, msg_type: int, parts, reply_type: int, unpack):
+        """Send one request, read its reply and return unpack(payload);
+        see the class docstring for what a failure does to the client."""
         if self.poisoned is not None:
             raise WorkerExitError(f"worker was stopped after a failure ({self.poisoned})")
         try:
-            yield
-        except WorkerReportedError:
-            raise
+            self._send(msg_type, *parts)
+            got, payload = self._recv()
+            if got != reply_type:
+                raise MalformedFrameError(f"expected message type {reply_type}, got {got}")
+            return unpack(payload)
         except BaseException as exc:
-            self._poison(exc)
+            if msg_type == MSG_HELLO or not isinstance(exc, WorkerReportedError):
+                self._poison(exc)
             raise
 
     def _send(self, msg_type: int, *parts) -> None:
@@ -281,17 +260,28 @@ class WorkerClient:
         except OSError as exc:
             raise WorkerExitError(f"worker pipe closed while sending: {exc}") from exc
 
+    def _read_into(self, view: memoryview) -> None:
+        """Fill view from the worker's stdout, never past its end, in time."""
+        fd = self._proc.stdout.fileno()
+        got = 0
+        deadline = time.monotonic() + self.timeout
+        while got < len(view):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ProtocolTimeoutError(
+                    f"worker sent {got} of {len(view)} bytes within {self.timeout:g}s"
+                )
+            ready, _, _ = select.select([fd], [], [], remaining)
+            if not ready:
+                continue
+            count = os.readv(fd, [view[got:]])
+            if not count:
+                raise WorkerExitError("worker closed its output pipe")
+            got += count
+
     def _recv(self):
-        """Read one frame. The payload is a fresh writable buffer whose tile
-        data, if it carries one, starts on an ALIGN-byte boundary."""
-        header = self._reader.read_exact(HEADER_LEN, self.timeout)
-        magic, msg_type, length = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise MalformedFrameError(f"bad frame magic {magic!r}")
-        if length > MAX_PAYLOAD:
-            raise MalformedFrameError(f"frame length {length} exceeds cap")
-        payload = _aligned_buffer(length, msg_type)
-        self._reader.read_into(payload, self.timeout)
+        """One frame as (msg_type, payload); an error frame raises instead."""
+        msg_type, payload = _read_frame(self._read_into)
         if msg_type == MSG_ERROR:
             text = bytes(payload).decode("utf-8", "replace")
             raise WorkerReportedError(f"worker error: {text}")
@@ -301,31 +291,21 @@ class WorkerClient:
         """Returns (kind, prediction). The prediction must match the tile
         shape bit for bit in layout. It is a writable float32 array whose
         data starts on an ALIGN-byte boundary."""
-        parts = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
-        with self._exchange():
-            self._send(MSG_DENOISE_REQUEST, *parts)
-            msg_type, payload = self._recv()
-            if msg_type != MSG_DENOISE_RESPONSE:
-                raise MalformedFrameError(
-                    f"expected denoise response, got message type {msg_type}"
-                )
+
+        def unpack(payload):
             kind, pred = unpack_denoise_response(payload)
             if pred.shape != tuple(tile.shape):
                 raise ShapeError(
                     f"worker returned shape {pred.shape} for a {tuple(tile.shape)} tile"
                 )
-        return kind, pred
+            return kind, pred
+
+        parts = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
+        return self._ask(MSG_DENOISE_REQUEST, parts, MSG_DENOISE_RESPONSE, unpack)
 
     def embed(self, tensor) -> np.ndarray:
         parts = flt_parts(tensor)
-        with self._exchange():
-            self._send(MSG_EMBED_REQUEST, *parts)
-            msg_type, payload = self._recv()
-            if msg_type != MSG_EMBED_RESPONSE:
-                raise MalformedFrameError(
-                    f"expected embed response, got message type {msg_type}"
-                )
-            return unpack_embedding(payload)
+        return self._ask(MSG_EMBED_REQUEST, parts, MSG_EMBED_RESPONSE, unpack_embedding)
 
     def close(self) -> None:
         """End the child: EOF on its stdin, and a kill if it has not exited
@@ -412,23 +392,16 @@ def serve(denoise=None, embed=None, stdin=None, stdout=None) -> None:
         while got < len(view):
             count = inp.readinto(view[got:])
             if not count:
-                return False
+                raise EOFError
             got += count
-        return True
 
-    header = memoryview(bytearray(HEADER_LEN))
     while True:
-        if not read_into(header):
+        try:
+            msg_type, payload = _read_frame(read_into)
+        except EOFError:
             return
-        magic, msg_type, length = _HEADER.unpack(header)
-        if magic != MAGIC:
-            _write_frame(out, MSG_ERROR, b"bad frame magic")
-            return
-        if length > MAX_PAYLOAD:
-            _write_frame(out, MSG_ERROR, b"frame length exceeds cap")
-            return
-        payload = _aligned_buffer(length, msg_type)
-        if not read_into(payload):
+        except MalformedFrameError as exc:  # the stream is out of step
+            _write_frame(out, MSG_ERROR, str(exc).encode("utf-8"))
             return
         try:
             if msg_type == MSG_HELLO:

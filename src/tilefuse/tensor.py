@@ -167,16 +167,19 @@ def trilinear_resize(
 def atomic_write(path, *chunks) -> None:
     """Write the bytes-like chunks, in order and uncopied, to path: first to
     a temporary sibling, which is then renamed over path. A failure at any
-    point removes the temporary file and leaves path as it was."""
+    point removes the temporary file and leaves path as it was; an OSError
+    is raised again naming path alone."""
     tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from tilefuse import GaussianAnalytic, cli, read_flt, write_flt
+from tilefuse import GaussianAnalytic, cli, protocol, read_flt, write_flt
 from tilefuse.cli import main
 from tilefuse.config import apply_overrides, default_config, resolve_settings
 from tilefuse.netpbm import write_pgm
@@ -383,6 +383,19 @@ command = {command}
 TINY_RUN = ["--set", "canvas.channels=1", "--set", "canvas.frames=1", "--set",
             "canvas.height=8", "--set", "canvas.width=8", "--set", "run.steps=1"]
 
+# --embedder and --timeout values that must fail before any worker starts
+METRICS_ALIGN = ["metrics", "--frames", "d", "--prior-frames", "d"]
+SWEEP_ONE = ["sweep", "--lambda-grid", "0", *TINY_RUN]
+BAD_EMBEDDER_FLAGS = {
+    "metrics-embedder-quote": [*METRICS_ALIGN, "--embedder", "python 'x"],
+    "sweep-embedder-quote": [*SWEEP_ONE, "--embedder", "python 'x"],
+    "metrics-embedder-blank": [*METRICS_ALIGN, "--embedder", " "],
+    "sweep-embedder-blank": [*SWEEP_ONE, "--embedder", " "],
+    "timeout-nan": [*METRICS_ALIGN, "--embedder", ECHO_EMBEDDER, "--timeout", "nan"],
+    "timeout-zero": [*SWEEP_ONE, "--embedder", ECHO_EMBEDDER, "--timeout", "0"],
+    "timeout-negative": [*METRICS_ALIGN, "--embedder", ECHO_EMBEDDER, "--timeout", "-1"],
+}
+
 
 @pytest.mark.parametrize(
     "argv, manifest, code",
@@ -398,9 +411,12 @@ TINY_RUN = ["--set", "canvas.channels=1", "--set", "canvas.frames=1", "--set",
         (["sample", "--output", "o.flt", "--set", "run.manifest=d", *TINY_RUN], None, 4),
         (["sweep", "--lambda-grid", "0", "--out", "d", *TINY_RUN], None, 4),
         (["metrics", "--frames", "d", "--out", "d"], None, 4),
+        *[(argv, None, 2) for argv in BAD_EMBEDDER_FLAGS.values()],
+        (["metrics", "--frames", "d", "--seam-window", "2x2", "--seam-factor", "0"], None, 2),
     ],
     ids=["command-quote", "manifest-not-json", "manifest-config-shape", "lambda-grid", "tau-grid",
-         "sample-output-dir", "manifest-dir", "sweep-out-dir", "metrics-out-dir"],
+         "sample-output-dir", "manifest-dir", "sweep-out-dir", "metrics-out-dir",
+         *BAD_EMBEDDER_FLAGS, "seam-factor-zero"],
 )
 def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, code):
     monkeypatch.chdir(tmp_path)
@@ -413,6 +429,19 @@ def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, 
     assert err.count("\n") == 1 and "Traceback" not in err
     assert (tmp_path / "d").is_dir()
     assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+@pytest.mark.parametrize("argv", BAD_EMBEDDER_FLAGS.values(), ids=BAD_EMBEDDER_FLAGS.keys())
+def test_bad_embedder_flag_starts_no_worker(monkeypatch, tmp_path, capsys, argv):
+    def spawn(command):
+        raise AssertionError(f"a worker was started: {command}")
+
+    monkeypatch.setattr(protocol, "_spawn", spawn)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    write_pgm(tmp_path / "d" / "f0.pgm", np.zeros((8, 8), dtype=np.uint8))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: --")
 
 
 class TestMetricsCommand:

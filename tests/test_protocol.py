@@ -22,10 +22,10 @@ from tilefuse.protocol import (
     ALIGN,
     MSG_DENOISE_REQUEST,
     MSG_DENOISE_RESPONSE,
+    MSG_ERROR,
     MSG_HELLO,
     WorkerClient,
     WorkerPool,
-    _PipeReader,
     pack_denoise_request,
     pack_denoise_response,
     pack_embedding,
@@ -169,6 +169,24 @@ class TestServeLoop:
         assert kind == "eps" and back.tobytes() == tile.tobytes()
 
 
+    @pytest.mark.parametrize(
+        "header, text",
+        [
+            (b"JUNK" + struct.pack("<BQ", MSG_HELLO, 0), b"bad frame magic b'JUNK'"),
+            (b"FDP1" + struct.pack("<BQ", MSG_HELLO, 1 << 40),
+             b"frame length 1099511627776 exceeds cap"),
+        ],
+        ids=["bad-magic", "oversized-length"],
+    )
+    def test_malformed_header_gets_one_error_frame_and_ends(self, header, text):
+        hello = pack_frame(MSG_HELLO, b"")
+        stdin = io.BytesIO(hello + header + hello)
+        out = io.BytesIO()
+        serve(stdin=stdin, stdout=out)
+        assert out.getvalue() == hello + pack_frame(MSG_ERROR, text)
+        assert stdin.tell() == 2 * len(hello)  # nothing read past the bad header
+
+
 class TestWorkerClient:
     def test_echo_round_trip_bit_exact(self, rng):
         with WorkerClient(ECHO_CMD, timeout=30) as client:
@@ -264,14 +282,10 @@ class TestWorkerClient:
         finally:
             client.close()
 
-    def test_timeout_message_keeps_fractional_seconds(self):
-        read_fd, write_fd = os.pipe()
-        try:
-            with os.fdopen(read_fd, "rb") as silent:
-                with pytest.raises(ProtocolTimeoutError, match=r"within 0\.3s"):
-                    _PipeReader(silent).read_exact(4, 0.3)
-        finally:
-            os.close(write_fd)
+    def test_timeout_message_keeps_fractional_seconds(self, tmp_path):
+        mute_worker = worker_script(tmp_path, "import time\ntime.sleep(600)\n")
+        with pytest.raises(ProtocolTimeoutError, match=r"within 0\.3s"):
+            WorkerClient(mute_worker, timeout=0.3)
 
     def test_error_frame_raises_protocol_error(self, rng, tmp_path):
         cmd = worker_script(
@@ -551,6 +565,23 @@ class TestFailedStart:
         cmd = worker_script(tmp_path, RECORD_PID + "import time\ntime.sleep(600)\n")
         with pytest.raises(ProtocolTimeoutError):
             WorkerClient(cmd + [str(pids)], timeout=1.0)
+        (pid,) = recorded_pids(pids)
+        assert not alive(pid)
+
+    def test_client_reaps_a_worker_that_answers_hello_with_an_error(self, tmp_path):
+        pids = tmp_path / "pids"
+        cmd = worker_script(
+            tmp_path,
+            RECORD_PID
+            + "import time\n"
+            "from tilefuse.protocol import HEADER_LEN, MSG_ERROR, pack_frame\n"
+            "sys.stdin.buffer.read(HEADER_LEN)\n"
+            "sys.stdout.buffer.write(pack_frame(MSG_ERROR, b'not ready'))\n"
+            "sys.stdout.buffer.flush()\n"
+            "time.sleep(600)\n",
+        )
+        with pytest.raises(ProtocolError, match="not ready"):
+            WorkerClient(cmd + [str(pids)], timeout=30)
         (pid,) = recorded_pids(pids)
         assert not alive(pid)
 

@@ -182,6 +182,16 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
+    @pytest.mark.parametrize("target", ["dir", "nodir/out.bin"])
+    def test_error_names_the_target_only(self, tmp_path, target):
+        (tmp_path / "dir").mkdir()
+        path = str(tmp_path / target)
+        with pytest.raises(OSError) as info:
+            atomic_write(path, b"data")
+        assert info.value.filename == path
+        assert ".tmp." not in str(info.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
     def test_failed_rename_leaves_no_temporary(self, tmp_path):
         target = tmp_path / "dir"
         target.mkdir()
