@@ -20,10 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    COMMAND,
-    GRID,
-    POSITIVE,
-    POSITIVE_INTEGER,
+    FLAGS,
     apply_overrides,
     config_from_manifest,
     default_config,
@@ -39,7 +36,7 @@ from .metrics import (
     temporal_consistency,
     video_tenengrad,
 )
-from .netpbm import read_pnm
+from .netpbm import read_frame
 from .planner import plan_tiles, plan_tiles_pixels
 from .protocol import WorkerClient
 from .sampler import TiledSampler, build_prior, make_noise
@@ -52,17 +49,8 @@ EXIT_IO = 4
 EXIT_COMPUTE = 5
 
 
-def _parse_dims(text: str) -> tuple[int, int]:
-    try:
-        h, w = text.lower().split("x")
-        return int(h), int(w)
-    except ValueError as exc:
-        raise ArgumentError(f"expected HxW, got {text!r}") from exc
-
-
 def cmd_plan(args) -> int:
-    h, w = _parse_dims(args.canvas)
-    wh, ww = _parse_dims(args.window)
+    (h, w), (wh, ww) = args.canvas, args.window
     if args.latent:
         plan = plan_tiles(h, w, wh, ww, args.overlap)
     else:
@@ -226,28 +214,13 @@ def _write_table(table, out) -> None:
 FRAME_SUFFIXES = (".pgm", ".ppm", ".flt")
 
 
-def _load_frame(path):
-    if path.endswith(".flt"):
-        tensor = read_flt(path)
-        c, t, h, w = tensor.shape
-        if t != 1 or c not in (1, 3):
-            raise FileFormatError(
-                f"{path}: frame tensors must be (1|3, 1, H, W), got {tensor.shape}"
-            )
-        if c == 1:
-            return tensor[0, 0]
-        return np.moveaxis(tensor[:, 0], 0, -1)
-    img, _ = read_pnm(path)
-    return img
-
-
 def _load_frames(directory):
     names = sorted(
         n for n in os.listdir(directory) if n.lower().endswith(FRAME_SUFFIXES)
     )
     if not names:
         raise FileFormatError(f"{directory}: no .pgm/.ppm/.flt frames found")
-    return [_load_frame(os.path.join(directory, n)) for n in names]
+    return [read_frame(os.path.join(directory, n)) for n in names]
 
 
 def _frame_to_tensor(frame):
@@ -266,21 +239,9 @@ def _flag(args, name, parse):
         raise ArgumentError(f"--{name.replace('_', '-')} must be {exc}, got {raw!r}") from None
 
 
-def _embedder(args):
-    """A worker client for --embedder, or None without one. The command line
-    and --timeout follow the denoiser.command and denoiser.timeout rules, and
-    are checked before the worker starts."""
-    if not args.embedder:
-        return None
-    timeout = _flag(args, "timeout", POSITIVE)
-    command = _flag(args, "embedder", COMMAND)
-    if not command:
-        raise ArgumentError(f"--embedder must be a shell command line, got {args.embedder!r}")
-    return WorkerClient(command, timeout=timeout)
-
-
 def cmd_metrics(args) -> int:
-    seam_factor = _flag(args, "seam_factor", POSITIVE_INTEGER)
+    if args.prior_frames and not args.embedder:
+        raise ArgumentError("--prior-frames needs --embedder")
     frames = _load_frames(args.frames)
     cols = ["frames", "tenengrad", "temporal_consistency"]
     vals = [
@@ -290,10 +251,7 @@ def cmd_metrics(args) -> int:
     ]
     if args.prior_frames:
         prior_frames = _load_frames(args.prior_frames)
-        embedder = _embedder(args)
-        if embedder is None:
-            raise ConfigError("prior alignment needs --embedder")
-        with embedder:
+        with WorkerClient(args.embedder, timeout=args.timeout) as embedder:
             score = prior_alignment(
                 frames,
                 prior_frames,
@@ -302,16 +260,14 @@ def cmd_metrics(args) -> int:
         cols.append("prior_alignment")
         vals.append(f"{score:.8g}")
     if args.seam_window:
-        wh, ww = _parse_dims(args.seam_window)
         first = np.asarray(frames[0])
         plan = plan_tiles(
-            first.shape[0] // seam_factor,
-            first.shape[1] // seam_factor,
-            wh,
-            ww,
+            first.shape[0] // args.seam_factor,
+            first.shape[1] // args.seam_factor,
+            *args.seam_window,
             args.seam_overlap,
         )
-        excess = float(np.mean([seam_energy(f, plan, seam_factor) for f in frames]))
+        excess = float(np.mean([seam_energy(f, plan, args.seam_factor) for f in frames]))
         cols.append("seam_excess")
         vals.append(f"{excess:.8g}")
 
@@ -335,13 +291,12 @@ def _distance(a, b) -> float:
 def cmd_sweep(args) -> int:
     """One run per (lambda, tau) point; the prior pass, which depends on
     neither, runs once. Every point is resolved before any runs."""
-    grid = [_flag(args, f"{name}_grid", GRID) for name in ("lambda", "tau")]
     points = [
         (lam, tau, _load_settings(args, [f"prior.lambda_base={lam}", f"prior.tau={tau}"]))
-        for lam, tau in itertools.product(*grid)
+        for lam, tau in itertools.product(args.lambda_grid, args.tau_grid)
     ]
     header = "lambda_base\ttau\tprior_l2\tsharpness\ttemporal_consistency"
-    embedder = _embedder(args)
+    embedder = WorkerClient(args.embedder, timeout=args.timeout) if args.embedder else None
     if embedder is not None:
         header += "\tprior_alignment"
     rows = [header]
@@ -367,58 +322,65 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError for a bad command line, so that main reports it
+    as one usage error line; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tilefuse",
         description="Prior-regularized tiled diffusion sampling on latent canvases.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    config = argparse.ArgumentParser(add_help=False)  # sample and sweep
+    config.add_argument("--config", help="INI configuration file")
+    config.add_argument("--from-manifest", help="reproduce a run from its manifest")
+    config.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL")
+    scoring = argparse.ArgumentParser(add_help=False)  # metrics and sweep
+    scoring.add_argument("--embedder", help="FDP1 embedding worker command line")
+    scoring.add_argument("--timeout", default="300")
+    scoring.add_argument("--out", help="write the TSV here instead of stdout")
+
     p = sub.add_parser("plan", help="print the tile plan for a canvas")
     p.add_argument("--canvas", required=True, help="HxW (pixels, or latent with --latent)")
     p.add_argument("--window", required=True, help="HxW in the same units")
-    p.add_argument("--overlap", type=float, default=0.3)
-    p.add_argument("--factor", type=int, default=8, help="pixels per latent cell")
+    p.add_argument("--overlap", default="0.3")
+    p.add_argument("--factor", default="8", help="pixels per latent cell")
     p.add_argument("--latent", action="store_true", help="dims are latent cells")
     p.add_argument("--machine", action="store_true", help="one tile per line: row col h w")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("sample", help="run the two-stage sampling pipeline")
-    p.add_argument("--config", help="INI configuration file")
-    p.add_argument("--from-manifest", help="reproduce a run from its manifest")
-    p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL")
+    p = sub.add_parser("sample", parents=[config], help="run the two-stage sampling pipeline")
     p.add_argument("--output", help="output FLT1 path (overrides run.output)")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("metrics", help="score a frame sequence")
+    p = sub.add_parser("metrics", parents=[scoring], help="score a frame sequence")
     p.add_argument("--frames", required=True, help="directory of .pgm/.ppm/.flt frames")
     p.add_argument("--prior-frames", help="directory of prior frames for alignment")
-    p.add_argument("--embedder", help="FDP1 embedding worker command line")
-    p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--seam-window", help="latent HxW window for seam diagnostics")
-    p.add_argument("--seam-overlap", type=float, default=0.3)
-    p.add_argument("--seam-factor", type=int, default=8)
-    p.add_argument("--out", help="write the TSV here instead of stdout")
+    p.add_argument("--seam-overlap", default="0.3")
+    p.add_argument("--seam-factor", default="8")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("sweep", help="sample over a strength/gate grid")
-    p.add_argument("--config", help="INI configuration file")
-    p.add_argument("--from-manifest")
-    p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL")
-    p.add_argument("--lambda-grid", default="0,0.5,1.5,5", dest="lambda_grid")
-    p.add_argument("--tau-grid", default="1.0", dest="tau_grid")
-    p.add_argument("--embedder", help="FDP1 embedding worker for the alignment column")
-    p.add_argument("--timeout", type=float, default=300.0)
-    p.add_argument("--out", help="write the TSV here instead of stdout")
+    p = sub.add_parser("sweep", parents=[config, scoring], help="sample over a strength/gate grid")
+    p.add_argument("--lambda-grid", default="0,0.5,1.5,5")
+    p.add_argument("--tau-grid", default="1.0")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        for name, parse in FLAGS.items():
+            if getattr(args, name, None) is not None:
+                setattr(args, name, _flag(args, name, parse))
         return args.func(args)
     except ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -54,9 +54,9 @@ NUMBER = _parser("a finite number", float, math.isfinite)
 NONNEGATIVE = _parser("a finite number >= 0", float, lambda v: 0 <= v < math.inf)
 POSITIVE = _parser("a finite number > 0", float, lambda v: 0 < v < math.inf)
 SIGMAS = _parser("empty or comma-separated numbers", _numbers)  # the schedule checks them
-GRID = _parser("comma-separated numbers", _numbers, bool)  # the sweep's --*-grid flags
 RAMP = _parser("auto or an integer", lambda raw: None if raw == "auto" else int(raw))
 COMMAND = _parser("a shell command line", shlex.split)
+DIMS = _parser("HxW", lambda raw: tuple(map(int, raw.lower().split("x"))), lambda v: len(v) == 2)
 
 KEYS = (
     ("run", "seed", "0", INTEGER),
@@ -98,6 +98,30 @@ KEYS = (
 )
 
 RETIRED = (("run", "strict"), ("run", "prediction"))  # skipped in old manifests
+
+
+def _grid(section, key):
+    """A parser of comma-separated values, each by the rule of key section.key."""
+    parse = next(rule for s, k, _, rule in KEYS if (s, k) == (section, key))
+    what = f"comma-separated values valid for {section}.{key}"
+    return _parser(what, lambda raw: [parse(item) for item in raw.split(",")])
+
+
+# The parser of each valued flag of the CLI, by dest; --embedder and --timeout
+# follow the denoiser.command and denoiser.timeout rules.
+FLAGS = {
+    "canvas": DIMS,
+    "window": DIMS,
+    "overlap": NUMBER,
+    "factor": POSITIVE_INTEGER,
+    "embedder": _parser("a shell command line", COMMAND, bool),
+    "timeout": POSITIVE,
+    "seam_window": DIMS,
+    "seam_overlap": NUMBER,
+    "seam_factor": POSITIVE_INTEGER,
+    "lambda_grid": _grid("prior", "lambda_base"),
+    "tau_grid": _grid("prior", "tau"),
+}
 
 
 def default_config() -> dict:
@@ -167,6 +191,9 @@ def resolve_settings(cfg: dict) -> Settings:
         raise ConfigError("denoiser.kind=target requires denoiser.target")
     if s.denoiser.kind == "external" and not s.denoiser.command:
         raise ConfigError("denoiser.kind=external requires denoiser.command")
+    size = len(s.denoiser.conditioning.encode("utf-8", "surrogatepass"))
+    if s.denoiser.kind == "external" and size > 65535:  # FDP1 sends it with a u16 length
+        raise ConfigError(f"denoiser.conditioning must be at most 65535 UTF-8 bytes, got {size}")
     if s.run.mode == "fd_regional" and not s.prior.activity_map:
         raise ConfigError("fd_regional mode requires prior.activity_map")
     try:

@@ -1,4 +1,4 @@
-"""Binary netpbm readers and writers (P5 grayscale, P6 color).
+"""Binary netpbm I/O (P5 grayscale, P6 color); read_frame also reads FLT1.
 
 Headers are whitespace-tokenized with '#' comments. 8-bit and 16-bit
 (big-endian) sample depths are read; writers emit 8-bit.
@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .errors import FileFormatError
-from .tensor import atomic_write
+from .tensor import FLT_MAGIC, atomic_write, read_flt
 
 
 def _tokens(blob: bytes, path: str):
@@ -69,6 +69,24 @@ def read_pnm(path):
     if maxval > 255:
         return img.astype(np.uint16), maxval
     return img.astype(np.uint8), maxval
+
+
+def read_frame(path):
+    """One image from a file, its format picked by the magic bytes: a P5/P6
+    file as read_pnm's array, a (1|3, 1, H, W) FLT1 tensor as an (H, W) or
+    (H, W, 3) float32 array."""
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        magic = fh.read(len(FLT_MAGIC))
+    if magic[:2] in (b"P5", b"P6"):
+        return read_pnm(path)[0]
+    if magic != FLT_MAGIC:
+        raise FileFormatError(f"{path}: expected P5/P6 netpbm or FLT1, got {magic!r}")
+    tensor = read_flt(path)
+    c, t, _, _ = tensor.shape
+    if t != 1 or c not in (1, 3):
+        raise FileFormatError(f"{path}: frame tensors must be (1|3, 1, H, W), got {tensor.shape}")
+    return tensor[0, 0] if c == 1 else np.moveaxis(tensor[:, 0], 0, -1)
 
 
 def write_pgm(path, img: np.ndarray) -> None:

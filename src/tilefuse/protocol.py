@@ -271,7 +271,8 @@ class WorkerClient:
                 raise ProtocolTimeoutError(
                     f"worker sent {got} of {len(view)} bytes within {self.timeout:g}s"
                 )
-            ready, _, _ = select.select([fd], [], [], remaining)
+            # select rejects waits past the platform's time_t range
+            ready, _, _ = select.select([fd], [], [], min(remaining, 60.0))
             if not ready:
                 continue
             count = os.readv(fd, [view[got:]])

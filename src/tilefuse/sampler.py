@@ -61,7 +61,7 @@ RUN_MODES = ("md", "fd", "fd_regional")
 @dataclass(frozen=True)
 class SamplerConfig:
     """One sampling run's settings. The plan, the sigma schedule and the
-    tile weight maps are built here, once, so a bad value fails at
+    tile weight map are built here, once, so a bad value fails at
     construction; the lower layers' range checks raise ArgumentError."""
 
     canvas_shape: tuple[int, int, int, int]
@@ -120,14 +120,9 @@ class SamplerConfig:
                 max(0, plan.window_h - plan.stride_h),
                 max(0, plan.window_w - plan.stride_w),
             )
-        weights = {
-            (r.height, r.width): ramp_weight_map(
-                r.height, r.width, ramp, self.min_weight
-            ).astype(np.float64)
-            for r in plan.tiles
-        }
+        weight = ramp_weight_map(plan.window_h, plan.window_w, ramp, self.min_weight)
         # frozen: the built parts go straight into the instance dict
-        self.__dict__.update(_schedule=schedule, _plan=plan, _weights=weights)
+        self.__dict__.update(_schedule=schedule, _plan=plan, _weight=weight.astype(np.float64))
 
     def schedule(self) -> SigmaSchedule:
         return self._schedule
@@ -135,9 +130,9 @@ class SamplerConfig:
     def plan(self) -> TilePlan:
         return self._plan
 
-    def weights(self) -> dict:
-        """float64 weight map of each tile size, keyed by (height, width)."""
-        return self._weights
+    def weight_map(self) -> np.ndarray:
+        """The float64 weight map of the plan's window, the size of every tile."""
+        return self._weight
 
 
 @dataclass(frozen=True)
@@ -228,14 +223,14 @@ def trace_prior_mse(x_t, sigma_t, y, x_prior, activity=None):
 
 
 class TiledSampler:
-    """Bound sampling state: plan, schedule, weight maps, prior, denoiser."""
+    """Bound sampling state: plan, schedule, weight map, prior, denoiser."""
 
     def __init__(self, cfg: SamplerConfig, denoiser, prior=None):
         self.cfg = cfg
         self.denoiser = denoiser
         self.plan = cfg.plan()
         self.schedule = cfg.schedule()
-        self._weights = cfg.weights()
+        self._weight = cfg.weight_map()
 
         if prior is None:
             if cfg.mode != "md" and cfg.prior.lambda_base > 0:
@@ -247,7 +242,7 @@ class TiledSampler:
         # the weight sum is the same every step: add it up once, in plan order
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
         for r in self.plan.tiles:
-            self._den[r.row_slice, r.col_slice] += self._weights[(r.height, r.width)]
+            self._den[r.row_slice, r.col_slice] += self._weight
         self._pool = None
         self._depth = 0  # most predictions submitted but not yet added
         self._ring = None  # float64 numerator rows, (C, T, rows, W)
@@ -329,11 +324,10 @@ class TiledSampler:
                 for _, ring_rows in _ring_slices(opened, stop, size):
                     ring[:, :, ring_rows] = 0.0
                 opened = stop
-            w = self._weights[(rect.height, rect.width)]
             for rows, ring_rows in _ring_slices(rect.row, stop, size):
                 part = slice(rows.start - rect.row, rows.stop - rect.row)
                 at = replace(rect, row=ring_rows.start, height=ring_rows.stop - ring_rows.start)
-                add_weighted_tile(ring, pred[:, :, part], at, w[part])
+                add_weighted_tile(ring, pred[:, :, part], at, self._weight[part])
             below = tiles[k + 1].row if k + 1 < len(tiles) else x.shape[2]
             if below != rect.row:  # the rows above `below` are final
                 bands.append((rect.row, [

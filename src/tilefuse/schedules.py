@@ -10,12 +10,12 @@ globally or per region through a binary activity map.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError, ConfigError, FileFormatError
+from .netpbm import read_frame
 from .tensor import trilinear_resize
 
 SCHEDULE_MODES = ("constant", "cosine", "gated_cosine", "regional")
@@ -137,34 +137,14 @@ def lambda_regional(t: float, cfg: PriorScheduleConfig, activity: np.ndarray) ->
 
 
 def load_activity_map(path, target_h: int, target_w: int) -> np.ndarray:
-    """Read a stored activity map, rescale it to the latent grid, and
-    binarize with the test value > 0. Accepts P5 PGM or single-channel FLT1.
-
-    Returns a boolean (target_h, target_w) array.
-    """
-    from .netpbm import read_pnm
-    from .tensor import read_flt
-
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic[:2] == b"P5":
-        img, maxval = read_pnm(path)
-        plane = img.astype(np.float64) / maxval
-    elif magic == b"FLT1":
-        tensor = read_flt(path)
-        c, t, _, _ = tensor.shape
-        if c != 1 or t != 1:
-            raise FileFormatError(
-                f"{path}: activity map must be single-channel single-frame, "
-                f"got C={c} T={t}"
-            )
-        plane = tensor[0, 0].astype(np.float64)
-    else:
-        raise FileFormatError(f"{path}: expected P5 PGM or FLT1, got {magic!r}")
-
-    plane = np.clip(plane, 0.0, 1.0)
+    """Read a stored activity map, a single-channel frame (P5 PGM or FLT1),
+    rescale it to the latent grid, and binarize with the test value > 0.
+    Returns a boolean (target_h, target_w) array."""
+    plane = read_frame(path)
+    if plane.ndim != 2:
+        raise FileFormatError(f"{path}: activity map must be single-channel, got {plane.shape}")
+    # a non-negative scale, such as a PGM's maxval, cannot change which cells are > 0
+    plane = np.clip(plane, 0, 1).astype(np.float32)
     if plane.shape != (target_h, target_w):
-        vol = plane.astype(np.float32)[None, None]
-        plane = trilinear_resize(vol, 1, target_h, target_w)[0, 0]
+        plane = trilinear_resize(plane[None, None], 1, target_h, target_w)[0, 0]
     return plane > 0.0

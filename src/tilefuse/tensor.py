@@ -208,7 +208,8 @@ def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:
 
     A writable buffer whose data is aligned little-endian float32 is used in
     place: the result shares its memory. Anything else, immutable bytes
-    included, is copied, so the result is always a writable array.
+    included, is copied, so the result is always a writable array. A
+    malformed container or non-finite data raises FileFormatError.
     """
     head = FLT_HEAD_LEN
     if len(blob) < head:
@@ -229,7 +230,9 @@ def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=head).reshape(c, t, h, w)
     if not (arr.flags.writeable and arr.flags.aligned and arr.dtype == np.float32):
         arr = arr.astype(np.float32)
-    return ensure_finite(arr, name)
+    if not np.isfinite(arr).all():
+        raise FileFormatError(f"{name} contains non-finite values")
+    return arr
 
 
 def read_flt(path) -> np.ndarray:

@@ -347,6 +347,9 @@ command = {command}
             ("run.seed=-1", 3),
             ("prior.activity_map=absent.pgm", 4),  # unreadable: an i/o error
             ("prior.latent=absent.flt", 4),
+            # FDP1 sends the conditioning id with a u16 length
+            pytest.param("denoiser.conditioning=" + "\u00e9" * 32768, 3,
+                         id="denoiser.conditioning=<65536 bytes>-3"),
         ],
     )
     def test_bad_value_fails_before_any_work(
@@ -359,6 +362,38 @@ command = {command}
         assert main(["sample", "--config", cfg, *extra, "--set", override]) == code
         assert capsys.readouterr().err.count("\n") == 1
         assert built == []
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["prior.latent=nan.flt"], ["denoiser.kind=target", "denoiser.target=nan.flt"]],
+        ids=["prior-latent", "denoiser-target"],
+    )
+    def test_non_finite_input_file_is_io_error(self, monkeypatch, tmp_path, capsys, overrides):
+        def spawn(command):
+            raise AssertionError(f"a worker was started: {command}")
+
+        monkeypatch.setattr(protocol, "_spawn", spawn)
+        monkeypatch.chdir(tmp_path)
+        bad = np.zeros((2, 2, 16, 24), np.float32)
+        bad[1, 0, 3, 5] = np.nan
+        write_flt(tmp_path / "nan.flt", bad)
+        cfg = self.external_config(tmp_path, "unused")
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["sample", "--config", cfg, *sets]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
+
+    def test_non_finite_worker_reply_is_compute_error(self, tmp_path, capsys):
+        script = tmp_path / "nan_worker.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from tilefuse.protocol import serve\n"
+            "serve(denoise=lambda s,t,g,r,c,x: ('flow', np.full(x.shape, np.nan, np.float32)))\n"
+        )
+        cfg = self.external_config(tmp_path, f"{sys.executable} {script}", "timeout = 60")
+        assert main(["sample", "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
 
     def test_manifest_with_retired_keys_reproduces_run(self, tmp_path, target_file, capsys):
         path, _ = target_file
@@ -413,10 +448,21 @@ BAD_EMBEDDER_FLAGS = {
         (["metrics", "--frames", "d", "--out", "d"], None, 4),
         *[(argv, None, 2) for argv in BAD_EMBEDDER_FLAGS.values()],
         (["metrics", "--frames", "d", "--seam-window", "2x2", "--seam-factor", "0"], None, 2),
+        # argparse's own errors
+        (["plan", "--window", "5x5"], None, 2),
+        (["sample", "--bogus"], None, 2),
+        ([], None, 2),
+        # flag values
+        (["metrics", "--frames", "d", "--timeout", "abc"], None, 2),
+        (["metrics", "--frames", "d", "--prior-frames", "d"], None, 2),
+        (["metrics", "--frames", "d", "--seam-overlap", "x"], None, 2),  # a flag metrics ignores
+        (["sweep", "--lambda-grid", "0,nan"], None, 2),
     ],
     ids=["command-quote", "manifest-not-json", "manifest-config-shape", "lambda-grid", "tau-grid",
          "sample-output-dir", "manifest-dir", "sweep-out-dir", "metrics-out-dir",
-         *BAD_EMBEDDER_FLAGS, "seam-factor-zero"],
+         *BAD_EMBEDDER_FLAGS, "seam-factor-zero", "plan-missing-canvas", "sample-unknown-flag",
+         "no-command", "metrics-timeout-text", "prior-frames-without-embedder",
+         "ignored-seam-overlap", "lambda-grid-nan"],
 )
 def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, code):
     monkeypatch.chdir(tmp_path)
@@ -429,6 +475,31 @@ def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, 
     assert err.count("\n") == 1 and "Traceback" not in err
     assert (tmp_path / "d").is_dir()
     assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--window", "32x32", "--canvas", "64"],
+        ["plan", "--canvas", "64x64", "--window", "32x32x2"],
+        ["plan", "--canvas", "64x64", "--window", "32x32", "--overlap", "x"],
+        ["plan", "--canvas", "64x64", "--window", "32x32", "--factor", "1.5"],
+        ["metrics", "--frames", "d", "--embedder", " "],
+        ["metrics", "--frames", "d", "--timeout", "inf"],
+        ["metrics", "--frames", "d", "--seam-window", "axb"],
+        ["metrics", "--frames", "d", "--seam-overlap", "nan"],
+        ["metrics", "--frames", "d", "--seam-factor", "x"],
+        ["sweep", "--timeout", "x"],
+        ["sweep", "--tau-grid", "1,inf"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}",
+)
+def test_bad_flag_value_is_a_usage_error_naming_the_flag(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"usage error: {argv[-2]} must be ")
 
 
 @pytest.mark.parametrize("argv", BAD_EMBEDDER_FLAGS.values(), ids=BAD_EMBEDDER_FLAGS.keys())
@@ -475,6 +546,33 @@ class TestMetricsCommand:
         header, row = out.splitlines()
         vals = dict(zip(header.split("\t"), row.split("\t")))
         assert float(vals["prior_alignment"]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_timeout_beyond_the_platform_time_range(self, rng, tmp_path, capsys):
+        for k in range(2):
+            write_pgm(tmp_path / f"f{k}.pgm", rng.integers(0, 256, (8, 8)).astype(np.uint8))
+        assert main(["metrics", "--frames", str(tmp_path), "--prior-frames", str(tmp_path),
+                     "--embedder", ECHO_EMBEDDER, "--timeout", "1e10"]) == 0
+        assert "prior_alignment" in capsys.readouterr().out
+
+    def test_non_finite_flt_frame_is_io_error(self, tmp_path, capsys):
+        frame = np.zeros((1, 1, 4, 4), np.float32)
+        frame[0, 0, 1, 2] = np.inf
+        write_flt(tmp_path / "f0.flt", frame)
+        assert main(["metrics", "--frames", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
+
+    def test_frame_format_is_picked_by_magic(self, rng, tmp_path, capsys):
+        img = rng.integers(0, 256, (16, 16)).astype(np.uint8)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        write_pgm(tmp_path / "a" / "f0.pgm", img)
+        write_flt(tmp_path / "b" / "f0.pgm", img.astype(np.float32)[None, None])  # misnamed
+        tables = []
+        for d in ("a", "b"):
+            assert main(["metrics", "--frames", str(tmp_path / d)]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
 
     def test_empty_dir_is_io_error(self, tmp_path, capsys):
         empty = tmp_path / "none"

@@ -12,6 +12,7 @@ import pytest
 from tilefuse import ExternalDenoiser, Rect, SamplerConfig, run
 from tilefuse.denoisers import DenoiserRequest
 from tilefuse.errors import (
+    FileFormatError,
     MalformedFrameError,
     ProtocolError,
     ProtocolTimeoutError,
@@ -281,6 +282,25 @@ class TestWorkerClient:
                 client.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
         finally:
             client.close()
+
+    def test_timeout_beyond_the_platform_time_range(self, rng):
+        with WorkerClient(ECHO_CMD, timeout=1e10) as client:
+            tile = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
+            _, pred = client.denoise(0, 0.0, 1.0, Rect(0, 0, 3, 3), "", tile)
+            assert pred.tobytes() == tile.tobytes()
+
+    def test_non_finite_reply_poisons(self, tmp_path):
+        cmd = worker_script(
+            tmp_path,
+            "import numpy as np\n"
+            "from tilefuse.protocol import serve\n"
+            "serve(denoise=lambda s,t,g,r,c,x: ('flow', np.full(x.shape, np.nan, np.float32)))\n",
+        )
+        with WorkerClient(cmd, timeout=30) as client:
+            tile = np.zeros((1, 1, 2, 2), np.float32)
+            with pytest.raises(FileFormatError, match="non-finite"):
+                client.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+            assert client.poisoned is not None
 
     def test_timeout_message_keeps_fractional_seconds(self, tmp_path):
         mute_worker = worker_script(tmp_path, "import time\ntime.sleep(600)\n")

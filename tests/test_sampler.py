@@ -325,6 +325,15 @@ class TestConfigValidation:
                 ),
             )
 
+    @pytest.mark.parametrize("canvas", [(20, 30), (6, 30)])  # (6, 30): window clamped
+    def test_one_float64_weight_map_the_size_of_every_tile(self, canvas):
+        cfg = md_config((1, 1, *canvas), window_h=8, window_w=12, overlap=0.25)
+        plan, weight = cfg.plan(), cfg.weight_map()
+        assert weight.dtype == np.float64
+        assert {(r.height, r.width) for r in plan.tiles} == {weight.shape}
+        ramp = (plan.window_h - plan.stride_h, plan.window_w - plan.stride_w)
+        assert np.array_equal(weight, ramp_weight_map(*weight.shape, ramp, cfg.min_weight))
+
     def test_missing_prior_rejected_when_needed(self):
         cfg = SamplerConfig(
             canvas_shape=(1, 1, 8, 8), mode="fd", window_h=8, window_w=8,

@@ -163,7 +163,7 @@ class TestFltFormat:
 
     def test_non_finite_rejected(self):
         x = np.full((1, 1, 1, 2), np.nan, dtype=np.float32)
-        with pytest.raises(ShapeError):
+        with pytest.raises(FileFormatError):
             flt_from_bytes(flt_to_bytes(x))
 
 
