@@ -191,9 +191,15 @@ def resolve_settings(cfg: dict) -> Settings:
         raise ConfigError("denoiser.kind=target requires denoiser.target")
     if s.denoiser.kind == "external" and not s.denoiser.command:
         raise ConfigError("denoiser.kind=external requires denoiser.command")
-    size = len(s.denoiser.conditioning.encode("utf-8", "surrogatepass"))
-    if s.denoiser.kind == "external" and size > 65535:  # FDP1 sends it with a u16 length
-        raise ConfigError(f"denoiser.conditioning must be at most 65535 UTF-8 bytes, got {size}")
+    if s.denoiser.kind == "external":  # FDP1 sends it as UTF-8 with a u16 length
+        try:
+            size = len(s.denoiser.conditioning.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise ConfigError(
+                f"denoiser.conditioning must be valid UTF-8, got {s.denoiser.conditioning!r} ({exc.reason})"
+            ) from None
+        if size > 65535:
+            raise ConfigError(f"denoiser.conditioning must be at most 65535 UTF-8 bytes, got {size}")
     if s.run.mode == "fd_regional" and not s.prior.activity_map:
         raise ConfigError("fd_regional mode requires prior.activity_map")
     try:

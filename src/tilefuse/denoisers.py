@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .protocol import WorkerPool
-from .tensor import Rect, as_latent, crop, ensure_finite
+from .tensor import GROUP_BUDGET, Rect, as_latent, crop, ensure_finite, latent_view
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,26 @@ class DenoiserResponse:
             raise DomainError(f"unknown prediction kind {self.kind!r}")
 
 
-def gaussian_posterior_mean(x: np.ndarray, sigma: float, mu: float, s: float) -> np.ndarray:
+def gaussian_posterior_mean(x: np.ndarray, sigma: float, mu: float, s: float, out=None) -> np.ndarray:
     """Posterior mean of the clean value under i.i.d. N(mu, s^2) data when
-    the observation is x = (1-sigma)*clean + sigma*noise."""
+    the observation is x = (1-sigma)*clean + sigma*noise, in float64, into
+    out if given."""
     d = (1.0 - sigma) ** 2 * s**2 + sigma**2
-    return (((1.0 - sigma) * s**2) * x.astype(np.float64) + sigma**2 * mu) / d
+    out = np.multiply(x, (1.0 - sigma) * s**2, out=out, dtype=np.float64)
+    out += sigma**2 * mu
+    out /= d
+    return out
 
 
 class GaussianAnalytic:
     """Exact velocity for a Gaussian data law: y = (x - posterior_mean)/sigma.
 
     The s = 0 point-mass limit is allowed and collapses the posterior mean
-    to mu.
+    to mu. The tile is read where it lies, uncopied, and the velocity is
+    computed one channel at a time, in groups of frames that are cast to
+    float64 once: a call allocates its float32 output and two float64
+    buffers of at most GROUP_BUDGET elements (one frame if a frame is
+    larger), whatever the tile's strides.
     """
 
     def __init__(self, mu: float, s: float):
@@ -61,9 +69,20 @@ class GaussianAnalytic:
     def __call__(self, req: DenoiserRequest) -> DenoiserResponse:
         if not 0.0 < req.sigma <= 1.0:
             raise DomainError(f"sigma must lie in (0, 1], got {req.sigma}")
-        x = as_latent(req.tile, "tile")
-        x0 = gaussian_posterior_mean(x, req.sigma, self.mu, self.s)
-        y = ((x.astype(np.float64) - x0) / req.sigma).astype(np.float32)
+        x = latent_view(req.tile, "tile")
+        y = np.empty(x.shape, dtype=np.float32)
+        t, h, w = x.shape[1:]
+        group = max(1, min(t, GROUP_BUDGET // (h * w)))
+        scratch = np.empty((2, group * h * w))
+        for c in range(x.shape[0]):
+            for start in range(0, t, group):
+                frames = slice(start, start + group)
+                xg = x[c, frames]
+                x64, x0 = (buf[: xg.size].reshape(xg.shape) for buf in scratch)
+                np.copyto(x64, xg)
+                gaussian_posterior_mean(x64, req.sigma, self.mu, self.s, out=x0)
+                np.subtract(x64, x0, out=x0)
+                np.divide(x0, req.sigma, out=y[c, frames], casting="same_kind")
         return DenoiserResponse(prediction=y, kind="flow")
 
 
@@ -79,7 +98,7 @@ class TargetDriver:
             raise DomainError(f"sigma must be positive, got {req.sigma}")
         if req.rect is None:
             raise ShapeError("target driver needs the tile window position")
-        x = as_latent(req.tile, "tile")
+        x = latent_view(req.tile, "tile")
         goal = crop(self.target, req.rect)
         if goal.shape != x.shape:
             raise ShapeError(
@@ -96,7 +115,9 @@ class ExternalDenoiser(WorkerPool):
     WorkerPool that takes DenoiserRequests, closed like any pool.
 
     The call is thread-safe at any size: requests fan out across the pool,
-    one in flight per child, and a pool of one serialises them.
+    one in flight per child, and a pool of one serialises them. A strided
+    or read-only tile is copied once, into the contiguous float32 that goes
+    on the wire.
     """
 
     def __call__(self, req: DenoiserRequest) -> DenoiserResponse:

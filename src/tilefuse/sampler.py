@@ -1,6 +1,6 @@
 """Tiled sampling loops.
 
-One run draws seeded noise on the canvas, then repeats: crop every planned
+One run draws seeded noise on the canvas, then repeats: view every planned
 tile, denoise the tiles (concurrently if configured), merge the predictions
 with the prior-regularized closed form, and take one Euler step in sigma.
 The state convention is x = clean + sigma * (noise - clean), so the model
@@ -17,13 +17,24 @@ step and is built once.
 A step streams over row bands. The plan is row-major and tile tops never
 decrease, so once the last tile of a tile row has been added, the rows
 above the next tile row's top are final: no later tile adds to them or
-crops them. That band goes to the pool at once, where the merge, the trace
+reads them. That band goes to the pool at once, where the merge, the trace
 statistic and the Euler update run per (band, channel) and write the new
 values straight into the latent, while later tiles are still predicted.
-The numerator is a ring of window_h + stride_h rows, reused across the
-run's steps: rows are zeroed as tiles first reach them, and a band's ring
-rows are reused only after its update has finished. The trace means are
-float64 sums and cell counts over the bands.
+The same invariant lets an in-process denoiser read its tile as a
+read-only view of the latent, uncopied: no band update writes the rows of
+a tile still in flight. The numerator is a ring of window_h + stride_h
+rows, reused across the run's steps: rows are zeroed as tiles first reach
+them, and a band's ring rows are reused only after its update has
+finished.
+
+One band kernel does a band channel's merge, trace and Euler update in
+frame groups of about GROUP_BUDGET float64 elements, through scratch
+buffers that each pool thread keeps for the run, so every pass over a
+group stays in cache. It applies the elementwise operations of fuse_md or
+fuse_fd_flow, trace_prior_mse and euler_update in their order, so the
+latent gets the same bits as their composition. The trace means are
+float64 sums and cell counts over the bands; only these sums run in
+another order than trace_prior_mse's.
 
 Every cell sees the same additions in the same order and the same
 elementwise closed form whatever the worker count, so runs are bitwise
@@ -34,6 +45,8 @@ first and never writes to the caller's array.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -44,16 +57,12 @@ import numpy as np
 from .blending import DEFAULT_MIN_WEIGHT, ramp_weight_map
 from .denoisers import DenoiserRequest
 from .errors import ConfigError, DenoiseError, ShapeError
-from .fusion import (  # accumulate stays importable from this module
-    FusionAccumulator,
-    accumulate,
-    add_weighted_tile,
-    fuse_fd_flow,
-    fuse_md,
-)
+# a step calls neither crop, accumulate nor the fuse_* forms, but they stay
+# importable from this module, where perfbench/child.py wraps them by name
+from .fusion import accumulate, add_weighted_tile, fuse_fd_flow, fuse_md
 from .planner import TilePlan, plan_tiles
 from .schedules import PriorScheduleConfig, SigmaSchedule
-from .tensor import as_latent, crop, ensure_finite, trilinear_resize
+from .tensor import GROUP_BUDGET, as_latent, crop, ensure_finite, trilinear_resize
 
 RUN_MODES = ("md", "fd", "fd_regional")
 
@@ -222,6 +231,77 @@ def trace_prior_mse(x_t, sigma_t, y, x_prior, activity=None):
     return fg, bg
 
 
+def _scratch_buffers(scratch, n, cells):
+    """The calling thread's kernel buffers, held in the threading.local
+    `scratch`: four float64 and one float32 of at least n elements, and a
+    float64 plane of at least `cells`. They grow when a call needs more and
+    are reused otherwise."""
+    held = getattr(scratch, "buffers", None)
+    if held is None or held[0].size < n or held[-1].size < cells:
+        if held is not None:
+            n, cells = max(n, held[0].size), max(cells, held[-1].size)
+        held = (*(np.empty(n) for _ in range(4)), np.empty(n, np.float32), np.empty(cells))
+        scratch.buffers = held
+    return held
+
+
+def _band_update(x, prior, num, den, slam, sigma, dsigma, masks, scratch, budget=GROUP_BUDGET):
+    """Merge, trace and Euler-update one band channel; x is updated in place.
+
+    x and prior are the float32 (T, rows, W) latent and prior rows, num the
+    float64 numerator rows and den the float64 (rows, W) denominator: the
+    weight sum, plus sigma**2 * lam with the prior term. slam is sigma * lam,
+    a float or a (rows, W) plane, or None for the plain weighted mean. masks
+    is None or the float64 (rows, W) foreground and background indicator
+    planes. Returns the squared residual's sums over the two partitions; with
+    no masks all of it is foreground.
+
+    Frames go in groups of at most `budget` elements (one frame if a frame
+    is larger) through the calling thread's buffers in `scratch`. Each group
+    is cast to float64 once, then takes the elementwise steps of fuse_md or
+    fuse_fd_flow, trace_prior_mse and euler_update in their order, so x gets
+    the same bits as their composition. The regional split sums the
+    residual over frames per cell and weights that plane with each mask.
+    """
+    t, rows, w = x.shape
+    cells = rows * w
+    group = max(1, min(t, budget // cells))
+    *buffers, plane = _scratch_buffers(scratch, group * cells, cells)
+    plane = plane[:cells].reshape(rows, w)
+    plane[...] = 0.0
+    total = 0.0
+    for start in range(0, t, group):
+        frames = slice(start, start + group)
+        xg = x[frames]
+        x64, p64, r, y64, y = (buf[: xg.size].reshape(xg.shape) for buf in buffers)
+        np.copyto(x64, xg)
+        np.copyto(p64, prior[frames])
+        if slam is None:
+            np.divide(num[frames], den, out=y, casting="same_kind")
+        else:
+            np.subtract(x64, p64, out=r)
+            r *= slam
+            r += num[frames]
+            np.divide(r, den, out=y, casting="same_kind")
+        np.copyto(y64, y)
+        np.multiply(y64, sigma, out=r)
+        np.subtract(x64, r, out=r)  # the clean estimate x - sigma * y
+        r -= p64
+        np.square(r, out=r)
+        if masks is None:
+            total += r.sum()
+        else:
+            np.add.reduce(r, axis=0, out=p64[0])
+            plane += p64[0]
+        y64 *= dsigma
+        y64 += x64
+        np.copyto(xg, y64, casting="same_kind")
+    if masks is None:
+        return float(total), 0.0
+    # einsum's own loop, not a BLAS call that could start threads of its own
+    return tuple(float(np.einsum("ij,ij->", plane, m)) for m in masks)
+
+
 class TiledSampler:
     """Bound sampling state: plan, schedule, weight map, prior, denoiser."""
 
@@ -243,15 +323,18 @@ class TiledSampler:
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
         for r in self.plan.tiles:
             self._den[r.row_slice, r.col_slice] += self._weight
+        activity = cfg.prior.activity_map
+        self._activity = None if activity is None else np.asarray(activity, dtype=bool)
         self._pool = None
         self._depth = 0  # most predictions submitted but not yet added
         self._ring = None  # float64 numerator rows, (C, T, rows, W)
+        self._scratch = None  # the band kernel's per-thread buffers
         self._latent = None  # the latent the running run owns
 
     @contextmanager
     def _executor(self):
-        """The run's tile pool and numerator ring; a step called outside
-        run gets its own."""
+        """The run's tile pool, numerator ring and kernel scratch; a step
+        called outside run gets its own."""
         if self._pool is not None:
             yield self._pool
             return
@@ -261,14 +344,17 @@ class TiledSampler:
         with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
             self._pool, self._depth = pool, 2 * workers
             self._ring = np.empty((c, t, rows, w), dtype=np.float64)
+            self._scratch = threading.local()
             try:
                 yield pool
             finally:
-                self._pool = self._ring = None
+                self._pool = self._ring = self._scratch = None
 
     def _predict_tile(self, x, i, t, sigma, k, rect):
+        tile = x[:, :, rect.row_slice, rect.col_slice]
+        tile.flags.writeable = False  # a view of the latent, lent read-only
         req = DenoiserRequest(
-            tile=crop(x, rect),
+            tile=tile,
             step_index=i,
             t=t,
             sigma=sigma,
@@ -295,11 +381,11 @@ class TiledSampler:
         ensure_finite(pred, f"step {i} tile {k} prediction")
         return pred
 
-    def _stream(self, pool, x, i, t, sigma, update, collect):
+    def _stream(self, pool, x, i, t, sigma, band, collect):
         """Add every tile's weighted prediction to the numerator ring in
-        plan order while the pool predicts the next ones, and submit
-        update(c, rows, ring_rows) for each channel of a band as soon as the
-        band is final. Each update's result goes to collect, in band order.
+        plan order while the pool predicts the next ones, and as soon as a
+        band is final submit band(rows, ring_rows)(c) for each of its
+        channels. Each update's result goes to collect, in band order.
         On failure the queued tasks are cancelled and the running ones
         awaited before the error leaves."""
         ring, tiles = self._ring, self.plan.tiles
@@ -331,8 +417,8 @@ class TiledSampler:
             below = tiles[k + 1].row if k + 1 < len(tiles) else x.shape[2]
             if below != rect.row:  # the rows above `below` are final
                 bands.append((rect.row, [
-                    pool.submit(update, c, rows, ring_rows)
-                    for rows, ring_rows in _ring_slices(rect.row, below, size)
+                    pool.submit(update, c)
+                    for update in itertools.starmap(band, _ring_slices(rect.row, below, size))
                     for c in range(x.shape[0])
                 ]))
 
@@ -364,7 +450,7 @@ class TiledSampler:
         lam = 0.0 if self.cfg.mode == "md" else self.cfg.prior.strength_at(t)
         plain = np.ndim(lam) == 0 and float(lam) == 0.0
         plane = np.ndim(lam) == 2
-        activity = self.cfg.prior.activity_map
+        activity = self._activity
 
         owned = x is self._latent
         x = as_latent(x, "latent")
@@ -375,22 +461,31 @@ class TiledSampler:
         if not owned:
             x = x.copy()
 
-        def update(c, rows, ring_rows):
-            """Merge, trace and Euler-update channel c on canvas rows `rows`,
-            in place. Returns c and the trace's (sum, cells) per partition."""
-            block = x[c : c + 1, :, rows]
-            prior = self.prior[c : c + 1, :, rows]
-            acc = FusionAccumulator(num=self._ring[c : c + 1, :, ring_rows], den=self._den[rows])
+        def band(rows, ring_rows):
+            """The update of canvas rows `rows` as a function of the channel.
+            The planes all channels share are built here, once per band."""
             if plain:
-                y = fuse_md(acc)
-            else:
-                y = fuse_fd_flow(acc, block, prior, lam[rows] if plane else lam, sigma)
-            part = None if activity is None else activity[rows]
-            fg, bg = trace_prior_mse(block, sigma, y, prior, part)
-            euler_update(block, y, dsigma, out=block)
-            n_fg = y.size if part is None else np.count_nonzero(part) * (y.size // part.size)
-            n_bg = y.size - n_fg
-            return c, (fg or 0.0) * n_fg, n_fg, (bg or 0.0) * n_bg, n_bg
+                den, slam = self._den[rows], None
+            else:  # fuse_fd_flow's denominator and prior factor
+                lam_b = np.asarray(lam[rows] if plane else lam, dtype=np.float64)
+                den, slam = sigma**2 * lam_b + self._den[rows], sigma * lam_b
+            cells = x.shape[1] * den.size
+            masks, n_fg = None, cells
+            if activity is not None:
+                part = activity[rows]
+                masks = (part.astype(np.float64), (~part).astype(np.float64))
+                n_fg = np.count_nonzero(part) * x.shape[1]
+
+            def update(c):
+                """Merge, trace and Euler-update channel c of the band, in
+                place. Returns c and the trace's (sum, cells) per partition."""
+                fg, bg = _band_update(
+                    x[c, :, rows], self.prior[c, :, rows], self._ring[c, :, ring_rows],
+                    den, slam, sigma, dsigma, masks, self._scratch,
+                )
+                return c, fg, n_fg, bg, cells - n_fg
+
+            return update
 
         sums = np.zeros((x.shape[0], 4))  # per channel: fg sum, cells, bg sum, cells
 
@@ -398,14 +493,13 @@ class TiledSampler:
             sums[c] += values
 
         with self._executor() as pool:
-            self._stream(pool, x, i, t, sigma, update, collect)
-        lam_arr = np.asarray(lam, dtype=np.float64)
+            self._stream(pool, x, i, t, sigma, band, collect)
         record = StepRecord(
             step=i,
             t=t,
             sigma=sigma,
-            lam_min=float(lam_arr.min()),
-            lam_max=float(lam_arr.max()),
+            lam_min=float(np.min(lam)),
+            lam_max=float(np.max(lam)),
             fg_mse=_mean_or_none(sums[:, 0], sums[:, 1]),
             bg_mse=_mean_or_none(sums[:, 2], sums[:, 3]),
         )

@@ -22,6 +22,12 @@ FLT_MAGIC = b"FLT1"
 FLT_VERSION = 1
 FLT_HEAD_LEN = 24  # magic + version + 4 dims
 
+# float64 elements per frame group in the elementwise hot loops (the band
+# update, GaussianAnalytic): a group's buffers stay about the size of a 2 MiB
+# per-core L2 cache, and the groups are few enough that the ufunc calls
+# between them hold the interpreter lock only briefly
+GROUP_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -61,10 +67,16 @@ class Rect:
 
 def as_latent(x, name: str = "tensor") -> np.ndarray:
     """Coerce to the canonical layout: 4-D, float32, C-contiguous."""
+    return np.ascontiguousarray(latent_view(x, name))
+
+
+def latent_view(x, name: str = "tensor") -> np.ndarray:
+    """Coerce to 4-D float32, keeping x's strides: a float32 array, read-only
+    or strided, comes back as itself, uncopied."""
     arr = np.asarray(x)
     if arr.ndim != 4:
         raise ShapeError(f"{name} must be 4-D (C,T,H,W), got {arr.ndim}-D")
-    return np.ascontiguousarray(arr, dtype=np.float32)
+    return arr.astype(np.float32, copy=False)
 
 
 def ensure_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:

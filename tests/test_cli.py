@@ -350,6 +350,9 @@ command = {command}
             # FDP1 sends the conditioning id with a u16 length
             pytest.param("denoiser.conditioning=" + "\u00e9" * 32768, 3,
                          id="denoiser.conditioning=<65536 bytes>-3"),
+            # a command-line byte 0xff arrives as a lone surrogate, not UTF-8
+            pytest.param("denoiser.conditioning=" + os.fsdecode(b"id\xff"), 3,
+                         id="denoiser.conditioning=<not UTF-8>-3"),
         ],
     )
     def test_bad_value_fails_before_any_work(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,32 @@ class TestGaussianAnalytic:
             assert abs(x0.item() - 0.4) < 0.1
             y = GaussianAnalytic(0.0, 0.5)(make_request(x, sigma)).prediction
             assert np.isfinite(y).all()
+
+    def test_strided_view_allocates_its_output_and_one_channel(self, rng):
+        """On a read-only strided tile the call allocates no more than its
+        float32 output and one float64 channel of scratch, and gives the
+        bits of the whole-tile float64 composition."""
+        mu, s, sigma = 0.2, 0.4, 0.6
+        canvas = rng.standard_normal((16, 21, 80, 130)).astype(np.float32)
+        tile = canvas[:, :, 7:67, 11:115]
+        tile.flags.writeable = False
+        req = make_request(tile, sigma)
+        tracemalloc.start()
+        try:
+            y = GaussianAnalytic(mu, s)(req).prediction
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        channel = tile[0].size * 8
+        # besides: numpy's casting buffers (8192 elements an operand), a few objects
+        assert peak <= y.nbytes + channel + (128 << 10)
+
+        x0 = gaussian_posterior_mean(tile, sigma, mu, s)
+        want = ((tile.astype(np.float64) - x0) / sigma).astype(np.float32)
+        assert y.tobytes() == want.tobytes()
+        d = (1.0 - sigma) ** 2 * s**2 + sigma**2
+        x0_whole = (((1.0 - sigma) * s**2) * tile.astype(np.float64) + sigma**2 * mu) / d
+        assert x0.tobytes() == x0_whole.tobytes()
 
     def test_sigma_zero_rejected(self, rng):
         den = GaussianAnalytic(0.0, 1.0)

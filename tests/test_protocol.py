@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import struct
@@ -8,9 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from tilefuse import ExternalDenoiser, Rect, SamplerConfig, run
-from tilefuse.denoisers import DenoiserRequest
+from tilefuse import ExternalDenoiser, PriorScheduleConfig, Rect, SamplerConfig, run
+from tilefuse.denoisers import DenoiserRequest, DenoiserResponse
 from tilefuse.errors import (
     FileFormatError,
     MalformedFrameError,
@@ -36,7 +40,7 @@ from tilefuse.protocol import (
     unpack_denoise_response,
     unpack_embedding,
 )
-from tilefuse.tensor import flt_from_bytes, flt_to_bytes
+from tilefuse.tensor import FLT_HEAD_LEN, flt_from_bytes, flt_to_bytes
 
 ECHO_CMD = [sys.executable, "-m", "tilefuse.echo_worker"]
 
@@ -113,6 +117,68 @@ class TestFraming:
     def test_embedding_length_mismatch(self):
         with pytest.raises(MalformedFrameError):
             unpack_embedding(struct.pack("<I", 4) + b"\x00" * 8)
+
+
+finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+small_tiles = hnp.arrays(
+    np.float32, hnp.array_shapes(min_dims=4, max_dims=4, max_side=5), elements=finite32
+)
+
+
+class TestWireProperties:
+    """Round trips over random tiles: FLT1 alone, and FDP1 denoise frames
+    through the worker loop, with conditioning ids of any UTF-8 length, so
+    the tile data lands on and off float32 alignment."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_tiles, st.booleans())
+    def test_flt_round_trip(self, tile, strided):
+        sent = np.flip(tile, axis=3) if strided else tile
+        blob = flt_to_bytes(sent)
+        assert len(blob) == FLT_HEAD_LEN + tile.nbytes
+        for buffer in (blob, bytearray(blob)):  # a copy, and decoded in place
+            back = flt_from_bytes(buffer)
+            assert back.shape == tile.shape and back.flags.writeable
+            assert back.tobytes() == np.ascontiguousarray(sent).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_tiles,
+        st.text(max_size=9),
+        st.integers(0, 2**32 - 1),
+        finite32,
+        finite32,
+        st.tuples(*[st.integers(0, 2**31)] * 2, *[st.integers(1, 2**31)] * 2),
+        st.sampled_from(["flow", "eps"]),
+    )
+    def test_denoise_round_trip_through_the_worker_loop(
+        self, tile, conditioning, step, t, sigma, corner_and_size, kind
+    ):
+        rect = Rect(*corner_and_size)
+        frames = pack_frame(
+            MSG_DENOISE_REQUEST, pack_denoise_request(step, t, sigma, rect, conditioning, tile)
+        )
+        seen = []
+
+        def denoise(*request):
+            seen.append(request)
+            x = request[-1]
+            assert x.dtype == np.float32 and x.flags.writeable and x.flags.aligned
+            return kind, x
+
+        out = io.BytesIO()
+        serve(denoise=denoise, stdin=io.BytesIO(frames), stdout=out)
+        (got_step, got_t, got_sigma, got_rect, got_cond, got_tile), = seen
+        assert (got_step, got_t, got_sigma, got_rect, got_cond) == (
+            step, t, sigma, rect, conditioning
+        )
+        assert got_tile.tobytes() == tile.tobytes()
+
+        reply = out.getvalue()
+        assert reply[4] == MSG_DENOISE_RESPONSE
+        assert struct.unpack("<Q", reply[5:13])[0] == len(reply) - 13
+        got_kind, pred = unpack_denoise_response(reply[13:])
+        assert got_kind == kind and pred.tobytes() == tile.tobytes()
 
 
 class TestServeLoop:
@@ -370,6 +436,32 @@ class TestExternalDenoiser:
             return x.tobytes()
 
         assert latent(4) == latent(1)
+
+    def test_tiles_lent_read_only_hash_equal_over_one_and_two_workers(self):
+        """The sampler lends each tile as a read-only view of its latent and
+        the denoiser copies it once for the wire: runs over one and two
+        workers, and with an in-process echo, give the same latent."""
+        shape = (2, 3, 24, 40)
+        prior = np.random.default_rng(11).standard_normal(shape).astype(np.float32)
+
+        def echo(req):
+            assert not req.tile.flags.writeable
+            return DenoiserResponse(prediction=np.array(req.tile), kind="flow")
+
+        def latent(workers, denoiser=None):
+            cfg = SamplerConfig(
+                canvas_shape=shape, steps=3, mode="fd", window_h=12, window_w=16,
+                overlap=0.5, seed=5, workers=workers,
+                prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+            )
+            if denoiser is None:
+                with ExternalDenoiser(ECHO_CMD, size=workers, timeout=30) as den:
+                    x, _ = run(cfg, den, prior)
+            else:
+                x, _ = run(cfg, denoiser, prior)
+            return hashlib.sha256(x.tobytes()).hexdigest()
+
+        assert latent(1) == latent(2) == latent(2, echo)
 
 
 class TestCopyFreeWire:

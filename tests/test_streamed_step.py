@@ -2,8 +2,10 @@
 
 A run updates each finished band of its own latent in place and keeps a
 rolling numerator; these tests pin that it computes exactly the plain
-whole-canvas step, never writes to a caller's array, and holds memory that
-does not grow with the canvas height.
+whole-canvas step, never writes to a caller's array, lends denoisers only
+read-only tiles, and holds memory that does not grow with the canvas
+height. The band kernel is pinned on its own against the public closed
+forms it stands in for.
 """
 
 import sys
@@ -17,9 +19,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tilefuse.sampler as sampler_module
-from tilefuse import PriorScheduleConfig, SamplerConfig, TargetDriver, TiledSampler
+from tilefuse import (
+    FusionAccumulator,
+    PriorScheduleConfig,
+    SamplerConfig,
+    TargetDriver,
+    TiledSampler,
+    fuse_fd_flow,
+    fuse_md,
+)
 from tilefuse.denoisers import DenoiserResponse
 from tilefuse.errors import DenoiseError
+from tilefuse.sampler import euler_update, make_noise, trace_prior_mse
 
 from test_sampler import reference_step
 
@@ -136,19 +147,19 @@ def test_failure_after_bands_were_handed_out_stops_every_task(monkeypatch):
     plan = cfg.plan()
     bad = plan.tiles.index(next(r for r in plan.tiles if r.row == 24))
     updates = []
-    euler = sampler_module.euler_update
+    kernel = sampler_module._band_update
 
-    def slow_euler(*args, **kwargs):
+    def slow_kernel(*args, **kwargs):
         time.sleep(0.02)
         updates.append(1)
-        return euler(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
     def denoiser(req):
         if plan.tiles.index(req.rect) == bad:
             raise RuntimeError("backbone crashed")
         return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
 
-    monkeypatch.setattr(sampler_module, "euler_update", slow_euler)
+    monkeypatch.setattr(sampler_module, "_band_update", slow_kernel)
     threads = threading.active_count()
     with pytest.raises(DenoiseError, match=f"tile {bad} "):
         TiledSampler(cfg, denoiser).run()
@@ -188,3 +199,111 @@ def test_run_memory_does_not_grow_with_height():
     assert x.nbytes == canvas_bytes
     # the run's own latent is one canvas; everything else stays a fraction
     assert peak - canvas_bytes < 0.5 * canvas_bytes
+
+
+@st.composite
+def band_cases(draw):
+    """One band channel for the kernel: its frames, rows and width, where
+    its rows start in a ring (the band may wrap), a frame-group budget that
+    need not divide the frame count, a strength (zero, scalar or plane) and
+    an activity mask (none, empty, full or mixed)."""
+    t, rows, w = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    size = draw(st.integers(rows, rows + 6))
+    return dict(
+        t=t, rows=rows, w=w, size=size,
+        top=draw(st.integers(0, 3 * size)),
+        budget=draw(st.integers(1, t * rows * w + 3)),
+        strength=draw(st.sampled_from(["zero", "scalar", "plane"])),
+        mask=draw(st.sampled_from([None, "empty", "full", "mixed"])),
+        sigma=draw(st.floats(0.05, 1.0)),
+        fall=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_cases())
+def test_band_kernel_equals_the_public_composition(case):
+    """The kernel, run over a band's ring pieces, gives the latent of
+    fuse_md / fuse_fd_flow, then trace_prior_mse, then euler_update, bit for
+    bit, and the trace sums their means to rel 1e-12."""
+    rng = np.random.default_rng(case["seed"])
+    t, rows, w, size, top = case["t"], case["rows"], case["w"], case["size"], case["top"]
+    sigma = case["sigma"]
+    dsigma = -case["fall"] * sigma
+    x = rng.standard_normal((t, rows, w)).astype(np.float32)
+    prior = rng.standard_normal((t, rows, w)).astype(np.float32)
+    ring = rng.standard_normal((t, size, w))
+    den = rng.uniform(0.1, 3.0, (rows, w))
+    lam = {
+        "zero": 0.0,
+        "scalar": 1.5,
+        "plane": rng.uniform(0.0, 2.0, (rows, w)).astype(np.float32),
+    }[case["strength"]]
+    activity = None
+    if case["mask"] is not None:
+        activity = {
+            "empty": np.zeros((rows, w), bool),
+            "full": np.ones((rows, w), bool),
+            "mixed": rng.integers(0, 2, (rows, w)).astype(bool),
+        }[case["mask"]]
+
+    pieces = sampler_module._ring_slices(top, top + rows, size)
+    num = np.concatenate([ring[:, ring_rows] for _, ring_rows in pieces], axis=1)
+    acc = FusionAccumulator(num=num[None], den=den)
+    if case["strength"] == "zero":
+        y = fuse_md(acc)
+    else:
+        y = fuse_fd_flow(acc, x[None], prior[None], lam, sigma)
+    fg, bg = trace_prior_mse(x[None], sigma, y, prior[None], activity)
+    want = euler_update(x[None], y, dsigma)[0]
+
+    got = x.copy()
+    sums = np.zeros(2)
+    scratch = threading.local()
+    for canvas_rows, ring_rows in pieces:
+        band = slice(canvas_rows.start - top, canvas_rows.stop - top)
+        if case["strength"] == "zero":
+            den_b, slam = den[band], None
+        else:
+            lam_b = np.asarray(lam[band] if np.ndim(lam) else lam, dtype=np.float64)
+            den_b, slam = sigma**2 * lam_b + den[band], sigma * lam_b
+        masks = None
+        if activity is not None:
+            masks = (activity[band].astype(np.float64), (~activity[band]).astype(np.float64))
+        sums += sampler_module._band_update(
+            got[:, band], prior[:, band], ring[:, ring_rows], den_b, slam,
+            sigma, dsigma, masks, scratch, budget=case["budget"],
+        )
+    assert got.tobytes() == want.tobytes()
+
+    n_fg = got.size if activity is None else t * np.count_nonzero(activity)
+    for total, cells, ref in ((sums[0], n_fg, fg), (sums[1], got.size - n_fg, bg)):
+        if ref is None:
+            assert cells == 0 and total == 0.0
+        else:
+            assert total / cells == pytest.approx(ref, rel=1e-12)
+
+
+def test_denoiser_cannot_write_the_latent_through_its_tile():
+    """An in-process denoiser gets a read-only view of the run's latent:
+    a write into it fails the step, and the latent keeps its bytes."""
+    cfg = SamplerConfig(
+        canvas_shape=(2, 2, 20, 16), steps=2, mode="md", window_h=8,
+        window_w=8, overlap=0.5, workers=2,
+    )
+    tiles = []
+
+    def denoiser(req):
+        tiles.append(req.tile)
+        req.tile[...] = 0.0
+        return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+
+    sampler = TiledSampler(cfg, denoiser)
+    x = make_noise(cfg.canvas_shape, seed=3)
+    kept = x.copy()
+    sampler._latent = x  # the latent a run owns, which a step updates in place
+    with pytest.raises(DenoiseError, match="read-only"):
+        sampler.step(x, 0)
+    assert tiles and all(np.shares_memory(tile, x) for tile in tiles)
+    assert x.tobytes() == kept.tobytes()
