@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .protocol import WorkerPool
-from .tensor import GROUP_BUDGET, Rect, as_latent, crop, ensure_finite, latent_view
+from .tensor import Rect, as_latent, crop, ensure_finite, latent_view
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,10 @@ class GaussianAnalytic:
 
     The s = 0 point-mass limit is allowed and collapses the posterior mean
     to mu. The tile is read where it lies, uncopied, and the velocity is
-    computed one channel at a time, in groups of frames that are cast to
-    float64 once: a call allocates its float32 output and two float64
-    buffers of at most GROUP_BUDGET elements (one frame if a frame is
-    larger), whatever the tile's strides.
+    computed one channel at a time in one float64 buffer of a channel's
+    shape, which every operation reads the float32 tile into as it goes: a
+    call allocates its float32 output and that buffer, whatever the tile's
+    strides, and makes a handful of numpy calls per channel.
     """
 
     def __init__(self, mu: float, s: float):
@@ -71,18 +71,11 @@ class GaussianAnalytic:
             raise DomainError(f"sigma must lie in (0, 1], got {req.sigma}")
         x = latent_view(req.tile, "tile")
         y = np.empty(x.shape, dtype=np.float32)
-        t, h, w = x.shape[1:]
-        group = max(1, min(t, GROUP_BUDGET // (h * w)))
-        scratch = np.empty((2, group * h * w))
+        x0 = np.empty(x.shape[1:])
         for c in range(x.shape[0]):
-            for start in range(0, t, group):
-                frames = slice(start, start + group)
-                xg = x[c, frames]
-                x64, x0 = (buf[: xg.size].reshape(xg.shape) for buf in scratch)
-                np.copyto(x64, xg)
-                gaussian_posterior_mean(x64, req.sigma, self.mu, self.s, out=x0)
-                np.subtract(x64, x0, out=x0)
-                np.divide(x0, req.sigma, out=y[c, frames], casting="same_kind")
+            gaussian_posterior_mean(x[c], req.sigma, self.mu, self.s, out=x0)
+            np.subtract(x[c], x0, out=x0, dtype=np.float64)
+            np.divide(x0, req.sigma, out=y[c], casting="same_kind")
         return DenoiserResponse(prediction=y, kind="flow")
 
 

@@ -28,13 +28,13 @@ them, and a band's ring rows are reused only after its update has
 finished.
 
 One band kernel does a band channel's merge, trace and Euler update in
-frame groups of about GROUP_BUDGET float64 elements, through scratch
-buffers that each pool thread keeps for the run, so every pass over a
-group stays in cache. It applies the elementwise operations of fuse_md or
-fuse_fd_flow, trace_prior_mse and euler_update in their order, so the
-latent gets the same bits as their composition. The trace means are
-float64 sums and cell counts over the bands; only these sums run in
-another order than trace_prior_mse's.
+frame groups of about GROUP_BUDGET elements, through scratch buffers that
+each pool thread makes once per run, at the size of the run's largest
+band, and keeps, so every pass over a group stays in cache. It applies
+the elementwise operations of fuse_md or fuse_fd_flow, trace_prior_mse
+and euler_update in their order, so the latent gets the same bits as
+their composition. The trace means are float64 sums and cell counts over
+the bands; only these sums run in another order than trace_prior_mse's.
 
 Every cell sees the same additions in the same order and the same
 elementwise closed form whatever the worker count, so runs are bitwise
@@ -231,17 +231,38 @@ def trace_prior_mse(x_t, sigma_t, y, x_prior, activity=None):
     return fg, bg
 
 
+def _kernel_buffers(n, cells):
+    """The band kernel's buffers, carved from one allocation: a float64 and
+    a float32 of n elements and a float64 block of two `cells` planes."""
+    block = np.empty(12 * n + 16 * cells, np.uint8)
+    return (
+        block[: 8 * n].view(np.float64),
+        block[8 * (n + 2 * cells) :].view(np.float32),
+        block[8 * n : 8 * (n + 2 * cells)].view(np.float64),
+    )
+
+
+class _KernelScratch(threading.local):
+    """Per-thread band-kernel buffers that start at the given sizes, the
+    most any band piece of the run needs: a thread makes its buffers once,
+    on its first call, and no later call regrows them, so what is
+    allocated does not depend on which thread takes which band."""
+
+    def __init__(self, n, cells):
+        self.least = n, cells
+
+
 def _scratch_buffers(scratch, n, cells):
     """The calling thread's kernel buffers, held in the threading.local
-    `scratch`: four float64 and one float32 of at least n elements, and a
-    float64 plane of at least `cells`. They grow when a call needs more and
-    are reused otherwise."""
+    `scratch`: a float64 and a float32 of at least n elements and a float64
+    block of at least two `cells` planes, no smaller than scratch.least if
+    it is set. They grow when a call needs more and are reused otherwise."""
     held = getattr(scratch, "buffers", None)
-    if held is None or held[0].size < n or held[-1].size < cells:
+    if held is None or held[0].size < n or held[2].size < 2 * cells:
+        least = getattr(scratch, "least", (0, 0))
         if held is not None:
-            n, cells = max(n, held[0].size), max(cells, held[-1].size)
-        held = (*(np.empty(n) for _ in range(4)), np.empty(n, np.float32), np.empty(cells))
-        scratch.buffers = held
+            least = max(least[0], held[0].size), max(least[1], held[2].size // 2)
+        held = scratch.buffers = _kernel_buffers(max(n, least[0]), max(cells, least[1]))
     return held
 
 
@@ -257,45 +278,44 @@ def _band_update(x, prior, num, den, slam, sigma, dsigma, masks, scratch, budget
     no masks all of it is foreground.
 
     Frames go in groups of at most `budget` elements (one frame if a frame
-    is larger) through the calling thread's buffers in `scratch`. Each group
-    is cast to float64 once, then takes the elementwise steps of fuse_md or
-    fuse_fd_flow, trace_prior_mse and euler_update in their order, so x gets
+    is larger) through the calling thread's buffers in `scratch`: one
+    float64 group that holds the residual and then the step, and the
+    float32 fused velocity. Each operation reads the float32 latent and
+    prior rows into float64 as it goes (an exact cast), in the order of
+    fuse_md or fuse_fd_flow, trace_prior_mse and euler_update, so x gets
     the same bits as their composition. The regional split sums the
     residual over frames per cell and weights that plane with each mask.
     """
     t, rows, w = x.shape
     cells = rows * w
     group = max(1, min(t, budget // cells))
-    *buffers, plane = _scratch_buffers(scratch, group * cells, cells)
-    plane = plane[:cells].reshape(rows, w)
+    buf, buf32, planes = _scratch_buffers(scratch, group * cells, cells)
+    plane, part = planes[: 2 * cells].reshape(2, rows, w)
     plane[...] = 0.0
     total = 0.0
     for start in range(0, t, group):
         frames = slice(start, start + group)
-        xg = x[frames]
-        x64, p64, r, y64, y = (buf[: xg.size].reshape(xg.shape) for buf in buffers)
-        np.copyto(x64, xg)
-        np.copyto(p64, prior[frames])
+        xg, pg = x[frames], prior[frames]
+        r = buf[: xg.size].reshape(xg.shape)
+        y = buf32[: xg.size].reshape(xg.shape)
         if slam is None:
             np.divide(num[frames], den, out=y, casting="same_kind")
         else:
-            np.subtract(x64, p64, out=r)
+            np.subtract(xg, pg, out=r, dtype=np.float64)
             r *= slam
             r += num[frames]
             np.divide(r, den, out=y, casting="same_kind")
-        np.copyto(y64, y)
-        np.multiply(y64, sigma, out=r)
-        np.subtract(x64, r, out=r)  # the clean estimate x - sigma * y
-        r -= p64
+        np.multiply(y, sigma, out=r, dtype=np.float64)
+        np.subtract(xg, r, out=r, dtype=np.float64)  # the clean estimate x - sigma * y
+        np.subtract(r, pg, out=r, dtype=np.float64)
         np.square(r, out=r)
         if masks is None:
             total += r.sum()
         else:
-            np.add.reduce(r, axis=0, out=p64[0])
-            plane += p64[0]
-        y64 *= dsigma
-        y64 += x64
-        np.copyto(xg, y64, casting="same_kind")
+            np.add.reduce(r, axis=0, out=part)
+            plane += part
+        np.multiply(y, dsigma, out=r, dtype=np.float64)
+        np.add(r, xg, out=xg, dtype=np.float64, casting="same_kind")
     if masks is None:
         return float(total), 0.0
     # einsum's own loop, not a BLAS call that could start threads of its own
@@ -344,11 +364,21 @@ class TiledSampler:
         with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
             self._pool, self._depth = pool, 2 * workers
             self._ring = np.empty((c, t, rows, w), dtype=np.float64)
-            self._scratch = threading.local()
+            self._scratch = _KernelScratch(*self._scratch_sizes())
             try:
                 yield pool
             finally:
                 self._pool = self._ring = self._scratch = None
+
+    def _scratch_sizes(self):
+        """The kernel buffer sizes that cover every band piece of the run:
+        a piece is at most a band, the rows from one tile row's top to the
+        next's (or to the canvas bottom), and takes frame groups of at most
+        GROUP_BUDGET elements, or one frame if a frame is larger."""
+        _, t, h, w = self.cfg.canvas_shape
+        tops = sorted({r.row for r in self.plan.tiles}) + [h]
+        cells = w * max(b - a for a, b in zip(tops, tops[1:]))
+        return min(t * cells, max(cells, GROUP_BUDGET)), cells
 
     def _predict_tile(self, x, i, t, sigma, k, rect):
         tile = x[:, :, rect.row_slice, rect.col_slice]

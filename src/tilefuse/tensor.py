@@ -22,10 +22,10 @@ FLT_MAGIC = b"FLT1"
 FLT_VERSION = 1
 FLT_HEAD_LEN = 24  # magic + version + 4 dims
 
-# float64 elements per frame group in the elementwise hot loops (the band
-# update, GaussianAnalytic): a group's buffers stay about the size of a 2 MiB
-# per-core L2 cache, and the groups are few enough that the ufunc calls
-# between them hold the interpreter lock only briefly
+# elements per frame group in the band update: a group's float64 and float32
+# buffers (768 KiB) stay well inside a 2 MiB per-core L2 cache, and the
+# groups are few enough that the ufunc calls between them hold the
+# interpreter lock only briefly
 GROUP_BUDGET = 1 << 16
 
 

@@ -170,6 +170,37 @@ def test_failure_after_bands_were_handed_out_stops_every_task(monkeypatch):
     assert len(updates) == settled
 
 
+def test_each_pool_thread_makes_its_kernel_buffers_once_per_run(monkeypatch):
+    """Band pieces differ in height (the last band, pieces where the ring
+    wraps), but a pool thread makes its kernel buffers once per run, at the
+    sizes that cover every piece, whichever bands it takes."""
+    cfg = SamplerConfig(
+        canvas_shape=(2, 3, 50, 24), steps=3, mode="fd", window_h=8,
+        window_w=8, overlap=0.3, workers=2,
+        prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+    )
+    rng = np.random.default_rng(9)
+    sampler = TiledSampler(
+        cfg, TargetDriver(rng.standard_normal(cfg.canvas_shape).astype(np.float32)),
+        rng.standard_normal(cfg.canvas_shape).astype(np.float32),
+    )
+    made = []
+    kernel_buffers = sampler_module._kernel_buffers
+
+    def record(n, cells):
+        made.append((threading.current_thread().name, n, cells))
+        return kernel_buffers(n, cells)
+
+    monkeypatch.setattr(sampler_module, "_kernel_buffers", record)
+    for _ in range(2):
+        made.clear()
+        sampler.run()
+        threads = [name for name, *_ in made]
+        assert 1 <= len(threads) <= cfg.workers
+        assert len(set(threads)) == len(threads)
+        assert {(n, cells) for _, n, cells in made} == {sampler._scratch_sizes()}
+
+
 def test_run_memory_does_not_grow_with_height():
     """On a tall canvas the run's peak beyond its latent is the ring of
     window_h + stride_h numerator rows plus a few tiles in flight, which
