@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -39,7 +40,7 @@ from .metrics import (
 from .netpbm import read_frame
 from .planner import plan_tiles, plan_tiles_pixels
 from .protocol import WorkerClient
-from .sampler import TiledSampler, build_prior, make_noise
+from .sampler import TiledSampler, build_prior, fill_noise, make_noise
 from .tensor import atomic_write, read_flt, trilinear_resize, write_flt
 
 EXIT_OK = 0
@@ -100,24 +101,30 @@ def run_pipeline(settings, prior=None):
     """Prior pass, upsample, tiled pass. Returns (x_final, trace,
     prior_canvas, timings). A prior from an earlier run of the same
     settings, bar prior strength and gates, skips the prior pass; the
-    returned prior_canvas is the prior the tiled pass used."""
+    returned prior_canvas is the prior the tiled pass used.
+
+    The tiled pass's noise depends on nothing the prior pass makes, so it
+    is drawn on one background thread from the start, beside the prior
+    read, worker start-up, the prior pass and the upsample; its bits are
+    make_noise's."""
     timings = {}
     canvas_shape = settings.canvas_shape()
-
-    t0 = time.perf_counter()
-    if prior is None and settings.prior_stage is None:  # read before any worker starts
-        prior = read_flt(settings.prior.latent)
-        if prior.shape[0] != settings.canvas.channels:
-            raise ConfigError(
-                f"prior latent has {prior.shape[0]} channels, canvas "
-                f"needs {settings.canvas.channels}"
-            )
-    # An external denoiser is one worker pool serving both stages; built-in
-    # ones are built per stage, as they may depend on the canvas shape.
-    shared = None
-    if settings.denoiser.kind == "external":
-        shared = _build_denoiser(settings, canvas_shape)
-    try:
+    with contextlib.ExitStack() as stack:  # closes the workers, then joins the draw
+        tiled_noise = stack.enter_context(_noise_beside(canvas_shape, settings.run.seed, stream=1))
+        t0 = time.perf_counter()
+        if prior is None and settings.prior_stage is None:  # read before any worker starts
+            prior = read_flt(settings.prior.latent)
+            if prior.shape[0] != settings.canvas.channels:
+                raise ConfigError(
+                    f"prior latent has {prior.shape[0]} channels, canvas "
+                    f"needs {settings.canvas.channels}"
+                )
+        # An external denoiser is one worker pool serving both stages; built-in
+        # ones are built per stage, as they may depend on the canvas shape.
+        shared = None
+        if settings.denoiser.kind == "external":
+            shared = _build_denoiser(settings, canvas_shape)
+            stack.callback(_close, shared)
         if prior is None:  # the thumbnail pass
             cfg = settings.prior_stage
             with _stage_denoiser(settings, cfg.canvas_shape, shared) as den:
@@ -132,13 +139,44 @@ def run_pipeline(settings, prior=None):
         t0 = time.perf_counter()
         with _stage_denoiser(settings, canvas_shape, shared) as den:
             sampler = TiledSampler(settings.tiled, den, prior_canvas)
-            # the noise is a temporary: run takes its private copy, and the
-            # original is freed before the first step
-            x_final, trace = sampler.run(make_noise(canvas_shape, settings.run.seed, stream=1))
+            # tiled_noise() hands over the only reference to the noise: run
+            # takes its private copy, and the original is freed before the
+            # first step
+            x_final, trace = sampler.run(tiled_noise())
         timings["tiled"] = time.perf_counter() - t0
-    finally:
-        _close(shared)
     return x_final, trace, prior_canvas, timings
+
+
+@contextlib.contextmanager
+def _noise_beside(shape, seed, stream):
+    """Draw one stage's noise (fill_noise) on a background thread while the
+    block runs. Yields `take`, which waits for the draw, re-raises its
+    error if it failed, and hands over the canvas, keeping no reference to
+    it. The canvas is allocated on the calling thread (a thread's own
+    malloc arena would raise peak RSS), and the thread is joined however
+    the block ends."""
+    canvas = [np.empty(shape, dtype=np.float32)]
+    failed = []
+
+    def draw(out):
+        try:
+            fill_noise(out, seed, stream)
+        except Exception as exc:  # re-raised by take, on the calling thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=draw, args=(canvas[0],), name="tilefuse-noise")
+    thread.start()
+
+    def take():
+        thread.join()
+        if failed:
+            raise failed.pop()
+        return canvas.pop()
+
+    try:
+        yield take
+    finally:
+        thread.join()
 
 
 @contextlib.contextmanager

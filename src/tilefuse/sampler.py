@@ -175,12 +175,22 @@ class RunTrace:
 
 
 def make_noise(canvas_shape, seed: int, stream: int = 0) -> np.ndarray:
-    """Standard-normal canvas from the counter-based Philox generator,
-    filled in canonical layout order. Distinct streams of one seed are
-    independent (stage separation in the pipeline)."""
+    """Standard-normal float32 canvas of stream `stream` of `seed`; see
+    fill_noise."""
+    out = np.empty(canvas_shape, dtype=np.float32)
+    fill_noise(out, seed, stream)
+    return out
+
+
+def fill_noise(out: np.ndarray, seed: int, stream: int = 0) -> None:
+    """Fill a C-contiguous float32 array with standard normals from the
+    counter-based Philox generator keyed [seed, stream], in canonical
+    layout order. Distinct streams of one seed are independent (stage
+    separation in the pipeline). numpy releases the interpreter lock while
+    it fills, so other threads run meanwhile."""
     key = np.array([seed, stream], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(canvas_shape, dtype=np.float32)
+    gen.standard_normal(dtype=np.float32, out=out)
 
 
 def build_prior(prior_latent: np.ndarray, canvas_shape, workers: int = 1) -> np.ndarray:

@@ -135,10 +135,11 @@ def trilinear_resize(
     """Endpoint-aligned trilinear interpolation over (T,H,W), channel-wise.
 
     Corners map to corners; resizing to the source dims returns the source
-    bit-exactly. Interpolation runs in float64 one channel at a time and the
-    result is cast back to float32. The channels run on a pool of `workers`
-    threads; each channel's arithmetic is the same whatever the count, so
-    the result is bit-identical.
+    bit-exactly. Interpolation runs in float64 one output frame at a time,
+    so its temporaries are a few frames, not a channel, and the result is
+    cast back to float32. The channels run on a pool of `workers` threads;
+    each frame's arithmetic is the same whatever the count, so the result
+    is bit-identical.
     """
     src = as_latent(src, "source")
     if out_t < 1 or out_h < 1 or out_w < 1:
@@ -147,12 +148,13 @@ def trilinear_resize(
     if (t, h, w) == (out_t, out_h, out_w):
         return src.copy()
 
-    passes = []
-    for axis, (n_src, n_out) in enumerate(((t, out_t), (h, out_h), (w, out_w))):
+    t_lo, t_hi, t_frac = _axis_indices(t, out_t)
+    passes = []  # the (H, W) passes of one frame
+    for axis, (n_src, n_out) in enumerate(((h, out_h), (w, out_w))):
         if n_src == n_out:
             continue
         lo, hi, frac = _axis_indices(n_src, n_out)
-        shape = [1, 1, 1]
+        shape = [1, 1]
         shape[axis] = n_out
         frac = frac.reshape(shape)
         passes.append((axis, lo, hi, 1.0 - frac, frac))
@@ -160,16 +162,24 @@ def trilinear_resize(
     out = np.empty((c, out_t, out_h, out_w), dtype=np.float32)
 
     def resize_channel(ch):
-        vol = src[ch].astype(np.float64)
-        for axis, lo, hi, w_lo, w_hi in passes:
-            # (1 - frac) * vol[lo] + frac * vol[hi], in two buffers
-            near = np.take(vol, lo, axis=axis)
-            near *= w_lo
-            far = np.take(vol, hi, axis=axis)
-            far *= w_hi
-            near += far
-            vol = near
-        out[ch] = vol
+        for k in range(out_t):
+            # each pass is (1 - frac) * vol[lo] + frac * vol[hi], in two buffers
+            if t == out_t:
+                frame = src[ch, k].astype(np.float64)
+            else:
+                frame = src[ch, t_lo[k]].astype(np.float64)
+                frame *= 1.0 - t_frac[k]
+                far = src[ch, t_hi[k]].astype(np.float64)
+                far *= t_frac[k]
+                frame += far
+            for axis, lo, hi, w_lo, w_hi in passes:
+                near = np.take(frame, lo, axis=axis)
+                near *= w_lo
+                far = np.take(frame, hi, axis=axis)
+                far *= w_hi
+                near += far
+                frame = near
+            out[ch, k] = frame
 
     with ThreadPoolExecutor(max(1, min(workers, c)), thread_name_prefix="tilefuse-resize") as pool:
         list(pool.map(resize_channel, range(c)))

@@ -1,6 +1,12 @@
+import contextlib
+import gc
+import hashlib
 import json
 import os
 import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ import pytest
 from tilefuse import GaussianAnalytic, cli, protocol, read_flt, write_flt
 from tilefuse.cli import main
 from tilefuse.config import apply_overrides, default_config, resolve_settings
+from tilefuse.errors import DenoiseError
+from tilefuse.sampler import TiledSampler, fill_noise, make_noise
 from tilefuse.netpbm import write_pgm
 
 ECHO_EMBEDDER = f"{sys.executable} -m tilefuse.echo_worker"
@@ -683,13 +691,25 @@ window_width = 8
 """,
         )
         streams = []
-        make_noise = cli.make_noise
+        make_noise, noise_beside = cli.make_noise, cli._noise_beside
 
         def counting_noise(shape, seed, stream=0):
             streams.append(stream)
             return make_noise(shape, seed, stream)
 
+        @contextlib.contextmanager
+        def counting_beside(shape, seed, stream):
+            # the tiled pass's noise is drawn in the background; count it
+            # when the pass takes it
+            with noise_beside(shape, seed, stream) as take:
+                def counted_take():
+                    streams.append(stream)
+                    return take()
+
+                yield counted_take
+
         monkeypatch.setattr(cli, "make_noise", counting_noise)
+        monkeypatch.setattr(cli, "_noise_beside", counting_beside)
 
         def sweep(lambdas, taus, name):
             out = tmp_path / name
@@ -705,3 +725,136 @@ window_width = 8
             for tau in ("0.2", "1")
         ]
         assert table == singles[0][:1] + [rows[1] for rows in singles]
+
+
+def noise_config(tmp_path, workers, denoiser="kind = gaussian"):
+    return write_config(
+        tmp_path / f"noise-{workers}.ini",
+        f"""
+[run]
+seed = 13
+mode = fd
+steps = 3
+workers = {workers}
+
+[canvas]
+channels = 2
+frames = 3
+height = 24
+width = 32
+
+[tiles]
+window_height = 12
+window_width = 16
+overlap = 0.25
+
+[denoiser]
+{denoiser}
+""",
+    )
+
+
+@contextlib.contextmanager
+def synchronous_noise(shape, seed, stream):
+    """_noise_beside's contract, drawn on the calling thread when taken."""
+    yield lambda: make_noise(shape, seed, stream)
+
+
+class TestTiledNoiseDraw:
+    """The tiled pass's noise is drawn on a background thread while the
+    prior pass runs."""
+
+    def test_background_draw_equals_make_noise(self):
+        threads = threading.active_count()
+        with cli._noise_beside((3, 4, 10, 12), 17, 1) as take:
+            got = take()
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == make_noise((3, 4, 10, 12), 17, 1).tobytes()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "denoiser",
+        ["kind = gaussian", f"kind = external\ncommand = {ECHO_EMBEDDER}"],
+        ids=["gaussian", "echo"],
+    )
+    def test_output_matches_a_synchronous_draw(self, monkeypatch, tmp_path, workers, denoiser):
+        cfg = noise_config(tmp_path, workers, denoiser)
+
+        def digests(name):
+            out = tmp_path / f"{name}.flt"
+            assert main(["sample", "--config", cfg, "--output", str(out)]) == 0
+            trace = tmp_path / f"{name}.flt.trace.tsv"
+            return [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, trace)]
+
+        background = digests("background")
+        monkeypatch.setattr(cli, "_noise_beside", synchronous_noise)
+        assert digests("synchronous") == background
+
+    def test_tiled_run_gets_the_only_reference(self, monkeypatch, tmp_path):
+        canvas = (2, 3, 24, 32)
+        original_run, original_step = TiledSampler.run, TiledSampler.step
+        holders, callers, originals, freed = [], [], [], []
+
+        def checking_run(self, initial_noise=None):
+            if self.cfg.canvas_shape != canvas:
+                return original_run(self, initial_noise)
+            me = sys._getframe()
+            holders.extend(r for r in gc.get_referrers(initial_noise) if r is not me)
+            frame = me.f_back
+            while frame is not None:  # a loop, not a closure over initial_noise
+                for value in frame.f_locals.values():
+                    if value is initial_noise:
+                        callers.append(frame.f_code.co_name)
+                frame = frame.f_back
+            originals.append(weakref.ref(initial_noise))
+            passed = [initial_noise]
+            del initial_noise  # so that this frame keeps no reference
+            return original_run(self, passed.pop())
+
+        def checking_step(self, x, i):
+            if self.cfg.canvas_shape == canvas and i == 0:
+                freed.append(originals[-1]() is None)
+            return original_step(self, x, i)
+
+        monkeypatch.setattr(TiledSampler, "run", checking_run)
+        monkeypatch.setattr(TiledSampler, "step", checking_step)
+        cfg = noise_config(tmp_path, 2)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o.flt")]) == 0
+        assert holders == [] and callers == []
+        assert freed == [True]  # run's private copy is all that is left
+
+    def test_a_failed_draw_is_raised_on_the_calling_thread(self, monkeypatch, capsys):
+        threads = threading.active_count()
+
+        def fail(out, seed, stream):
+            raise DenoiseError("draw failed")
+
+        monkeypatch.setattr(cli, "fill_noise", fail)
+        with pytest.raises(DenoiseError, match="draw failed"):
+            with cli._noise_beside((1, 1, 4, 4), 1, 1) as take:
+                take()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failure, code", [("worker-exits", 5), ("bad-prior-latent", 4)])
+    def test_failed_prior_stage_joins_the_draw(self, monkeypatch, tmp_path, capsys, failure, code):
+        def slow_fill(out, seed, stream):  # still drawing when the prior stage fails
+            time.sleep(0.5)
+            fill_noise(out, seed, stream)
+
+        monkeypatch.setattr(cli, "fill_noise", slow_fill)
+        script = tmp_path / "exits.py"
+        script.write_text(
+            "import os\n"
+            "from tilefuse.protocol import serve\n"
+            "serve(denoise=lambda *request: os._exit(3))\n"
+        )
+        bad = tmp_path / "bad.flt"
+        bad.write_bytes(b"FLT1 but not a tensor")
+        cfg = noise_config(tmp_path, 2, f"kind = external\ncommand = {sys.executable} {script}")
+        extra = ["--set", f"prior.latent={bad}"] if failure == "bad-prior-latent" else []
+        threads = threading.active_count()
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o.flt"), *extra]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert threading.active_count() == threads

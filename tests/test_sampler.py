@@ -21,6 +21,7 @@ from tilefuse.blending import ramp_weight_map
 from tilefuse.denoisers import DenoiserRequest, DenoiserResponse
 from tilefuse.errors import ConfigError, DenoiseError, ShapeError
 from tilefuse.fusion import FusionAccumulator, accumulate, fuse_fd_flow, fuse_md
+from tilefuse.sampler import fill_noise
 from tilefuse.tensor import crop
 
 from _oracles import trilinear_loop
@@ -86,6 +87,15 @@ class TestMakeNoise:
         a = make_noise((1, 1, 2, 2), 42)
         b = make_noise((1, 1, 2, 2), 42)
         assert a.tobytes() == b.tobytes()
+
+    def test_fill_on_another_thread_equals_make_noise(self):
+        shape = (4, 5, 9, 11)
+        out = np.full(shape, np.nan, dtype=np.float32)
+        drawer = threading.Thread(target=fill_noise, args=(out, 99, 1))
+        drawer.start()
+        drawer.join(timeout=60)
+        assert not drawer.is_alive()
+        assert out.tobytes() == make_noise(shape, 99, stream=1).tobytes()
 
 
 class TestStepMechanics:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,21 @@ class TestTrilinearResize:
         x = np.array([3.0], dtype=np.float32).reshape(1, 1, 1, 1)
         out = trilinear_resize(x, 2, 3, 4)
         assert np.allclose(out, 3.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_temporaries_are_frames_not_channels(self, rng, workers):
+        # the upsample runs while the tiled stage's noise is alive, so its
+        # float64 scratch must stay a few output frames per thread
+        x = random_latent(rng, (2, 4, 8, 8))
+        tracemalloc.start()
+        try:
+            out = trilinear_resize(x, 16, 64, 64, workers)
+            scratch = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        frame64 = 64 * 64 * 8
+        assert scratch <= 4 * workers * frame64  # a channel is 16 frames
+        assert np.allclose(out, trilinear_loop(x, 16, 64, 64), atol=1e-6)
 
 
 class TestFltFormat:
