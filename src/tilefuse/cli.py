@@ -14,8 +14,8 @@ import itertools
 import math
 import os
 import sys
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -103,14 +103,17 @@ def run_pipeline(settings, prior=None):
     settings, bar prior strength and gates, skips the prior pass; the
     returned prior_canvas is the prior the tiled pass used.
 
-    The tiled pass's noise depends on nothing the prior pass makes, so it
-    is drawn on one background thread from the start, beside the prior
-    read, worker start-up, the prior pass and the upsample; its bits are
-    make_noise's."""
+    The tiled pass's noise depends on nothing the prior pass makes, so one
+    background thread draws it (stream 1 of run.seed, make_noise's bits)
+    from the start, beside the prior read, worker start-up, the prior pass
+    and the upsample, into a canvas allocated on this thread (a thread's
+    own malloc arena would raise peak RSS). The tiled run adopts it."""
     timings = {}
     canvas_shape = settings.canvas_shape()
     with contextlib.ExitStack() as stack:  # closes the workers, then joins the draw
-        tiled_noise = stack.enter_context(_noise_beside(canvas_shape, settings.run.seed, stream=1))
+        draw = stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="tilefuse-noise"))
+        tiled_noise = np.empty(canvas_shape, dtype=np.float32)
+        drawn = draw.submit(fill_noise, tiled_noise, settings.run.seed, 1)
         t0 = time.perf_counter()
         if prior is None and settings.prior_stage is None:  # read before any worker starts
             prior = read_flt(settings.prior.latent)
@@ -139,44 +142,10 @@ def run_pipeline(settings, prior=None):
         t0 = time.perf_counter()
         with _stage_denoiser(settings, canvas_shape, shared) as den:
             sampler = TiledSampler(settings.tiled, den, prior_canvas)
-            # tiled_noise() hands over the only reference to the noise: run
-            # takes its private copy, and the original is freed before the
-            # first step
-            x_final, trace = sampler.run(tiled_noise())
+            drawn.result()  # a failed draw is raised here, on this thread
+            x_final, trace = sampler.run(tiled_noise)
         timings["tiled"] = time.perf_counter() - t0
     return x_final, trace, prior_canvas, timings
-
-
-@contextlib.contextmanager
-def _noise_beside(shape, seed, stream):
-    """Draw one stage's noise (fill_noise) on a background thread while the
-    block runs. Yields `take`, which waits for the draw, re-raises its
-    error if it failed, and hands over the canvas, keeping no reference to
-    it. The canvas is allocated on the calling thread (a thread's own
-    malloc arena would raise peak RSS), and the thread is joined however
-    the block ends."""
-    canvas = [np.empty(shape, dtype=np.float32)]
-    failed = []
-
-    def draw(out):
-        try:
-            fill_noise(out, seed, stream)
-        except Exception as exc:  # re-raised by take, on the calling thread
-            failed.append(exc)
-
-    thread = threading.Thread(target=draw, args=(canvas[0],), name="tilefuse-noise")
-    thread.start()
-
-    def take():
-        thread.join()
-        if failed:
-            raise failed.pop()
-        return canvas.pop()
-
-    try:
-        yield take
-    finally:
-        thread.join()
 
 
 @contextlib.contextmanager

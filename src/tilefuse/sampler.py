@@ -1,6 +1,6 @@
 """Tiled sampling loops.
 
-One run draws seeded noise on the canvas, then repeats: view every planned
+One run starts from a seeded noise canvas, then repeats: view every planned
 tile, denoise the tiles (concurrently if configured), merge the predictions
 with the prior-regularized closed form, and take one Euler step in sigma.
 The state convention is x = clean + sigma * (noise - clean), so the model
@@ -38,9 +38,9 @@ the bands; only these sums run in another order than trace_prior_mse's.
 
 Every cell sees the same additions in the same order and the same
 elementwise closed form whatever the worker count, so runs are bitwise
-reproducible. run takes one private copy of its initial noise and lets
-each step update that copy in place; step given any other array copies it
-first and never writes to the caller's array.
+reproducible. run adopts the noise canvas it is handed as its latent,
+which each step overwrites in place; step on any other array copies it.
+Each run keeps its pool, ring, scratch and latent on its calling thread.
 """
 
 from __future__ import annotations
@@ -253,27 +253,18 @@ def _kernel_buffers(n, cells):
 
 
 class _KernelScratch(threading.local):
-    """Per-thread band-kernel buffers that start at the given sizes, the
-    most any band piece of the run needs: a thread makes its buffers once,
-    on its first call, and no later call regrows them, so what is
-    allocated does not depend on which thread takes which band."""
+    """Per-thread band-kernel buffers of fixed sizes, the most any band
+    piece of the run needs (_kernel_buffers(n, cells)): a thread makes them
+    on its first use and keeps them, so what is allocated does not depend
+    on which thread takes which band."""
 
     def __init__(self, n, cells):
-        self.least = n, cells
+        self.sizes, self.held = (n, cells), None
 
-
-def _scratch_buffers(scratch, n, cells):
-    """The calling thread's kernel buffers, held in the threading.local
-    `scratch`: a float64 and a float32 of at least n elements and a float64
-    block of at least two `cells` planes, no smaller than scratch.least if
-    it is set. They grow when a call needs more and are reused otherwise."""
-    held = getattr(scratch, "buffers", None)
-    if held is None or held[0].size < n or held[2].size < 2 * cells:
-        least = getattr(scratch, "least", (0, 0))
-        if held is not None:
-            least = max(least[0], held[0].size), max(least[1], held[2].size // 2)
-        held = scratch.buffers = _kernel_buffers(max(n, least[0]), max(cells, least[1]))
-    return held
+    def buffers(self):
+        if self.held is None:
+            self.held = _kernel_buffers(*self.sizes)
+        return self.held
 
 
 def _band_update(x, prior, num, den, slam, sigma, dsigma, masks, scratch, budget=GROUP_BUDGET):
@@ -288,7 +279,8 @@ def _band_update(x, prior, num, den, slam, sigma, dsigma, masks, scratch, budget
     no masks all of it is foreground.
 
     Frames go in groups of at most `budget` elements (one frame if a frame
-    is larger) through the calling thread's buffers in `scratch`: one
+    is larger) through the calling thread's buffers in `scratch`, a
+    _KernelScratch sized for the largest group and band: one
     float64 group that holds the residual and then the step, and the
     float32 fused velocity. Each operation reads the float32 latent and
     prior rows into float64 as it goes (an exact cast), in the order of
@@ -299,7 +291,7 @@ def _band_update(x, prior, num, den, slam, sigma, dsigma, masks, scratch, budget
     t, rows, w = x.shape
     cells = rows * w
     group = max(1, min(t, budget // cells))
-    buf, buf32, planes = _scratch_buffers(scratch, group * cells, cells)
+    buf, buf32, planes = scratch.buffers()
     plane, part = planes[: 2 * cells].reshape(2, rows, w)
     plane[...] = 0.0
     total = 0.0
@@ -332,6 +324,18 @@ def _band_update(x, prior, num, den, slam, sigma, dsigma, masks, scratch, budget
     return tuple(float(np.einsum("ij,ij->", plane, m)) for m in masks)
 
 
+@dataclass
+class _RunState:
+    """One run's tile pool, most tiles in flight, float64 (C, T, rows, W)
+    numerator ring, kernel scratch, and the latent its steps update."""
+
+    pool: ThreadPoolExecutor
+    depth: int
+    ring: np.ndarray
+    scratch: _KernelScratch
+    latent: np.ndarray | None = None
+
+
 class TiledSampler:
     """Bound sampling state: plan, schedule, weight map, prior, denoiser."""
 
@@ -355,30 +359,28 @@ class TiledSampler:
             self._den[r.row_slice, r.col_slice] += self._weight
         activity = cfg.prior.activity_map
         self._activity = None if activity is None else np.asarray(activity, dtype=bool)
-        self._pool = None
-        self._depth = 0  # most predictions submitted but not yet added
-        self._ring = None  # float64 numerator rows, (C, T, rows, W)
-        self._scratch = None  # the band kernel's per-thread buffers
-        self._latent = None  # the latent the running run owns
+        self._local = threading.local()  # .run: the calling thread's _RunState
 
     @contextmanager
-    def _executor(self):
-        """The run's tile pool, numerator ring and kernel scratch; a step
-        called outside run gets its own."""
-        if self._pool is not None:
-            yield self._pool
+    def _executor(self, latent=None):
+        """The _RunState of the run the calling thread is in, or a new one
+        that owns `latent`, for run or for a step called outside run."""
+        state = getattr(self._local, "run", None)
+        if state is not None:
+            yield state
             return
         workers = self.cfg.workers
         c, t, h, w = self.cfg.canvas_shape
         rows = min(h, self.plan.window_h + self.plan.stride_h)
         with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
-            self._pool, self._depth = pool, 2 * workers
-            self._ring = np.empty((c, t, rows, w), dtype=np.float64)
-            self._scratch = _KernelScratch(*self._scratch_sizes())
+            self._local.run = _RunState(
+                pool, 2 * workers, np.empty((c, t, rows, w), dtype=np.float64),
+                _KernelScratch(*self._scratch_sizes()), latent,
+            )
             try:
-                yield pool
+                yield self._local.run
             finally:
-                self._pool = self._ring = self._scratch = None
+                self._local.run = None
 
     def _scratch_sizes(self):
         """The kernel buffer sizes that cover every band piece of the run:
@@ -421,14 +423,14 @@ class TiledSampler:
         ensure_finite(pred, f"step {i} tile {k} prediction")
         return pred
 
-    def _stream(self, pool, x, i, t, sigma, band, collect):
+    def _stream(self, state, x, i, t, sigma, band, collect):
         """Add every tile's weighted prediction to the numerator ring in
         plan order while the pool predicts the next ones, and as soon as a
         band is final submit band(rows, ring_rows)(c) for each of its
         channels. Each update's result goes to collect, in band order.
         On failure the queued tasks are cancelled and the running ones
         awaited before the error leaves."""
-        ring, tiles = self._ring, self.plan.tiles
+        pool, ring, tiles = state.pool, state.ring, self.plan.tiles
         size = ring.shape[2]
         pending, bands = deque(), deque()
         opened = 0  # canvas rows [0, opened) have been given ring rows
@@ -467,7 +469,7 @@ class TiledSampler:
                 pending.append(
                     (k, rect, pool.submit(self._predict_tile, x, i, t, sigma, k, rect))
                 )
-                if len(pending) == self._depth:
+                if len(pending) == state.depth:
                     add_oldest()
             while pending:
                 add_oldest()
@@ -492,48 +494,49 @@ class TiledSampler:
         plane = np.ndim(lam) == 2
         activity = self._activity
 
-        owned = x is self._latent
-        x = as_latent(x, "latent")
-        if x.shape != tuple(self.cfg.canvas_shape):
-            raise ShapeError(
-                f"latent {x.shape} does not match canvas {self.cfg.canvas_shape}"
-            )
-        if not owned:
-            x = x.copy()
-
-        def band(rows, ring_rows):
-            """The update of canvas rows `rows` as a function of the channel.
-            The planes all channels share are built here, once per band."""
-            if plain:
-                den, slam = self._den[rows], None
-            else:  # fuse_fd_flow's denominator and prior factor
-                lam_b = np.asarray(lam[rows] if plane else lam, dtype=np.float64)
-                den, slam = sigma**2 * lam_b + self._den[rows], sigma * lam_b
-            cells = x.shape[1] * den.size
-            masks, n_fg = None, cells
-            if activity is not None:
-                part = activity[rows]
-                masks = (part.astype(np.float64), (~part).astype(np.float64))
-                n_fg = np.count_nonzero(part) * x.shape[1]
-
-            def update(c):
-                """Merge, trace and Euler-update channel c of the band, in
-                place. Returns c and the trace's (sum, cells) per partition."""
-                fg, bg = _band_update(
-                    x[c, :, rows], self.prior[c, :, rows], self._ring[c, :, ring_rows],
-                    den, slam, sigma, dsigma, masks, self._scratch,
+        state = getattr(self._local, "run", None)
+        if state is None or x is not state.latent:
+            x = as_latent(x, "latent")
+            if x.shape != tuple(self.cfg.canvas_shape):
+                raise ShapeError(
+                    f"latent {x.shape} does not match canvas {self.cfg.canvas_shape}"
                 )
-                return c, fg, n_fg, bg, cells - n_fg
-
-            return update
-
+            x = x.copy()
         sums = np.zeros((x.shape[0], 4))  # per channel: fg sum, cells, bg sum, cells
 
         def collect(c, *values):
             sums[c] += values
 
-        with self._executor() as pool:
-            self._stream(pool, x, i, t, sigma, band, collect)
+        with self._executor() as state:
+            ring, scratch = state.ring, state.scratch  # for the pool threads
+
+            def band(rows, ring_rows):
+                """The update of canvas rows `rows` as a function of the
+                channel; the planes all channels share are built once."""
+                if plain:
+                    den, slam = self._den[rows], None
+                else:  # fuse_fd_flow's denominator and prior factor
+                    lam_b = np.asarray(lam[rows] if plane else lam, dtype=np.float64)
+                    den, slam = sigma**2 * lam_b + self._den[rows], sigma * lam_b
+                cells = x.shape[1] * den.size
+                masks, n_fg = None, cells
+                if activity is not None:
+                    part = activity[rows]
+                    masks = (part.astype(np.float64), (~part).astype(np.float64))
+                    n_fg = np.count_nonzero(part) * x.shape[1]
+
+                def update(c):
+                    """Merge, trace and Euler-update channel c of the band in
+                    place; returns c and the trace's (sum, cells) per part."""
+                    fg, bg = _band_update(
+                        x[c, :, rows], self.prior[c, :, rows], ring[c, :, ring_rows],
+                        den, slam, sigma, dsigma, masks, scratch,
+                    )
+                    return c, fg, n_fg, bg, cells - n_fg
+
+                return update
+
+            self._stream(state, x, i, t, sigma, band, collect)
         record = StepRecord(
             step=i,
             t=t,
@@ -546,12 +549,16 @@ class TiledSampler:
         return x, record
 
     def run(self, initial_noise=None):
+        """Returns (x_final, RunTrace). A writable C-contiguous float32
+        initial_noise is the run's latent, overwritten in place and
+        returned; any other array is copied once and left as it is. None
+        draws make_noise(canvas, cfg.seed)."""
         if initial_noise is None:
             x = make_noise(self.cfg.canvas_shape, self.cfg.seed)
         else:
-            # one private copy, which the steps update in place
-            x = np.array(as_latent(initial_noise, "initial noise"))
-            del initial_noise
+            x = as_latent(initial_noise, "initial noise")
+            if not x.flags.writeable:
+                x = x.copy()
             if x.shape != self.cfg.canvas_shape:
                 raise ShapeError(
                     f"initial noise {x.shape} does not match canvas "
@@ -559,14 +566,10 @@ class TiledSampler:
                 )
         ensure_finite(x, "initial noise")
         trace = RunTrace()
-        with self._executor():
-            try:
-                for i in range(self.schedule.steps):
-                    self._latent = x
-                    x, record = self.step(x, i)
-                    trace.records.append(record)
-            finally:
-                self._latent = None
+        with self._executor(x):  # unnamed, so the ring is freed before ensure_finite
+            for i in range(self.schedule.steps):
+                x, record = self.step(x, i)
+                trace.records.append(record)
         ensure_finite(x, "final latent")
         return x, trace
 
@@ -592,5 +595,5 @@ def _mean_or_none(sums, counts):
 
 
 def run(cfg: SamplerConfig, denoiser, prior=None, initial_noise=None):
-    """Configure and execute a full sampling run."""
+    """Configure and execute a full sampling run; see TiledSampler.run."""
     return TiledSampler(cfg, denoiser, prior).run(initial_noise)

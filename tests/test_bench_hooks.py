@@ -1,0 +1,81 @@
+"""The benchmark's hooks still fit the library.
+
+perfbench/child.py times layers by replacing functions at the names where
+tilefuse.cli, tilefuse.sampler, tilefuse.protocol and tilefuse.fusion look
+them up (cli.make_noise, sampler.crop, protocol.pack_frame,
+FusionAccumulator.zeros, ...). Renaming or deleting one of them, or moving
+work where a traced span may not be, breaks the traced benchmark run and no
+other test. These tests install every hook in a fresh interpreter and run a
+small traced `sample` through child.py, whose spans must pass
+perfbench/layers.py's checks.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+
+INSTALL_EVERY_HOOK = """
+import sys
+import child
+for install in (child.install_steps, child.install_trace, child.install_alloc):
+    install({}, (2, 3, 24, 32), sys.argv[1])
+print("installed")
+"""
+
+CONFIG = """
+[run]
+seed = 5
+mode = fd
+steps = 2
+workers = 2
+
+[canvas]
+channels = 2
+frames = 3
+height = 24
+width = 32
+
+[tiles]
+window_height = 12
+window_width = 16
+"""
+
+
+def python(args, cwd):
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=ENV, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_every_hook_installs(tmp_path):
+    done = python(["-c", INSTALL_EVERY_HOOK, str(tmp_path / "record.json")], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "installed\n"
+
+
+def test_a_traced_sample_passes_the_span_checks(tmp_path):
+    (tmp_path / "run.ini").write_text(CONFIG)
+    record = tmp_path / "record.json"
+    done = python(
+        [str(PERFBENCH / "child.py"), "trace", str(record), "2x3x24x32", "--",
+         "sample", "--config", "run.ini", "--output", "out.flt"],
+        tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(record.read_text())["spans"]
+
+    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.check(spans, layers.self_times(spans)) == []
+    names = {s[layers.NAME] for s in spans}
+    assert {"cli.pipeline", "sampler.noise", "sampler.step", "denoiser.call"} <= names
+    full_steps = [s for s in spans if s[layers.NAME] == "sampler.step" and s[layers.META]]
+    assert len(full_steps) == 2

@@ -1,19 +1,16 @@
-import contextlib
-import gc
 import hashlib
 import json
 import os
 import sys
 import threading
 import time
-import weakref
 
 import numpy as np
 import pytest
 
 from tilefuse import GaussianAnalytic, cli, protocol, read_flt, write_flt
 from tilefuse.cli import main
-from tilefuse.config import apply_overrides, default_config, resolve_settings
+from tilefuse.config import apply_overrides, default_config, load_config_file, resolve_settings
 from tilefuse.errors import DenoiseError
 from tilefuse.sampler import TiledSampler, fill_noise, make_noise
 from tilefuse.netpbm import write_pgm
@@ -691,25 +688,18 @@ window_width = 8
 """,
         )
         streams = []
-        make_noise, noise_beside = cli.make_noise, cli._noise_beside
+        make_noise, fill_noise = cli.make_noise, cli.fill_noise
 
         def counting_noise(shape, seed, stream=0):
             streams.append(stream)
             return make_noise(shape, seed, stream)
 
-        @contextlib.contextmanager
-        def counting_beside(shape, seed, stream):
-            # the tiled pass's noise is drawn in the background; count it
-            # when the pass takes it
-            with noise_beside(shape, seed, stream) as take:
-                def counted_take():
-                    streams.append(stream)
-                    return take()
-
-                yield counted_take
+        def counting_fill(out, seed, stream=0):  # the tiled pass's background draw
+            streams.append(stream)
+            fill_noise(out, seed, stream)
 
         monkeypatch.setattr(cli, "make_noise", counting_noise)
-        monkeypatch.setattr(cli, "_noise_beside", counting_beside)
+        monkeypatch.setattr(cli, "fill_noise", counting_fill)
 
         def sweep(lambdas, taus, name):
             out = tmp_path / name
@@ -718,7 +708,9 @@ window_width = 8
             return out.read_text().splitlines()
 
         table = sweep("0.5,1.5", "0.2,1", "grid.tsv")
-        assert streams == [0, 1, 1, 1, 1]  # one prior pass, four tiled passes
+        # one prior pass, four tiled passes; the first tiled draw runs
+        # beside the prior pass, so the two may be counted in either order
+        assert sorted(streams) == [0, 1, 1, 1, 1]
         singles = [
             sweep(lam, tau, f"{lam}-{tau}.tsv")
             for lam in ("0.5", "1.5")
@@ -754,23 +746,43 @@ overlap = 0.25
     )
 
 
-@contextlib.contextmanager
-def synchronous_noise(shape, seed, stream):
-    """_noise_beside's contract, drawn on the calling thread when taken."""
-    yield lambda: make_noise(shape, seed, stream)
+NOISE_CANVAS = (2, 3, 24, 32)
+
+
+def noise_settings(tmp_path, workers):
+    return resolve_settings(load_config_file(noise_config(tmp_path, workers)))
+
+
+def record_tiled_runs(monkeypatch, synchronous=False):
+    """Patch TiledSampler.run to note each tiled run's initial noise and its
+    bytes; with synchronous, hand the run make_noise's canvas, drawn on the
+    calling thread, in place of the background draw. Returns the notes."""
+    original_run = TiledSampler.run
+    notes = []
+
+    def run(self, initial_noise=None):
+        if self.cfg.canvas_shape == NOISE_CANVAS:
+            if synchronous:
+                initial_noise = make_noise(NOISE_CANVAS, 13, 1)
+            notes.append((initial_noise, initial_noise.tobytes()))
+        return original_run(self, initial_noise)
+
+    monkeypatch.setattr(TiledSampler, "run", run)
+    return notes
 
 
 class TestTiledNoiseDraw:
     """The tiled pass's noise is drawn on a background thread while the
-    prior pass runs."""
+    prior pass runs, and the tiled run adopts that canvas as its latent."""
 
-    def test_background_draw_equals_make_noise(self):
+    def test_background_draw_equals_make_noise(self, monkeypatch, tmp_path):
+        notes = record_tiled_runs(monkeypatch)
         threads = threading.active_count()
-        with cli._noise_beside((3, 4, 10, 12), 17, 1) as take:
-            got = take()
-        assert got.dtype == np.float32 and got.flags.c_contiguous
-        assert got.tobytes() == make_noise((3, 4, 10, 12), 17, 1).tobytes()
+        x_final, *_ = cli.run_pipeline(noise_settings(tmp_path, 2))
         assert threading.active_count() == threads
+        [(canvas, drawn)] = notes
+        assert drawn == make_noise(NOISE_CANVAS, 13, 1).tobytes()
+        assert x_final is canvas  # the run's latent is the drawn canvas
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -783,57 +795,31 @@ class TestTiledNoiseDraw:
 
         def digests(name):
             out = tmp_path / f"{name}.flt"
+            threads = threading.active_count()
             assert main(["sample", "--config", cfg, "--output", str(out)]) == 0
+            assert threading.active_count() == threads
             trace = tmp_path / f"{name}.flt.trace.tsv"
             return [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, trace)]
 
         background = digests("background")
-        monkeypatch.setattr(cli, "_noise_beside", synchronous_noise)
+        record_tiled_runs(monkeypatch, synchronous=True)
         assert digests("synchronous") == background
 
-    def test_tiled_run_gets_the_only_reference(self, monkeypatch, tmp_path):
-        canvas = (2, 3, 24, 32)
-        original_run, original_step = TiledSampler.run, TiledSampler.step
-        holders, callers, originals, freed = [], [], [], []
-
-        def checking_run(self, initial_noise=None):
-            if self.cfg.canvas_shape != canvas:
-                return original_run(self, initial_noise)
-            me = sys._getframe()
-            holders.extend(r for r in gc.get_referrers(initial_noise) if r is not me)
-            frame = me.f_back
-            while frame is not None:  # a loop, not a closure over initial_noise
-                for value in frame.f_locals.values():
-                    if value is initial_noise:
-                        callers.append(frame.f_code.co_name)
-                frame = frame.f_back
-            originals.append(weakref.ref(initial_noise))
-            passed = [initial_noise]
-            del initial_noise  # so that this frame keeps no reference
-            return original_run(self, passed.pop())
-
-        def checking_step(self, x, i):
-            if self.cfg.canvas_shape == canvas and i == 0:
-                freed.append(originals[-1]() is None)
-            return original_step(self, x, i)
-
-        monkeypatch.setattr(TiledSampler, "run", checking_run)
-        monkeypatch.setattr(TiledSampler, "step", checking_step)
-        cfg = noise_config(tmp_path, 2)
-        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o.flt")]) == 0
-        assert holders == [] and callers == []
-        assert freed == [True]  # run's private copy is all that is left
-
-    def test_a_failed_draw_is_raised_on_the_calling_thread(self, monkeypatch, capsys):
-        threads = threading.active_count()
+    def test_a_failed_draw_is_raised_on_the_calling_thread(self, monkeypatch, tmp_path):
+        drawn_on = []
 
         def fail(out, seed, stream):
+            drawn_on.append(threading.current_thread())
             raise DenoiseError("draw failed")
 
         monkeypatch.setattr(cli, "fill_noise", fail)
+        notes = record_tiled_runs(monkeypatch)
+        settings = noise_settings(tmp_path, 2)
+        threads = threading.active_count()
         with pytest.raises(DenoiseError, match="draw failed"):
-            with cli._noise_beside((1, 1, 4, 4), 1, 1) as take:
-                take()
+            cli.run_pipeline(settings)
+        assert drawn_on and drawn_on[0] is not threading.current_thread()
+        assert notes == []  # the tiled run never started
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("failure, code", [("worker-exits", 5), ("bad-prior-latent", 4)])

@@ -1,17 +1,20 @@
 """The streamed row-band step against the whole-canvas composition.
 
-A run updates each finished band of its own latent in place and keeps a
-rolling numerator; these tests pin that it computes exactly the plain
-whole-canvas step, never writes to a caller's array, lends denoisers only
-read-only tiles, and holds memory that does not grow with the canvas
-height. The band kernel is pinned on its own against the public closed
-forms it stands in for.
+A run adopts the noise canvas it is handed as its latent, updates each
+finished band of it in place and keeps a rolling numerator; these tests pin
+that it computes exactly the plain whole-canvas step, that a bare step
+never writes to its argument, that runs on one sampler from several
+threads do not share state, that denoisers get only read-only tiles, and
+that memory beyond the latent does not grow with the canvas height. The
+band kernel is pinned on its own against the public closed forms it stands
+in for.
 """
 
 import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,7 +43,8 @@ MODES = ("md", "fd", "fd_regional")
 @st.composite
 def streamed_cases(draw):
     """A small random sampler: canvas, window, overlap, ramp, mode, workers,
-    and a seed for its target, prior, activity map and initial noise."""
+    a seed for its target, prior, activity map and initial noise, and
+    whether that noise is handed to run read-only."""
     h = draw(st.integers(1, 40))
     w = draw(st.integers(1, 12))
     return dict(
@@ -51,6 +55,7 @@ def streamed_cases(draw):
         mode=draw(st.sampled_from(MODES)),
         workers=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32 - 1)),
+        read_only=draw(st.booleans()),
     )
 
 
@@ -92,9 +97,13 @@ FAST = settings(max_examples=60, deadline=None, suppress_health_check=[HealthChe
 @given(streamed_cases())
 def test_run_equals_composition_of_whole_canvas_steps(case):
     sampler, noise = build(case)
-    kept = noise.copy()
-    x, trace = sampler.run(initial_noise=noise)
-    assert noise.tobytes() == kept.tobytes()  # run works on its own copy
+    handed = noise.copy()
+    handed.flags.writeable = not case["read_only"]
+    x, trace = sampler.run(initial_noise=handed)
+    if case["read_only"]:  # copied once and left as it is
+        assert x is not handed and handed.tobytes() == noise.tobytes()
+    else:  # adopted: the run's latent is the canvas it was handed
+        assert x is handed
 
     ref = noise
     for i, record in enumerate(trace.records):
@@ -102,6 +111,37 @@ def test_run_equals_composition_of_whole_canvas_steps(case):
         assert_close_or_none(record.fg_mse, fg)
         assert_close_or_none(record.bg_mse, bg)
     assert x.tobytes() == ref.tobytes()
+
+
+def test_concurrent_runs_on_one_sampler_match_serial_runs():
+    """Two threads running one sampler at once each get their own pool,
+    ring, scratch and latent: each result equals its serial run."""
+    cfg = SamplerConfig(
+        canvas_shape=(2, 2, 40, 16), steps=3, mode="fd", window_h=8,
+        window_w=8, overlap=0.3, workers=2,
+        prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+    )
+    rng = np.random.default_rng(17)
+    target = TargetDriver(rng.standard_normal(cfg.canvas_shape).astype(np.float32))
+
+    def denoiser(req):
+        time.sleep(0.002)
+        return target(req)
+
+    sampler = TiledSampler(cfg, denoiser, rng.standard_normal(cfg.canvas_shape).astype(np.float32))
+    noises = [make_noise(cfg.canvas_shape, seed) for seed in (1, 2)]
+    serial = [sampler.run(initial_noise=n.copy())[0].tobytes() for n in noises]
+    start = threading.Barrier(2, timeout=30)
+
+    def concurrent(noise):
+        start.wait()
+        return sampler.run(initial_noise=noise.copy())[0].tobytes()
+
+    threads = threading.active_count()
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(concurrent, noises, timeout=60))
+    assert results == serial
+    assert threading.active_count() == threads
 
 
 @FAST
@@ -125,13 +165,13 @@ def test_more_threads_than_cores_match_one_thread():
         mode="fd_regional", seed=3,
     )
     one, noise = build(dict(case, workers=1))
-    expected, _ = one.run(initial_noise=noise)
+    expected, _ = one.run(initial_noise=noise.copy())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             many, _ = build(dict(case, workers=6))
-            x, _ = many.run(initial_noise=noise)
+            x, _ = many.run(initial_noise=noise.copy())
             assert x.tobytes() == expected.tobytes()
     finally:
         sys.setswitchinterval(interval)
@@ -202,10 +242,10 @@ def test_each_pool_thread_makes_its_kernel_buffers_once_per_run(monkeypatch):
 
 
 def test_run_memory_does_not_grow_with_height():
-    """On a tall canvas the run's peak beyond its latent is the ring of
-    window_h + stride_h numerator rows plus a few tiles in flight, which
-    do not grow with the height; a whole-canvas float64 numerator alone
-    would be 2x the canvas bytes, and a second latent 1x more."""
+    """On a tall canvas the run's peak beyond the latent it is handed is the
+    ring of window_h + stride_h numerator rows plus a few tiles in flight,
+    which do not grow with the height; a whole-canvas float64 numerator
+    alone would be 2x the canvas bytes, and a second latent 1x."""
     shape = (2, 2, 1920, 32)
     cfg = SamplerConfig(
         canvas_shape=shape, steps=2, mode="fd", window_h=16, window_w=32,
@@ -227,9 +267,8 @@ def test_run_memory_does_not_grow_with_height():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert x.nbytes == canvas_bytes
-    # the run's own latent is one canvas; everything else stays a fraction
-    assert peak - canvas_bytes < 0.5 * canvas_bytes
+    assert x is noise
+    assert peak < 0.5 * canvas_bytes
 
 
 @st.composite
@@ -291,7 +330,7 @@ def test_band_kernel_equals_the_public_composition(case):
 
     got = x.copy()
     sums = np.zeros(2)
-    scratch = threading.local()
+    scratch = sampler_module._KernelScratch(t * rows * w, rows * w)  # covers every piece
     for canvas_rows, ring_rows in pieces:
         band = slice(canvas_rows.start - top, canvas_rows.stop - top)
         if case["strength"] == "zero":
@@ -318,7 +357,7 @@ def test_band_kernel_equals_the_public_composition(case):
 
 def test_denoiser_cannot_write_the_latent_through_its_tile():
     """An in-process denoiser gets a read-only view of the run's latent:
-    a write into it fails the step, and the latent keeps its bytes."""
+    a write into it fails the run, and the latent keeps its bytes."""
     cfg = SamplerConfig(
         canvas_shape=(2, 2, 20, 16), steps=2, mode="md", window_h=8,
         window_w=8, overlap=0.5, workers=2,
@@ -333,8 +372,7 @@ def test_denoiser_cannot_write_the_latent_through_its_tile():
     sampler = TiledSampler(cfg, denoiser)
     x = make_noise(cfg.canvas_shape, seed=3)
     kept = x.copy()
-    sampler._latent = x  # the latent a run owns, which a step updates in place
     with pytest.raises(DenoiseError, match="read-only"):
-        sampler.step(x, 0)
+        sampler.run(initial_noise=x)  # adopted: the run's latent is x
     assert tiles and all(np.shares_memory(tile, x) for tile in tiles)
     assert x.tobytes() == kept.tobytes()
