@@ -112,8 +112,8 @@ def run_pipeline(settings, prior=None):
     canvas_shape = settings.canvas_shape()
     with contextlib.ExitStack() as stack:  # closes the workers, then joins the draw
         draw = stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="tilefuse-noise"))
-        tiled_noise = np.empty(canvas_shape, dtype=np.float32)
-        drawn = draw.submit(fill_noise, tiled_noise, settings.run.seed, 1)
+        tiled_noise = [np.empty(canvas_shape, dtype=np.float32)]
+        drawn = draw.submit(fill_noise, tiled_noise[0], settings.run.seed, 1)
         t0 = time.perf_counter()
         if prior is None and settings.prior_stage is None:  # read before any worker starts
             prior = read_flt(settings.prior.latent)
@@ -143,7 +143,9 @@ def run_pipeline(settings, prior=None):
         with _stage_denoiser(settings, canvas_shape, shared) as den:
             sampler = TiledSampler(settings.tiled, den, prior_canvas)
             drawn.result()  # a failed draw is raised here, on this thread
-            x_final, trace = sampler.run(tiled_noise)
+            # run adopts the canvas and overwrites it in place, so it is handed
+            # the only reference: no alias here sees the noise turn into x_final
+            x_final, trace = sampler.run(tiled_noise.pop())
         timings["tiled"] = time.perf_counter() - t0
     return x_final, trace, prior_canvas, timings
 

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -804,6 +806,38 @@ class TestTiledNoiseDraw:
         background = digests("background")
         record_tiled_runs(monkeypatch, synchronous=True)
         assert digests("synchronous") == background
+
+    def test_tiled_run_gets_the_only_reference(self, monkeypatch, tmp_path):
+        original_run, original_step = TiledSampler.run, TiledSampler.step
+        holders, callers, originals, adopted = [], [], [], []
+
+        def checking_run(self, initial_noise=None):
+            if self.cfg.canvas_shape != NOISE_CANVAS:
+                return original_run(self, initial_noise)
+            me = sys._getframe()
+            holders.extend(r for r in gc.get_referrers(initial_noise) if r is not me)
+            frame = me.f_back
+            while frame is not None:  # a loop, not a closure over initial_noise
+                for value in frame.f_locals.values():
+                    if value is initial_noise:
+                        callers.append(frame.f_code.co_name)
+                frame = frame.f_back
+            originals.append(weakref.ref(initial_noise))
+            passed = [initial_noise]
+            del initial_noise  # so that this frame keeps no reference
+            return original_run(self, passed.pop())
+
+        def checking_step(self, x, i):
+            if self.cfg.canvas_shape == NOISE_CANVAS and i == 0:
+                adopted.append(originals[-1]() is x)
+            return original_step(self, x, i)
+
+        monkeypatch.setattr(TiledSampler, "run", checking_run)
+        monkeypatch.setattr(TiledSampler, "step", checking_step)
+        cfg = noise_config(tmp_path, 2)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o.flt")]) == 0
+        assert holders == [] and callers == []
+        assert adopted == [True]  # the run's latent is the handed canvas, not a copy
 
     def test_a_failed_draw_is_raised_on_the_calling_thread(self, monkeypatch, tmp_path):
         drawn_on = []
