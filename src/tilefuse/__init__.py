@@ -61,6 +61,7 @@ from .sampler import (
     TiledSampler,
     build_prior,
     euler_update,
+    expand_prior,
     make_noise,
     run,
     trace_prior_mse,

@@ -40,7 +40,7 @@ from .metrics import (
 from .netpbm import read_frame
 from .planner import plan_tiles, plan_tiles_pixels
 from .protocol import WorkerClient
-from .sampler import TiledSampler, build_prior, fill_noise, make_noise
+from .sampler import TiledSampler, build_prior, expand_prior, fill_noise, make_noise
 from .tensor import atomic_write, read_flt, trilinear_resize, write_flt
 
 EXIT_OK = 0
@@ -99,9 +99,11 @@ def _build_denoiser(settings, canvas_shape):
 
 def run_pipeline(settings, prior=None):
     """Prior pass, upsample, tiled pass. Returns (x_final, trace,
-    prior_canvas, timings). A prior from an earlier run of the same
-    settings, bar prior strength and gates, skips the prior pass; the
-    returned prior_canvas is the prior the tiled pass used.
+    prior_rows, timings). The upsample resizes frames and columns only:
+    prior_rows is build_prior's row source, at the thumbnail's height,
+    which the tiled pass used (expand_prior gives its canvas rows). A
+    prior from an earlier run of the same settings, bar prior strength and
+    gates, skips the prior pass.
 
     The tiled pass's noise depends on nothing the prior pass makes, so one
     background thread draws it (stream 1 of run.seed, make_noise's bits)
@@ -136,18 +138,18 @@ def run_pipeline(settings, prior=None):
         timings["prior"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        prior_canvas = build_prior(prior, canvas_shape, settings.run.workers)
+        prior_rows = build_prior(prior, canvas_shape, settings.run.workers)
         timings["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         with _stage_denoiser(settings, canvas_shape, shared) as den:
-            sampler = TiledSampler(settings.tiled, den, prior_canvas)
+            sampler = TiledSampler(settings.tiled, den, prior_rows)
             drawn.result()  # a failed draw is raised here, on this thread
             # run adopts the canvas and overwrites it in place, so it is handed
             # the only reference: no alias here sees the noise turn into x_final
             x_final, trace = sampler.run(tiled_noise.pop())
         timings["tiled"] = time.perf_counter() - t0
-    return x_final, trace, prior_canvas, timings
+    return x_final, trace, prior_rows, timings
 
 
 @contextlib.contextmanager
@@ -284,16 +286,25 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _latent_frames(latent):
-    """Channel-mean luminance frames from a latent tensor, for latent-domain
+def _latent_frames(latent, height):
+    """Channel-mean luminance frames, `height` rows tall, from a latent or
+    a prior row source, expanded one frame at a time, for latent-domain
     metric sweeps."""
-    return [latent[:, t].mean(axis=0).astype(np.float64) for t in range(latent.shape[1])]
+    return [
+        expand_prior(latent[:, t], height).mean(axis=0).astype(np.float64)
+        for t in range(latent.shape[1])
+    ]
 
 
-def _distance(a, b) -> float:
-    """Euclidean distance between two latents, summed in float64 one
-    channel at a time, so no whole-canvas float64 copy is made."""
-    total = sum(np.square(ch.astype(np.float64) - ref).sum() for ch, ref in zip(a, b))
+def _distance(x, prior) -> float:
+    """Euclidean distance between a latent and the prior of a row source,
+    summed in float64 and expanded one channel at a time, so no
+    whole-canvas copy is made."""
+    height = x.shape[2]
+    total = sum(
+        np.square(ch.astype(np.float64) - expand_prior(src, height)).sum()
+        for ch, src in zip(x, prior)
+    )
     return math.sqrt(total)
 
 
@@ -314,14 +325,14 @@ def cmd_sweep(args) -> int:
         for lam, tau, settings in points:
             x_final, _, prior, _ = run_pipeline(settings, prior)
             dist = _distance(x_final, prior)
-            frames = _latent_frames(x_final)
+            frames = _latent_frames(x_final, x_final.shape[2])
             sharp = video_tenengrad(frames)
             temp = temporal_consistency(frames) if len(frames) > 1 else float("nan")
             row = f"{lam:g}\t{tau:g}\t{dist:.8g}\t{sharp:.8g}\t{temp:.8g}"
             if embedder is not None:
                 align = prior_alignment(
                     frames,
-                    _latent_frames(prior),
+                    _latent_frames(prior, x_final.shape[2]),
                     lambda f: embedder.embed(_frame_to_tensor(f)),
                 )
                 row += f"\t{align:.8g}"

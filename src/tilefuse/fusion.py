@@ -71,12 +71,21 @@ def accumulate(
     return acc
 
 
-def add_weighted_tile(num: np.ndarray, tile_pred: np.ndarray, r: Rect, w64: np.ndarray) -> None:
-    """num[:, :, r] += w64 * tile_pred, unchecked, one channel at a time so
-    the float64 product is one channel's window rather than the whole tile."""
+def add_weighted_tile(
+    num: np.ndarray, tile_pred: np.ndarray, r: Rect, w64: np.ndarray, buf=None
+) -> None:
+    """num[:, :, r] += w64 * tile_pred, unchecked, one channel at a time
+    through one float64 buffer: the channel is cast into it (exactly), then
+    multiplied and added by pure float64 passes, cheaper than a product
+    that casts float32 as it goes. buf, a flat float64 array of at least
+    one tile channel, is used if given, else one is allocated."""
     window = num[:, :, r.row_slice, r.col_slice]
+    shape = window.shape[1:]
+    prod = np.empty(shape) if buf is None else buf[: window[0].size].reshape(shape)
     for c in range(num.shape[0]):
-        window[c] += w64 * tile_pred[c]
+        np.copyto(prod, tile_pred[c])
+        prod *= w64
+        window[c] += prod
 
 
 def _broadcast_strength(lam, canvas_shape):

@@ -9,10 +9,10 @@ x - sigma * y, and integration follows x' = x + (sigma' - sigma) * y.
 
 A thread pool of the configured worker count lives for the whole run. It
 predicts tiles while the calling thread adds each finished prediction to
-the float64 numerator. Predictions may finish in any order, but they are
-added strictly in plan order, and at most 2 x workers are in flight
-(submitted but not yet added). The weight denominator is the same every
-step and is built once.
+the float64 numerator, through one reused float64 channel buffer.
+Predictions may finish in any order, but they are added strictly in plan
+order, and at most 2 x workers are in flight (submitted but not yet
+added). The weight denominator is the same every step and is built once.
 
 A step streams over row bands. The plan is row-major and tile tops never
 decrease, so once the last tile of a tile row has been added, the rows
@@ -27,14 +27,22 @@ rows, reused across the run's steps: rows are zeroed as tiles first reach
 them, and a band's ring rows are reused only after its update has
 finished.
 
-One band kernel does a band channel's merge, trace and Euler update in
-frame groups of about GROUP_BUDGET elements, through scratch buffers that
-each pool thread makes once per run, at the size of the run's largest
-band, and keeps, so every pass over a group stays in cache. It applies
-the elementwise operations of fuse_md or fuse_fd_flow, trace_prior_mse
-and euler_update in their order, so the latent gets the same bits as
-their composition. The trace means are float64 sums and cell counts over
-the bands; only these sums run in another order than trace_prior_mse's.
+The prior is held at thumbnail height: build_prior resizes its frames
+and columns to the canvas and keeps its rows, and each band blends the
+canvas rows it needs from those, frame group by frame group, as float32
+a * src[lo] + b * src[hi] (expand_prior's rows), with the row indices and
+weight planes built once per sampler. A canvas-shaped prior is used as is.
+
+One band kernel does a band channel's prior rows, merge, trace and Euler
+update in frame groups of about GROUP_BUDGET elements, through scratch
+buffers that each pool thread makes once per run, at the size of the
+run's largest band, and keeps, so the passes over a group reuse buffers
+that are already cached. Each float32 operand of a group is cast to
+float64 once, so the passes after it are pure float64 ones. It applies the elementwise operations of
+fuse_md or fuse_fd_flow, trace_prior_mse and euler_update in their order,
+so the latent gets the same bits as their composition on the expanded
+prior. The trace means are float64 sums and cell counts over the bands;
+only these sums run in another order than trace_prior_mse's.
 
 Every cell sees the same additions in the same order and the same
 elementwise closed form whatever the worker count, so runs are bitwise
@@ -62,7 +70,14 @@ from .errors import ConfigError, DenoiseError, ShapeError
 from .fusion import accumulate, add_weighted_tile, fuse_fd_flow, fuse_md
 from .planner import TilePlan, plan_tiles
 from .schedules import PriorScheduleConfig, SigmaSchedule
-from .tensor import GROUP_BUDGET, as_latent, crop, ensure_finite, trilinear_resize
+from .tensor import (
+    GROUP_BUDGET,
+    _axis_indices,
+    as_latent,
+    crop,
+    ensure_finite,
+    trilinear_resize,
+)
 
 RUN_MODES = ("md", "fd", "fd_regional")
 
@@ -194,8 +209,11 @@ def fill_noise(out: np.ndarray, seed: int, stream: int = 0) -> None:
 
 
 def build_prior(prior_latent: np.ndarray, canvas_shape, workers: int = 1) -> np.ndarray:
-    """Upsample a native-resolution prior onto the canvas grid, channels on
-    `workers` threads. A float32 prior already at canvas shape is returned
+    """The row source of a native-resolution prior on the canvas grid: its
+    frames and columns resized to the canvas's (channels on `workers`
+    threads), its rows kept, or resized down if there are more than the
+    canvas has. expand_prior blends the source to canvas rows. A float32
+    prior already at that shape, a canvas-shaped one included, is returned
     as is, not copied."""
     prior_latent = as_latent(prior_latent, "prior")
     c, t, h, w = canvas_shape
@@ -203,9 +221,46 @@ def build_prior(prior_latent: np.ndarray, canvas_shape, workers: int = 1) -> np.
         raise ShapeError(
             f"prior has {prior_latent.shape[0]} channels, canvas has {c}"
         )
-    if prior_latent.shape == tuple(canvas_shape):
+    shape = (c, t, min(h, prior_latent.shape[2]), w)
+    if prior_latent.shape == shape:
         return prior_latent
-    return trilinear_resize(prior_latent, t, h, w, workers)
+    return trilinear_resize(prior_latent, *shape[1:], workers)
+
+
+def _row_tables(src_h: int, height: int, width: int):
+    """None if a row source of src_h rows is at canvas height, else the
+    (index, weight) tables that blend it to `height` rows: the (2, height)
+    near and far source rows of _axis_indices and the float32
+    (2, height, width) planes of their weights (planes, not columns: a
+    column broadcast along the width makes the blend many times slower)."""
+    if src_h == height:
+        return None
+    lo, hi, frac = _axis_indices(src_h, height)
+    weight = np.empty((2, height, width), dtype=np.float32)
+    weight[0], weight[1] = (1.0 - frac)[:, None], frac[:, None]
+    return np.stack((lo, hi)), weight
+
+
+def _band_tables(tables, rows: slice):
+    """The band kernel's blend argument for canvas rows `rows`: the
+    _row_tables rows of the band, near then far, as (2 * rows,) indices and
+    float32 (2 * rows, W) weights."""
+    index, weight = tables
+    return index[:, rows].ravel(), weight[:, rows].reshape(-1, weight.shape[2])
+
+
+def expand_prior(source: np.ndarray, height: int) -> np.ndarray:
+    """The prior rows of a float32 row source (..., h0, W) on a canvas
+    `height` rows tall, blended in float32 as a * source[lo] + b * source[hi]
+    by _row_tables: the rows the band kernel builds. A source `height` rows
+    tall is returned as is."""
+    tables = _row_tables(source.shape[-2], height, source.shape[-1])
+    if tables is None:
+        return source
+    index, weight = tables
+    rows = np.take(source, index.ravel(), axis=-2, mode="clip")
+    rows *= weight.reshape(2 * height, -1)
+    return np.add(rows[..., :height, :], rows[..., height:, :])
 
 
 def euler_update(x: np.ndarray, y: np.ndarray, dsigma: float, out=None) -> np.ndarray:
@@ -242,14 +297,13 @@ def trace_prior_mse(x_t, sigma_t, y, x_prior, activity=None):
 
 
 def _kernel_buffers(n, cells):
-    """The band kernel's buffers, carved from one allocation: a float64 and
-    a float32 of n elements and a float64 block of two `cells` planes."""
-    block = np.empty(12 * n + 16 * cells, np.uint8)
-    return (
-        block[: 8 * n].view(np.float64),
-        block[8 * (n + 2 * cells) :].view(np.float32),
-        block[8 * n : 8 * (n + 2 * cells)].view(np.float64),
-    )
+    """The band kernel's buffers, carved from one allocation: four float64
+    of n elements, a float32 of n and one of 2n, and a float64 block of two
+    `cells` planes."""
+    block = np.empty(44 * n + 16 * cells, np.uint8)
+    f64 = block[: 32 * n + 16 * cells].view(np.float64)
+    f32 = block[32 * n + 16 * cells :].view(np.float32)
+    return (*f64[: 4 * n].reshape(4, n), f32[:n], f32[n:], f64[4 * n :])
 
 
 class _KernelScratch(threading.local):
@@ -267,57 +321,75 @@ class _KernelScratch(threading.local):
         return self.held
 
 
-def _band_update(x, prior, num, den, slam, sigma, dsigma, masks, scratch, budget=GROUP_BUDGET):
+def _band_update(
+    x, prior, num, den, slam, sigma, dsigma, masks, scratch, blend=None, budget=GROUP_BUDGET
+):
     """Merge, trace and Euler-update one band channel; x is updated in place.
 
-    x and prior are the float32 (T, rows, W) latent and prior rows, num the
-    float64 numerator rows and den the float64 (rows, W) denominator: the
-    weight sum, plus sigma**2 * lam with the prior term. slam is sigma * lam,
-    a float or a (rows, W) plane, or None for the plain weighted mean. masks
-    is None or the float64 (rows, W) foreground and background indicator
-    planes. Returns the squared residual's sums over the two partitions; with
-    no masks all of it is foreground.
+    x is the float32 (T, rows, W) latent rows, num the float64 numerator
+    rows and den the float64 (rows, W) denominator: the weight sum, plus
+    sigma**2 * lam with the prior term. prior is the float32 (T, rows, W)
+    prior rows, or, with blend = (index, weight), the (T, h0, W) row source
+    they are blended from: the (2 * rows,) near then far source rows and
+    their float32 (2 * rows, W) weights (_band_tables), summed in float32
+    as expand_prior does. slam is sigma * lam, a float or
+    a (rows, W) plane, or None for the plain weighted mean. masks is None
+    or the float64 (rows, W) foreground and background indicator planes.
+    Returns the squared residual's sums over the two partitions; with no
+    masks all of it is foreground.
 
     Frames go in groups of at most `budget` elements (one frame if a frame
     is larger) through the calling thread's buffers in `scratch`, a
-    _KernelScratch sized for the largest group and band: one
-    float64 group that holds the residual and then the step, and the
-    float32 fused velocity. Each operation reads the float32 latent and
-    prior rows into float64 as it goes (an exact cast), in the order of
-    fuse_md or fuse_fd_flow, trace_prior_mse and euler_update, so x gets
-    the same bits as their composition. The regional split sums the
-    residual over frames per cell and weights that plane with each mask.
+    _KernelScratch sized for the largest group and band. The latent, prior
+    and fused velocity of a group are each cast to float64 once (exactly),
+    so every later pass is a pure float64 one; a ufunc that casts float32
+    operands as it goes costs about twice as much. The operations are
+    those of fuse_md or fuse_fd_flow, trace_prior_mse and euler_update in
+    their order, so x gets the same bits as their composition. The
+    regional split sums the residual over frames per cell and weights that
+    plane with each mask.
     """
     t, rows, w = x.shape
     cells = rows * w
     group = max(1, min(t, budget // cells))
-    buf, buf32, planes = scratch.buffers()
+    *flat, pairs, planes = scratch.buffers()
     plane, part = planes[: 2 * cells].reshape(2, rows, w)
     plane[...] = 0.0
     total = 0.0
     for start in range(0, t, group):
         frames = slice(start, start + group)
-        xg, pg = x[frames], prior[frames]
-        r = buf[: xg.size].reshape(xg.shape)
-        y = buf32[: xg.size].reshape(xg.shape)
-        if slam is None:
-            np.divide(num[frames], den, out=y, casting="same_kind")
+        xg = x[frames]
+        x64, p64, y64, r, y32 = (b[: xg.size].reshape(xg.shape) for b in flat)
+        np.copyto(x64, xg)
+        if blend is None:
+            np.copyto(p64, prior[frames])
         else:
-            np.subtract(xg, pg, out=r, dtype=np.float64)
+            index, weight = blend
+            both = pairs[: 2 * xg.size].reshape(len(xg), 2 * rows, w)
+            np.take(prior[frames], index, axis=1, out=both, mode="clip")
+            both *= weight
+            near = both[:, :rows]
+            np.add(near, both[:, rows:], out=near)  # in float32, then cast: cheaper
+            np.copyto(p64, near)  # than numpy casting the sum's output itself
+        if slam is None:
+            np.divide(num[frames], den, out=y32, casting="same_kind")
+        else:
+            np.subtract(x64, p64, out=r)
             r *= slam
             r += num[frames]
-            np.divide(r, den, out=y, casting="same_kind")
-        np.multiply(y, sigma, out=r, dtype=np.float64)
-        np.subtract(xg, r, out=r, dtype=np.float64)  # the clean estimate x - sigma * y
-        np.subtract(r, pg, out=r, dtype=np.float64)
+            np.divide(r, den, out=y32, casting="same_kind")
+        np.copyto(y64, y32)
+        np.multiply(y64, sigma, out=r)
+        np.subtract(x64, r, out=r)  # the clean estimate x - sigma * y
+        r -= p64
         np.square(r, out=r)
         if masks is None:
             total += r.sum()
         else:
             np.add.reduce(r, axis=0, out=part)
             plane += part
-        np.multiply(y, dsigma, out=r, dtype=np.float64)
-        np.add(r, xg, out=xg, dtype=np.float64, casting="same_kind")
+        np.multiply(y64, dsigma, out=r)
+        np.add(r, x64, out=xg, casting="same_kind")
     if masks is None:
         return float(total), 0.0
     # einsum's own loop, not a BLAS call that could start threads of its own
@@ -327,11 +399,13 @@ def _band_update(x, prior, num, den, slam, sigma, dsigma, masks, scratch, budget
 @dataclass
 class _RunState:
     """One run's tile pool, most tiles in flight, float64 (C, T, rows, W)
-    numerator ring, kernel scratch, and the latent its steps update."""
+    numerator ring, float64 buffer of one tile channel for the ring add,
+    kernel scratch, and the latent its steps update."""
 
     pool: ThreadPoolExecutor
     depth: int
     ring: np.ndarray
+    tile_buf: np.ndarray
     scratch: _KernelScratch
     latent: np.ndarray | None = None
 
@@ -346,12 +420,16 @@ class TiledSampler:
         self.schedule = cfg.schedule()
         self._weight = cfg.weight_map()
 
+        # the prior is held as build_prior's row source; each band kernel
+        # blends the rows it needs, by tables built here once
+        c, t, h, w = cfg.canvas_shape
         if prior is None:
             if cfg.mode != "md" and cfg.prior.lambda_base > 0:
                 raise ConfigError("prior-regularized run needs a prior latent")
-            self.prior = np.zeros(cfg.canvas_shape, dtype=np.float32)
+            self.prior = np.zeros((c, t, 1, w), dtype=np.float32)
         else:
             self.prior = build_prior(prior, cfg.canvas_shape, cfg.workers)
+        self._blend = _row_tables(self.prior.shape[2], h, w)
 
         # the weight sum is the same every step: add it up once, in plan order
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
@@ -375,6 +453,7 @@ class TiledSampler:
         with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
             self._local.run = _RunState(
                 pool, 2 * workers, np.empty((c, t, rows, w), dtype=np.float64),
+                np.empty(t * self.plan.window_h * self.plan.window_w, dtype=np.float64),
                 _KernelScratch(*self._scratch_sizes()), latent,
             )
             try:
@@ -455,7 +534,7 @@ class TiledSampler:
             for rows, ring_rows in _ring_slices(rect.row, stop, size):
                 part = slice(rows.start - rect.row, rows.stop - rect.row)
                 at = replace(rect, row=ring_rows.start, height=ring_rows.stop - ring_rows.start)
-                add_weighted_tile(ring, pred[:, :, part], at, self._weight[part])
+                add_weighted_tile(ring, pred[:, :, part], at, self._weight[part], state.tile_buf)
             below = tiles[k + 1].row if k + 1 < len(tiles) else x.shape[2]
             if below != rect.row:  # the rows above `below` are final
                 bands.append((rect.row, [
@@ -519,6 +598,9 @@ class TiledSampler:
                     lam_b = np.asarray(lam[rows] if plane else lam, dtype=np.float64)
                     den, slam = sigma**2 * lam_b + self._den[rows], sigma * lam_b
                 cells = x.shape[1] * den.size
+                blend, prior_rows = None, rows
+                if self._blend is not None:  # the kernel reads the whole row source
+                    blend, prior_rows = _band_tables(self._blend, rows), slice(None)
                 masks, n_fg = None, cells
                 if activity is not None:
                     part = activity[rows]
@@ -529,8 +611,8 @@ class TiledSampler:
                     """Merge, trace and Euler-update channel c of the band in
                     place; returns c and the trace's (sum, cells) per part."""
                     fg, bg = _band_update(
-                        x[c, :, rows], self.prior[c, :, rows], ring[c, :, ring_rows],
-                        den, slam, sigma, dsigma, masks, scratch,
+                        x[c, :, rows], self.prior[c, :, prior_rows], ring[c, :, ring_rows],
+                        den, slam, sigma, dsigma, masks, scratch, blend,
                     )
                     return c, fg, n_fg, bg, cells - n_fg
 

@@ -22,10 +22,10 @@ FLT_MAGIC = b"FLT1"
 FLT_VERSION = 1
 FLT_HEAD_LEN = 24  # magic + version + 4 dims
 
-# elements per frame group in the band update: a group's float64 and float32
-# buffers (768 KiB) stay well inside a 2 MiB per-core L2 cache, and the
-# groups are few enough that the ufunc calls between them hold the
-# interpreter lock only briefly
+# elements per frame group in the band update: a group's passes run over
+# buffers of a few MiB, near a 2 MiB per-core L2 cache, and the groups are
+# few: with two threads on a 2-vCPU VM, halving the groups' size raised the
+# kernel's CPU time by a quarter (the ufunc calls take the interpreter lock)
 GROUP_BUDGET = 1 << 16
 
 
@@ -80,9 +80,16 @@ def latent_view(x, name: str = "tensor") -> np.ndarray:
 
 
 def ensure_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    if not np.isfinite(x).all():
-        bad = int(np.count_nonzero(~np.isfinite(x)))
-        raise ShapeError(f"{name} contains {bad} non-finite values")
+    """x, if it holds no inf or NaN. The test is a sum, which needs no
+    temporary the size of x: any inf or NaN makes it non-finite. Only then
+    are the bad cells counted, and there may be none: a sum of large finite
+    values can overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(x)
+    if not np.isfinite(total):
+        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+        if bad:
+            raise ShapeError(f"{name} contains {bad} non-finite values")
     return x
 
 

@@ -21,7 +21,7 @@ from tilefuse.blending import ramp_weight_map
 from tilefuse.denoisers import DenoiserRequest, DenoiserResponse
 from tilefuse.errors import ConfigError, DenoiseError, ShapeError
 from tilefuse.fusion import FusionAccumulator, accumulate, fuse_fd_flow, fuse_md
-from tilefuse.sampler import fill_noise
+from tilefuse.sampler import expand_prior, fill_noise
 from tilefuse.tensor import crop
 
 from _oracles import trilinear_loop
@@ -49,11 +49,26 @@ class TestBuildPrior:
         prior = np.full((1, 2, 3, 3), 1.25, dtype=np.float32)
         out = build_prior(prior, (1, 2, 9, 9))
         assert np.allclose(out, 1.25, atol=1e-6)
+        assert np.allclose(expand_prior(out, 9), 1.25, atol=1e-6)
+
+    def test_row_source_keeps_the_source_rows(self, rng):
+        prior = rng.standard_normal((2, 1, 3, 4)).astype(np.float32)
+        out = build_prior(prior, (2, 3, 9, 8))
+        assert out.shape == (2, 3, 3, 8)
+        assert out.dtype == np.float32
+        assert build_prior(out, (2, 3, 9, 8)) is out  # a row source is taken as is
+
+    def test_more_rows_than_the_canvas_are_resized_down(self, rng):
+        prior = rng.standard_normal((1, 2, 9, 4)).astype(np.float32)
+        out = build_prior(prior, (1, 2, 6, 8))
+        assert out.shape == (1, 2, 6, 8)
+        assert expand_prior(out, 6) is out
 
     def test_matches_resize_oracle(self, rng):
         prior = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
-        out = build_prior(prior, (1, 2, 6, 8))
+        out = expand_prior(build_prior(prior, (1, 2, 6, 8)), 6)
         ref = trilinear_loop(prior, 2, 6, 8)
+        assert out.shape == ref.shape
         assert np.allclose(out, ref, atol=1e-6)
 
     def test_channel_mismatch(self, rng):

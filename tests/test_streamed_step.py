@@ -33,7 +33,7 @@ from tilefuse import (
 )
 from tilefuse.denoisers import DenoiserResponse
 from tilefuse.errors import DenoiseError
-from tilefuse.sampler import euler_update, make_noise, trace_prior_mse
+from tilefuse.sampler import euler_update, expand_prior, make_noise, trace_prior_mse
 
 from test_sampler import reference_step
 
@@ -271,16 +271,59 @@ def test_run_memory_does_not_grow_with_height():
     assert peak < 0.5 * canvas_bytes
 
 
+def test_run_memory_with_a_thumbnail_prior_does_not_grow_with_height():
+    """A prior handed at thumbnail height is held at that height: the run's
+    peak beyond the latent stays below half a canvas, and no array the
+    sampler holds, bar the latent, is as large as the canvas."""
+    shape = (2, 2, 1920, 32)
+    cfg = SamplerConfig(
+        canvas_shape=shape, steps=2, mode="fd", window_h=16, window_w=32,
+        overlap=0.3, workers=2,
+        prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+    )
+    rng = np.random.default_rng(6)
+    thumbnail = rng.standard_normal((2, 1, 240, 8)).astype(np.float32)
+    sampler = TiledSampler(
+        cfg, TargetDriver(rng.standard_normal(shape).astype(np.float32)), thumbnail,
+    )
+    noise = rng.standard_normal(shape).astype(np.float32)
+    canvas_bytes = noise.nbytes
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x, _ = sampler.run(initial_noise=noise)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert x is noise
+    assert peak < 0.5 * canvas_bytes
+    assert sampler.prior.shape == (2, 2, 240, 32)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    held = [a for v in vars(sampler).values() for a in arrays(v)]
+    held += [a for v in vars(cfg).values() for a in arrays(v)]
+    assert held and max(a.nbytes for a in held) < canvas_bytes
+
+
 @st.composite
 def band_cases(draw):
     """One band channel for the kernel: its frames, rows and width, where
     its rows start in a ring (the band may wrap), a frame-group budget that
-    need not divide the frame count, a strength (zero, scalar or plane) and
-    an activity mask (none, empty, full or mixed)."""
+    need not divide the frame count, a strength (zero, scalar or plane), an
+    activity mask (none, empty, full or mixed), and the height of the row
+    source the prior rows are blended from (None: the rows themselves)."""
     t, rows, w = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
     size = draw(st.integers(rows, rows + 6))
     return dict(
         t=t, rows=rows, w=w, size=size,
+        h0=draw(st.one_of(st.none(), st.integers(1, rows))),
         top=draw(st.integers(0, 3 * size)),
         budget=draw(st.integers(1, t * rows * w + 3)),
         strength=draw(st.sampled_from(["zero", "scalar", "plane"])),
@@ -296,13 +339,16 @@ def band_cases(draw):
 def test_band_kernel_equals_the_public_composition(case):
     """The kernel, run over a band's ring pieces, gives the latent of
     fuse_md / fuse_fd_flow, then trace_prior_mse, then euler_update, bit for
-    bit, and the trace sums their means to rel 1e-12."""
+    bit, and the trace sums their means to rel 1e-12. A prior given as a
+    row source is blended to the band's rows by the kernel; the composition
+    takes expand_prior's float32 rows."""
     rng = np.random.default_rng(case["seed"])
     t, rows, w, size, top = case["t"], case["rows"], case["w"], case["size"], case["top"]
     sigma = case["sigma"]
     dsigma = -case["fall"] * sigma
     x = rng.standard_normal((t, rows, w)).astype(np.float32)
-    prior = rng.standard_normal((t, rows, w)).astype(np.float32)
+    source = rng.standard_normal((t, case["h0"] or rows, w)).astype(np.float32)
+    prior, blend = expand_prior(source, rows), sampler_module._row_tables(source.shape[1], rows, w)
     ring = rng.standard_normal((t, size, w))
     den = rng.uniform(0.1, 3.0, (rows, w))
     lam = {
@@ -341,9 +387,13 @@ def test_band_kernel_equals_the_public_composition(case):
         masks = None
         if activity is not None:
             masks = (activity[band].astype(np.float64), (~activity[band]).astype(np.float64))
+        if blend is None:
+            piece, piece_blend = prior[:, band], None
+        else:
+            piece, piece_blend = source, sampler_module._band_tables(blend, band)
         sums += sampler_module._band_update(
-            got[:, band], prior[:, band], ring[:, ring_rows], den_b, slam,
-            sigma, dsigma, masks, scratch, budget=case["budget"],
+            got[:, band], piece, ring[:, ring_rows], den_b, slam,
+            sigma, dsigma, masks, scratch, piece_blend, budget=case["budget"],
         )
     assert got.tobytes() == want.tobytes()
 

@@ -5,7 +5,7 @@ import pytest
 
 from tilefuse import Rect, crop, read_flt, trilinear_resize, write_flt, zero_pad
 from tilefuse.errors import ArgumentError, BoundsError, FileFormatError, ShapeError
-from tilefuse.tensor import atomic_write, flt_from_bytes, flt_to_bytes
+from tilefuse.tensor import atomic_write, ensure_finite, flt_from_bytes, flt_to_bytes
 
 from _oracles import crop_loop, trilinear_loop
 
@@ -182,6 +182,46 @@ class TestFltFormat:
         x = np.full((1, 1, 1, 2), np.nan, dtype=np.float32)
         with pytest.raises(FileFormatError):
             flt_from_bytes(flt_to_bytes(x))
+
+
+class TestEnsureFinite:
+    F32_MAX = np.finfo(np.float32).max
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [
+            ([np.inf], 1),
+            ([-np.inf], 1),
+            ([np.nan], 1),
+            ([np.inf, -np.inf], 2),
+            ([np.nan, np.inf, -np.inf], 3),
+        ],
+        ids=["inf", "-inf", "nan", "inf-and-minus-inf", "all-three"],
+    )
+    def test_non_finite_values_are_counted(self, rng, values, bad):
+        x = random_latent(rng, (2, 3, 5, 4))
+        x.reshape(-1)[[1, 17, 60][: len(values)]] = values
+        with pytest.raises(ShapeError, match=f"^latent contains {bad} non-finite values$"):
+            ensure_finite(x, "latent")
+
+    def test_float32_max_values_pass(self):
+        x = np.full((2, 3, 64, 64), self.F32_MAX, dtype=np.float32)
+        x[1] = -self.F32_MAX
+        assert ensure_finite(x) is x
+
+    def test_huge_finite_float64_values_pass(self):
+        x = np.full((1, 1, 2, 2), np.finfo(np.float64).max)
+        assert ensure_finite(x) is x
+
+    def test_no_temporary_the_size_of_the_array(self):
+        x = np.full((8, 8, 256, 256), 0.5, dtype=np.float32)  # 16 MiB
+        tracemalloc.start()
+        try:
+            ensure_finite(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * x.nbytes
 
 
 class TestAtomicWrite:
