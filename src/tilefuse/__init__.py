@@ -37,8 +37,6 @@ from .fusion import (
     fuse_fd_eps,
     fuse_fd_flow,
     fuse_md,
-    loss_fd,
-    loss_md,
 )
 from .metrics import (
     prior_alignment,
@@ -73,6 +71,6 @@ from .schedules import (
     lambda_regional,
     load_activity_map,
 )
-from .tensor import Rect, crop, read_flt, trilinear_resize, write_flt, zero_pad
+from .tensor import Rect, crop, read_flt, trilinear_resize, write_flt
 
 __version__ = "0.1.0"

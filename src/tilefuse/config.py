@@ -18,8 +18,8 @@ from types import SimpleNamespace
 
 from .errors import ArgumentError, ConfigError
 from .planner import DEFAULT_COMPRESSION, _latent_dims, prior_resolution, snap_dim
-from .schedules import PriorScheduleConfig, load_activity_map
-from .sampler import SamplerConfig
+from .schedules import GLOBAL_SCHEDULES, PriorScheduleConfig, load_activity_map
+from .sampler import RUN_MODES, SamplerConfig
 from .tensor import atomic_write
 
 
@@ -60,7 +60,7 @@ DIMS = _parser("HxW", lambda raw: tuple(map(int, raw.lower().split("x"))), lambd
 
 KEYS = (
     ("run", "seed", "0", INTEGER),
-    ("run", "mode", "fd", _choice("md", "fd", "fd_regional")),
+    ("run", "mode", "fd", _choice(*RUN_MODES)),
     ("run", "steps", "6", INTEGER),
     ("run", "sigmas", "", SIGMAS),
     ("run", "workers", "1", INTEGER),
@@ -82,7 +82,7 @@ KEYS = (
     ("blending", "ramp", "auto", RAMP),
     ("blending", "min_weight", "0.1", NUMBER),
     ("prior", "lambda_base", "1.5", NUMBER),
-    ("prior", "schedule", "gated_cosine", _choice("constant", "cosine", "gated_cosine")),
+    ("prior", "schedule", "gated_cosine", _choice(*GLOBAL_SCHEDULES)),
     ("prior", "tau", "0.1", NUMBER),
     ("prior", "tau_active", "0.1", NUMBER),
     ("prior", "tau_background", "0.35", NUMBER),

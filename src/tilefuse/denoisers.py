@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .protocol import WorkerPool
+from .protocol import KINDS, WorkerPool
 from .tensor import Rect, as_latent, crop, ensure_finite, latent_view
 
 
@@ -34,7 +34,7 @@ class DenoiserResponse:
     kind: str = "flow"
 
     def __post_init__(self):
-        if self.kind not in ("flow", "eps"):
+        if self.kind not in KINDS:
             raise DomainError(f"unknown prediction kind {self.kind!r}")
 
 

@@ -11,12 +11,12 @@ import argparse
 
 import numpy as np
 
-from .protocol import serve
+from .protocol import KINDS, serve
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--kind", choices=("flow", "eps"), default="flow")
+    parser.add_argument("--kind", choices=KINDS, default="flow")
     parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args(argv)
 

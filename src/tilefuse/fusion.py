@@ -3,9 +3,9 @@
 Plain weighted averaging merges tiles alone; the prior-regularized variants
 add a term that pulls the one-step clean estimate toward a reference latent,
 for flow (velocity) outputs and for noise (epsilon) outputs. Each closed
-form is the unique minimizer of a separable strictly convex objective, and
-the corresponding loss evaluators live here so tests can verify optimality
-independently.
+form is the unique minimizer of a separable strictly convex objective.
+The objectives are written out only in tests/_oracles.py, apart from this
+code, and the tests check each closed form against them.
 
 Accumulation runs in float64 and happens strictly in the caller's order; the
 numerator is single-writer. The closed forms are elementwise, so they may be
@@ -195,31 +195,3 @@ def _divide_to_float32(num, den):
     out = np.empty(np.broadcast_shapes(num.shape, den.shape), dtype=np.float32)
     return np.divide(num, den, out=out, casting="same_kind")
 
-
-def loss_md(y: np.ndarray, tiles) -> float:
-    """Tile-merging objective: sum over tiles of the weighted squared
-    mismatch on each window. tiles is a sequence of (pred, Rect, weights)."""
-    y = as_latent(y, "candidate")
-    total = 0.0
-    for pred, r, w in tiles:
-        pred = as_latent(pred, "tile prediction")
-        if pred.shape[2:] != (r.height, r.width) or w.shape != (r.height, r.width):
-            raise ShapeError(
-                f"tile at ({r.row},{r.col}) has prediction {pred.shape[2:]} "
-                f"and weights {w.shape} for window {r.height}x{r.width}"
-            )
-        diff = y[:, :, r.row_slice, r.col_slice].astype(np.float64) - pred.astype(np.float64)
-        total += float(np.sum(w.astype(np.float64) * diff * diff))
-    return total
-
-
-def loss_fd(y: np.ndarray, tiles, x_t: np.ndarray, x_prior: np.ndarray, lam, sigma_t: float) -> float:
-    """Prior-regularized objective: the tile-merging loss plus the weighted
-    squared distance of the one-step clean estimate from the prior."""
-    y = as_latent(y, "candidate")
-    lam_b = _broadcast_strength(lam, y.shape)
-    resid = (
-        x_t.astype(np.float64) - sigma_t * y.astype(np.float64)
-    ) - x_prior.astype(np.float64)
-    prior_term = float(np.sum(lam_b * resid * resid))
-    return prior_term + loss_md(y, tiles)

@@ -70,16 +70,15 @@ from .errors import ConfigError, DenoiseError, ShapeError
 from .fusion import accumulate, add_weighted_tile, fuse_fd_flow, fuse_md
 from .planner import TilePlan, plan_tiles
 from .schedules import PriorScheduleConfig, SigmaSchedule
-from .tensor import (
-    GROUP_BUDGET,
-    _axis_indices,
-    as_latent,
-    crop,
-    ensure_finite,
-    trilinear_resize,
-)
+from .tensor import _axis_indices, as_latent, crop, ensure_finite, trilinear_resize
 
 RUN_MODES = ("md", "fd", "fd_regional")
+
+# elements per frame group in the band update: a group's passes run over
+# buffers of a few MiB, near a 2 MiB per-core L2 cache, and the groups are
+# few: with two threads on a 2-vCPU VM, halving the groups' size raised the
+# kernel's CPU time by a quarter (the ufunc calls take the interpreter lock)
+GROUP_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,10 @@ class SamplerConfig:
     conditioning: str = ""
 
     def __post_init__(self):
+        # frozen: normalized and built values go straight into the instance dict
+        self.__dict__["canvas_shape"] = tuple(map(int, self.canvas_shape))
+        if self.ramp is not None and np.ndim(self.ramp):
+            self.__dict__["ramp"] = tuple(map(int, self.ramp))
         if self.mode not in RUN_MODES:
             raise ConfigError(f"unknown run mode {self.mode!r}")
         if len(self.canvas_shape) != 4 or min(self.canvas_shape) < 1:
@@ -145,7 +148,6 @@ class SamplerConfig:
                 max(0, plan.window_w - plan.stride_w),
             )
         weight = ramp_weight_map(plan.window_h, plan.window_w, ramp, self.min_weight)
-        # frozen: the built parts go straight into the instance dict
         self.__dict__.update(_schedule=schedule, _plan=plan, _weight=weight.astype(np.float64))
 
     def schedule(self) -> SigmaSchedule:
@@ -576,7 +578,7 @@ class TiledSampler:
         state = getattr(self._local, "run", None)
         if state is None or x is not state.latent:
             x = as_latent(x, "latent")
-            if x.shape != tuple(self.cfg.canvas_shape):
+            if x.shape != self.cfg.canvas_shape:
                 raise ShapeError(
                     f"latent {x.shape} does not match canvas {self.cfg.canvas_shape}"
                 )

@@ -18,7 +18,8 @@ from .errors import ArgumentError, ConfigError, FileFormatError
 from .netpbm import read_frame
 from .tensor import trilinear_resize
 
-SCHEDULE_MODES = ("constant", "cosine", "gated_cosine", "regional")
+GLOBAL_SCHEDULES = ("constant", "cosine", "gated_cosine")  # one strength for every cell
+SCHEDULE_MODES = GLOBAL_SCHEDULES + ("regional",)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,6 @@ FLT_MAGIC = b"FLT1"
 FLT_VERSION = 1
 FLT_HEAD_LEN = 24  # magic + version + 4 dims
 
-# elements per frame group in the band update: a group's passes run over
-# buffers of a few MiB, near a 2 MiB per-core L2 cache, and the groups are
-# few: with two threads on a 2-vCPU VM, halving the groups' size raised the
-# kernel's CPU time by a quarter (the ufunc calls take the interpreter lock)
-GROUP_BUDGET = 1 << 16
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -98,26 +92,6 @@ def crop(canvas: np.ndarray, r: Rect) -> np.ndarray:
     canvas = as_latent(canvas, "canvas")
     r.validate_within(canvas.shape[2], canvas.shape[3])
     return np.ascontiguousarray(canvas[:, :, r.row_slice, r.col_slice])
-
-
-def zero_pad(tile: np.ndarray, r: Rect, canvas_shape) -> np.ndarray:
-    """Place tile at window r inside an otherwise-zero canvas."""
-    tile = as_latent(tile, "tile")
-    c, t, h, w = canvas_shape
-    if tile.shape[2] != r.height or tile.shape[3] != r.width:
-        raise ShapeError(
-            f"tile spatial dims {tile.shape[2]}x{tile.shape[3]} do not match "
-            f"window {r.height}x{r.width}"
-        )
-    if tile.shape[0] != c or tile.shape[1] != t:
-        raise ShapeError(
-            f"tile (C,T)=({tile.shape[0]},{tile.shape[1]}) does not match "
-            f"canvas ({c},{t})"
-        )
-    r.validate_within(h, w)
-    out = np.zeros((c, t, h, w), dtype=np.float32)
-    out[:, :, r.row_slice, r.col_slice] = tile
-    return out
 
 
 def _axis_indices(src_len: int, out_len: int):
@@ -226,10 +200,6 @@ def flt_parts(tensor: np.ndarray) -> tuple[bytes, memoryview]:
     head = FLT_MAGIC + struct.pack("<5I", FLT_VERSION, *tensor.shape)
     data = tensor.astype("<f4", copy=False).reshape(-1).view(np.uint8)
     return head, memoryview(data)
-
-
-def flt_to_bytes(tensor: np.ndarray) -> bytes:
-    return b"".join(flt_parts(tensor))
 
 
 def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:

@@ -40,7 +40,7 @@ from tilefuse.protocol import (
     unpack_denoise_response,
     unpack_embedding,
 )
-from tilefuse.tensor import FLT_HEAD_LEN, flt_from_bytes, flt_to_bytes
+from tilefuse.tensor import FLT_HEAD_LEN, flt_from_bytes, flt_parts
 
 ECHO_CMD = [sys.executable, "-m", "tilefuse.echo_worker"]
 
@@ -134,7 +134,7 @@ class TestWireProperties:
     @given(small_tiles, st.booleans())
     def test_flt_round_trip(self, tile, strided):
         sent = np.flip(tile, axis=3) if strided else tile
-        blob = flt_to_bytes(sent)
+        blob = b"".join(flt_parts(sent))
         assert len(blob) == FLT_HEAD_LEN + tile.nbytes
         for buffer in (blob, bytearray(blob)):  # a copy, and decoded in place
             back = flt_from_bytes(buffer)
@@ -552,7 +552,7 @@ class TestCopyFreeWire:
 
     def test_flt_from_immutable_bytes_is_a_writable_copy(self, rng):
         tile = rng.standard_normal((2, 1, 3, 4)).astype(np.float32)
-        blob = flt_to_bytes(tile)
+        blob = b"".join(flt_parts(tile))
         back = flt_from_bytes(blob)
         assert back.flags.writeable and back.dtype == np.float32
         back[...] = 0.0

@@ -359,6 +359,37 @@ class TestConfigValidation:
         ramp = (plan.window_h - plan.stride_h, plan.window_w - plan.stride_w)
         assert np.array_equal(weight, ramp_weight_map(*weight.shape, ramp, cfg.min_weight))
 
+    @pytest.mark.parametrize(
+        "mode, ramp", [("fd", None), ("fd_regional", None), ("fd", [2, 1])]
+    )
+    def test_list_settings_run_like_tuples(self, rng, mode, ramp):
+        """A canvas shape and a ramp pair given as lists are kept as tuples
+        of ints: the run takes handed noise and an activity map, and its
+        latent is the tuple-shaped run's, bit for bit."""
+        shape = (1, 2, 8, 8)
+        target = rng.standard_normal(shape).astype(np.float32)
+        prior = rng.standard_normal(shape).astype(np.float32)
+        if mode == "fd":
+            prior_cfg = PriorScheduleConfig(lambda_base=1.5, mode="constant")
+        else:
+            prior_cfg = PriorScheduleConfig(
+                lambda_base=1.5, mode="regional", tau_active=0.2, tau_background=0.6,
+                activity_map=rng.integers(0, 2, shape[2:]).astype(bool),
+            )
+
+        pair = None if ramp is None else tuple(ramp)
+
+        def latent(canvas_shape, ramp):
+            cfg = SamplerConfig(
+                canvas_shape=canvas_shape, steps=3, mode=mode, prior=prior_cfg,
+                window_h=6, window_w=6, overlap=0.5, ramp=ramp,
+            )
+            x, _ = TiledSampler(cfg, TargetDriver(target), prior).run(make_noise(shape, 0))
+            assert cfg.canvas_shape == shape and cfg.ramp == pair
+            return x.tobytes()
+
+        assert latent(list(shape), ramp) == latent(shape, pair)
+
     def test_missing_prior_rejected_when_needed(self):
         cfg = SamplerConfig(
             canvas_shape=(1, 1, 8, 8), mode="fd", window_h=8, window_w=8,

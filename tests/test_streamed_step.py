@@ -312,6 +312,44 @@ def test_run_memory_with_a_thumbnail_prior_does_not_grow_with_height():
     assert held and max(a.nbytes for a in held) < canvas_bytes
 
 
+@pytest.mark.parametrize("mode", ["md", "fd"])
+def test_steady_step_allocates_less_than_a_tile_channel(mode):
+    """Once the first step has made the run's buffers, a step makes no
+    allocation as large as one float32 channel of a tile: the ring add
+    casts each channel into the run's float64 buffer, and a prediction's
+    finiteness test is a sum. The denoiser hands back one array made
+    before the run, so the traced peak of a step is the step's own: numpy's
+    fixed-size ufunc buffers and the band planes, well below a channel."""
+    shape, window = (4, 32, 96, 128), 64
+    rng = np.random.default_rng(9)
+    pred = rng.standard_normal((4, 32, window, window)).astype(np.float32)
+    cfg = SamplerConfig(
+        canvas_shape=shape, steps=4, mode=mode, window_h=window, window_w=window,
+        overlap=0.5, workers=1,
+        prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+    )
+    thumbnail = rng.standard_normal((4, 4, 12, 16)).astype(np.float32)
+    sampler = TiledSampler(cfg, lambda req: DenoiserResponse(prediction=pred), thumbnail)
+    step, peaks = sampler.step, []
+
+    def traced_step(x, i):
+        if i == 0:
+            return step(x, i)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = step(x, i)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    sampler.step = traced_step
+    tracemalloc.start()
+    try:
+        sampler.run(initial_noise=make_noise(shape, 0))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3 and max(peaks) < pred[0].nbytes
+
+
 @st.composite
 def band_cases(draw):
     """One band channel for the kernel: its frames, rows and width, where

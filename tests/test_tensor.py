@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tilefuse import Rect, crop, read_flt, trilinear_resize, write_flt, zero_pad
+from tilefuse import Rect, crop, read_flt, trilinear_resize, write_flt
 from tilefuse.errors import ArgumentError, BoundsError, FileFormatError, ShapeError
-from tilefuse.tensor import atomic_write, ensure_finite, flt_from_bytes, flt_to_bytes
+from tilefuse.tensor import atomic_write, ensure_finite, flt_from_bytes, flt_parts
 
 from _oracles import crop_loop, trilinear_loop
 
@@ -54,43 +54,6 @@ class TestCrop:
         x = random_latent(rng, (1, 1, 4, 4))
         with pytest.raises(BoundsError):
             crop(x, Rect(2, 0, 3, 2))
-
-
-class TestZeroPad:
-    def test_full_canvas_pad_is_identity(self, rng):
-        x = random_latent(rng, (2, 2, 3, 4))
-        out = zero_pad(x, Rect(0, 0, 3, 4), (2, 2, 3, 4))
-        assert np.array_equal(out, x)
-
-    def test_sum_preserved(self, rng):
-        tile = random_latent(rng, (1, 2, 2, 3))
-        out = zero_pad(tile, Rect(1, 1, 2, 3), (1, 2, 6, 6))
-        assert np.isclose(out.sum(), tile.sum())
-
-    def test_ones_placement(self):
-        tile = np.ones((1, 1, 2, 2), dtype=np.float32)
-        out = zero_pad(tile, Rect(1, 1, 2, 2), (1, 1, 4, 4))
-        assert out.sum() == 4
-        assert out[0, 0, 1:3, 1:3].min() == 1.0
-        assert out[0, 0, 0, :].max() == 0.0
-
-    def test_shape_mismatch(self):
-        tile = np.ones((1, 1, 2, 2), dtype=np.float32)
-        with pytest.raises(ShapeError):
-            zero_pad(tile, Rect(0, 0, 3, 2), (1, 1, 4, 4))
-
-    def test_crop_pad_round_trip(self, rng):
-        for _ in range(20):
-            c, t = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-            th = int(rng.integers(1, h + 1))
-            tw = int(rng.integers(1, w + 1))
-            row = int(rng.integers(0, h - th + 1))
-            col = int(rng.integers(0, w - tw + 1))
-            tile = random_latent(rng, (c, t, th, tw))
-            r = Rect(row, col, th, tw)
-            back = crop(zero_pad(tile, r, (c, t, h, w)), r)
-            assert np.array_equal(back, tile)
 
 
 class TestTrilinearResize:
@@ -164,7 +127,7 @@ class TestFltFormat:
 
     def test_header_layout(self, rng):
         x = random_latent(rng, (1, 2, 3, 4))
-        blob = flt_to_bytes(x)
+        blob = b"".join(flt_parts(x))
         assert blob[:4] == b"FLT1"
         assert np.frombuffer(blob[4:24], dtype="<u4").tolist() == [1, 1, 2, 3, 4]
         assert len(blob) == 24 + 4 * x.size
@@ -174,14 +137,14 @@ class TestFltFormat:
             flt_from_bytes(b"NOPE" + bytes(20))
 
     def test_truncated_payload(self, rng):
-        blob = flt_to_bytes(random_latent(rng, (1, 1, 2, 2)))
+        blob = b"".join(flt_parts(random_latent(rng, (1, 1, 2, 2))))
         with pytest.raises(FileFormatError):
             flt_from_bytes(blob[:-4])
 
     def test_non_finite_rejected(self):
         x = np.full((1, 1, 1, 2), np.nan, dtype=np.float32)
         with pytest.raises(FileFormatError):
-            flt_from_bytes(flt_to_bytes(x))
+            flt_from_bytes(b"".join(flt_parts(x)))
 
 
 class TestEnsureFinite:
