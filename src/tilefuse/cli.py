@@ -101,9 +101,9 @@ def run_pipeline(settings, prior=None):
     """Prior pass, upsample, tiled pass. Returns (x_final, trace,
     prior_rows, timings). The upsample resizes frames and columns only:
     prior_rows is build_prior's row source, at the thumbnail's height,
-    which the tiled pass used (expand_prior gives its canvas rows). A
-    prior from an earlier run of the same settings, bar prior strength and
-    gates, skips the prior pass.
+    which the tiled pass used (expand_prior gives its canvas rows); the
+    thumbnail is dropped once that is made. A prior from an earlier run of
+    the same settings, bar prior strength and gates, skips the prior pass.
 
     The tiled pass's noise depends on nothing the prior pass makes, so one
     background thread draws it (stream 1 of run.seed, make_noise's bits)
@@ -139,6 +139,7 @@ def run_pipeline(settings, prior=None):
 
         t0 = time.perf_counter()
         prior_rows = build_prior(prior, canvas_shape, settings.run.workers)
+        del prior  # the tiled pass reads the row source, not the thumbnail
         timings["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -200,17 +200,20 @@ def _spawn(command) -> subprocess.Popen:
     )
 
 
-def _end(proc: subprocess.Popen) -> None:
-    """EOF on the child's stdin, and a kill if it has not exited within 5 s.
+def _end(*procs: subprocess.Popen) -> None:
+    """EOF on every child's stdin first, so they wind down together, then
+    each child is waited for, and killed if it has not exited within 5 s.
     Safe to call more than once."""
-    with contextlib.suppress(OSError):
-        proc.stdin.close()
-    try:
-        proc.wait(timeout=5.0)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
-    proc.stdout.close()
+    for proc in procs:
+        with contextlib.suppress(OSError):
+            proc.stdin.close()
+    for proc in procs:
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 class WorkerClient:
@@ -342,7 +345,7 @@ class WorkerPool:
         except BaseException:
             for proc in procs:
                 proc.kill()
-                _end(proc)
+            _end(*procs)
             raise
         self._idle = queue.Queue()
         for c in self._clients:
@@ -367,8 +370,9 @@ class WorkerPool:
             return client.denoise(*args, **kwargs)
 
     def close(self) -> None:
-        for c in self._clients:
-            c.close()
+        """End every child: EOF to all of them, then WorkerClient.close's
+        wait and kill for each."""
+        _end(*(c._proc for c in self._clients))
 
     def __enter__(self):
         return self

@@ -22,10 +22,12 @@ statistic and the Euler update run per (band, channel) and write the new
 values straight into the latent, while later tiles are still predicted.
 The same invariant lets an in-process denoiser read its tile as a
 read-only view of the latent, uncopied: no band update writes the rows of
-a tile still in flight. The numerator is a ring of window_h + stride_h
-rows, reused across the run's steps: rows are zeroed as tiles first reach
-them, and a band's ring rows are reused only after its update has
-finished.
+a tile still in flight. The numerator is a ring of window_h rows, one
+tile row, reused across the run's steps. It starts zeroed, and each band
+update zeroes the ring rows it has read, so rows are zero when the next
+tiles reach them. A band's ring rows are reused only after its update has
+finished, so the first tile of a tile row waits for the band of the tile
+row above.
 
 The prior is held at thumbnail height: build_prior resizes its frames
 and columns to the canvas and keeps its rows, and each band blends the
@@ -329,12 +331,12 @@ def _band_update(
     """Merge, trace and Euler-update one band channel; x is updated in place.
 
     x is the float32 (T, rows, W) latent rows, num the float64 numerator
-    rows and den the float64 (rows, W) denominator: the weight sum, plus
-    sigma**2 * lam with the prior term. prior is the float32 (T, rows, W)
-    prior rows, or, with blend = (index, weight), the (T, h0, W) row source
-    they are blended from: the (2 * rows,) near then far source rows and
-    their float32 (2 * rows, W) weights (_band_tables), summed in float32
-    as expand_prior does. slam is sigma * lam, a float or
+    rows, zeroed once read, and den the float64 (rows, W) denominator: the
+    weight sum, plus sigma**2 * lam with the prior term. prior is the
+    float32 (T, rows, W) prior rows, or, with blend = (index, weight), the
+    (T, h0, W) row source they are blended from: the (2 * rows,) near then
+    far source rows and their float32 (2 * rows, W) weights (_band_tables),
+    summed in float32 as expand_prior does. slam is sigma * lam, a float or
     a (rows, W) plane, or None for the plain weighted mean. masks is None
     or the float64 (rows, W) foreground and background indicator planes.
     Returns the squared residual's sums over the two partitions; with no
@@ -380,6 +382,7 @@ def _band_update(
             r *= slam
             r += num[frames]
             np.divide(r, den, out=y32, casting="same_kind")
+        num[frames] = 0.0  # read: zeroed for the next rows that reuse it
         np.copyto(y64, y32)
         np.multiply(y64, sigma, out=r)
         np.subtract(x64, r, out=r)  # the clean estimate x - sigma * y
@@ -401,8 +404,9 @@ def _band_update(
 @dataclass
 class _RunState:
     """One run's tile pool, most tiles in flight, float64 (C, T, rows, W)
-    numerator ring, float64 buffer of one tile channel for the ring add,
-    kernel scratch, and the latent its steps update."""
+    numerator ring of one tile row (the plan's window_h rows), float64
+    buffer of one tile channel for the ring add, kernel scratch, and the
+    latent its steps update."""
 
     pool: ThreadPoolExecutor
     depth: int
@@ -437,8 +441,12 @@ class TiledSampler:
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
         for r in self.plan.tiles:
             self._den[r.row_slice, r.col_slice] += self._weight
+        # so are the trace's float64 partition masks; a band reads its rows
         activity = cfg.prior.activity_map
-        self._activity = None if activity is None else np.asarray(activity, dtype=bool)
+        self._masks = None
+        if activity is not None:
+            activity = np.asarray(activity, dtype=bool)
+            self._masks = (activity.astype(np.float64), (~activity).astype(np.float64))
         self._local = threading.local()  # .run: the calling thread's _RunState
 
     @contextmanager
@@ -450,12 +458,12 @@ class TiledSampler:
             yield state
             return
         workers = self.cfg.workers
-        c, t, h, w = self.cfg.canvas_shape
-        rows = min(h, self.plan.window_h + self.plan.stride_h)
+        c, t, _, w = self.cfg.canvas_shape
+        rows = self.plan.window_h  # one tile row: the plan's window, at most H
         with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
             self._local.run = _RunState(
-                pool, 2 * workers, np.empty((c, t, rows, w), dtype=np.float64),
-                np.empty(t * self.plan.window_h * self.plan.window_w, dtype=np.float64),
+                pool, 2 * workers, np.zeros((c, t, rows, w), dtype=np.float64),
+                np.empty(t * rows * self.plan.window_w, dtype=np.float64),
                 _KernelScratch(*self._scratch_sizes()), latent,
             )
             try:
@@ -514,7 +522,6 @@ class TiledSampler:
         pool, ring, tiles = state.pool, state.ring, self.plan.tiles
         size = ring.shape[2]
         pending, bands = deque(), deque()
-        opened = 0  # canvas rows [0, opened) have been given ring rows
 
         def retire_oldest_band():
             for future in bands[0][1]:
@@ -522,17 +529,13 @@ class TiledSampler:
             bands.popleft()
 
         def add_oldest():
-            nonlocal opened
             k, rect, future = pending.popleft()
             pred = future.result()
             stop = rect.row + rect.height
-            if stop > opened:
-                # the new rows reuse the ring rows of the rows `size` above
-                while bands and bands[0][0] < stop - size:
-                    retire_oldest_band()
-                for _, ring_rows in _ring_slices(opened, stop, size):
-                    ring[:, :, ring_rows] = 0.0
-                opened = stop
+            # the tile's rows reuse the ring rows of the rows `size` above,
+            # which their band's update zeroes once it has read them
+            while bands and bands[0][0] < stop - size:
+                retire_oldest_band()
             for rows, ring_rows in _ring_slices(rect.row, stop, size):
                 part = slice(rows.start - rect.row, rows.stop - rect.row)
                 at = replace(rect, row=ring_rows.start, height=ring_rows.stop - ring_rows.start)
@@ -571,9 +574,11 @@ class TiledSampler:
         sigma = self.schedule.sigmas[i]
         dsigma = self.schedule.sigmas[i + 1] - sigma
         lam = 0.0 if self.cfg.mode == "md" else self.cfg.prior.strength_at(t)
-        plain = np.ndim(lam) == 0 and float(lam) == 0.0
+        lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
+        if lam_min == lam_max:  # a plane of one value takes the scalar path: same bits
+            lam = lam_min
+        plain = lam_min == lam_max == 0.0
         plane = np.ndim(lam) == 2
-        activity = self._activity
 
         state = getattr(self._local, "run", None)
         if state is None or x is not state.latent:
@@ -604,10 +609,9 @@ class TiledSampler:
                 if self._blend is not None:  # the kernel reads the whole row source
                     blend, prior_rows = _band_tables(self._blend, rows), slice(None)
                 masks, n_fg = None, cells
-                if activity is not None:
-                    part = activity[rows]
-                    masks = (part.astype(np.float64), (~part).astype(np.float64))
-                    n_fg = np.count_nonzero(part) * x.shape[1]
+                if self._masks is not None:
+                    masks = tuple(m[rows] for m in self._masks)
+                    n_fg = np.count_nonzero(masks[0]) * x.shape[1]
 
                 def update(c):
                     """Merge, trace and Euler-update channel c of the band in
@@ -625,8 +629,8 @@ class TiledSampler:
             step=i,
             t=t,
             sigma=sigma,
-            lam_min=float(np.min(lam)),
-            lam_max=float(np.max(lam)),
+            lam_min=lam_min,
+            lam_max=lam_max,
             fg_mse=_mean_or_none(sums[:, 0], sums[:, 1]),
             bg_mse=_mean_or_none(sums[:, 2], sums[:, 3]),
         )

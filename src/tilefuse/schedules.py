@@ -131,10 +131,10 @@ def lambda_regional(t: float, cfg: PriorScheduleConfig, activity: np.ndarray) ->
     the background cutoff where it is 0. Returns an (H, W) float32 plane."""
     if activity is None:
         raise ConfigError("regional strength requires an activity map")
-    a = np.asarray(activity).astype(bool)
+    a = np.asarray(activity, dtype=bool)  # a bool map is not copied
     fg = lambda_global(t, cfg.tau_active, cfg.lambda_base)
     bg = lambda_global(t, cfg.tau_background, cfg.lambda_base)
-    return np.where(a, np.float32(fg), np.float32(bg)).astype(np.float32)
+    return np.where(a, np.float32(fg), np.float32(bg))  # float32 already
 
 
 def load_activity_map(path, target_h: int, target_w: int) -> np.ndarray:

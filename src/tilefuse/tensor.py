@@ -73,17 +73,23 @@ def latent_view(x, name: str = "tensor") -> np.ndarray:
     return arr.astype(np.float32, copy=False)
 
 
-def ensure_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """x, if it holds no inf or NaN. The test is a sum, which needs no
-    temporary the size of x: any inf or NaN makes it non-finite. Only then
-    are the bad cells counted, and there may be none: a sum of large finite
-    values can overflow."""
+def _count_nonfinite(x: np.ndarray) -> int:
+    """The number of inf and NaN cells of x. The test is a sum, which needs
+    no temporary the size of x: any inf or NaN makes it non-finite. Only
+    then are the bad cells counted, and there may be none: a sum of large
+    finite values can overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(x)
-    if not np.isfinite(total):
-        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
-        if bad:
-            raise ShapeError(f"{name} contains {bad} non-finite values")
+    if np.isfinite(total):
+        return 0
+    return x.size - int(np.count_nonzero(np.isfinite(x)))
+
+
+def ensure_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:
+    """x, if it holds no inf or NaN; see _count_nonfinite."""
+    bad = _count_nonfinite(x)
+    if bad:
+        raise ShapeError(f"{name} contains {bad} non-finite values")
     return x
 
 
@@ -229,7 +235,7 @@ def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=head).reshape(c, t, h, w)
     if not (arr.flags.writeable and arr.flags.aligned and arr.dtype == np.float32):
         arr = arr.astype(np.float32)
-    if not np.isfinite(arr).all():
+    if _count_nonfinite(arr):
         raise FileFormatError(f"{name} contains non-finite values")
     return arr
 

@@ -839,6 +839,24 @@ class TestTiledNoiseDraw:
         assert holders == [] and callers == []
         assert adopted == [True]  # the run's latent is the handed canvas, not a copy
 
+    def test_thumbnail_is_freed_before_the_tiled_run(self, monkeypatch, tmp_path):
+        """Once build_prior has made the row source, nothing holds the
+        thumbnail latent through the tiled pass."""
+        original_run = TiledSampler.run
+        thumbnails, freed = [], []
+
+        def run(self, initial_noise=None):
+            if self.cfg.canvas_shape != NOISE_CANVAS:
+                x, trace = original_run(self, initial_noise)
+                thumbnails.append(weakref.ref(x))
+                return x, trace
+            freed.append(thumbnails[-1]() is None)
+            return original_run(self, initial_noise)
+
+        monkeypatch.setattr(TiledSampler, "run", run)
+        cli.run_pipeline(noise_settings(tmp_path, 2))
+        assert len(thumbnails) == 1 and freed == [True]
+
     def test_a_failed_draw_is_raised_on_the_calling_thread(self, monkeypatch, tmp_path):
         drawn_on = []
 

@@ -403,6 +403,26 @@ class TestWorkerPool:
             with ThreadPoolExecutor(max_workers=3) as ex:
                 assert all(ex.map(roundtrip, tiles))
 
+    def test_close_ends_the_workers_together(self, tmp_path):
+        """Every child gets its EOF before any is waited for, so workers
+        that each take 1 s to exit end in about 1 s, not 3."""
+        pids = tmp_path / "pids"
+        cmd = worker_script(
+            tmp_path,
+            RECORD_PID
+            + "import time\n"
+            "from tilefuse.protocol import serve\n"
+            "serve(denoise=lambda *a: ('flow', a[-1]))\n"
+            "time.sleep(1.0)\n",
+        )
+        pool = WorkerPool(cmd + [str(pids)], size=3, timeout=30)
+        start = time.monotonic()
+        pool.close()
+        assert time.monotonic() - start < 2.0
+        started = recorded_pids(pids)
+        assert len(started) == 3
+        assert not any(alive(pid) for pid in started)
+
 
 class TestExternalDenoiser:
     def test_echo_as_denoiser(self, rng):

@@ -241,11 +241,74 @@ def test_each_pool_thread_makes_its_kernel_buffers_once_per_run(monkeypatch):
         assert {(n, cells) for _, n, cells in made} == {sampler._scratch_sizes()}
 
 
+@pytest.mark.parametrize(
+    "shape, window_h",
+    [((2, 3, 50, 24), 8), ((1, 2, 5, 16), 8), ((1, 1, 12, 16), 12)],
+    ids=["tall", "shorter-than-the-window", "one-tile-row"],
+)
+def test_run_holds_a_ring_of_one_tile_row(monkeypatch, shape, window_h):
+    """The numerator ring a run allocates is min(H, window_h) rows: one
+    tile row, not a tile row plus a stride."""
+    cfg = SamplerConfig(
+        canvas_shape=shape, steps=2, mode="fd", window_h=window_h, window_w=8,
+        overlap=0.5, workers=2,
+        prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+    )
+    rng = np.random.default_rng(4)
+    sampler = TiledSampler(
+        cfg, TargetDriver(rng.standard_normal(shape).astype(np.float32)),
+        rng.standard_normal(shape).astype(np.float32),
+    )
+    rings, run_state = [], sampler_module._RunState
+
+    def record(*args, **kwargs):
+        state = run_state(*args, **kwargs)
+        rings.append((state.ring.shape, state.ring.dtype))
+        return state
+
+    monkeypatch.setattr(sampler_module, "_RunState", record)
+    sampler.run()
+    c, t, h, w = shape
+    assert rings == [((c, t, min(h, window_h), w), np.float64)]
+
+
+def test_run_memory_holds_one_tile_row_of_numerator():
+    """On a wide canvas with a short window, the ring dominates what a run
+    allocates beyond its latent: the traced peak is the run's fixed buffers
+    (one thread's kernel scratch and the tile channel buffer) plus at least
+    window_h float64 canvas rows, the ring, and less than window_h +
+    stride_h rows, what a ring of a tile row and a stride would take."""
+    shape, window_h = (4, 8, 24, 4096), 8
+    cfg = SamplerConfig(
+        canvas_shape=shape, steps=2, mode="fd", window_h=window_h, window_w=256,
+        overlap=0.5, workers=1,
+        prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+    )
+    rng = np.random.default_rng(8)
+    pred = rng.standard_normal((4, 8, window_h, 256)).astype(np.float32)
+    thumbnail = rng.standard_normal((4, 2, 6, 512)).astype(np.float32)
+    sampler = TiledSampler(cfg, lambda req: DenoiserResponse(prediction=pred), thumbnail)
+    noise = make_noise(shape, 3)
+    n, cells = sampler._scratch_sizes()
+    fixed = 44 * n + 16 * cells + 8 * shape[1] * window_h * 256
+    row = 8 * shape[0] * shape[1] * shape[3]  # one float64 canvas row of all frames
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x, _ = sampler.run(initial_noise=noise)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert x is noise
+    assert fixed + window_h * row <= peak < fixed + (window_h + cfg.plan().stride_h) * row
+
+
 def test_run_memory_does_not_grow_with_height():
     """On a tall canvas the run's peak beyond the latent it is handed is the
-    ring of window_h + stride_h numerator rows plus a few tiles in flight,
-    which do not grow with the height; a whole-canvas float64 numerator
-    alone would be 2x the canvas bytes, and a second latent 1x."""
+    ring of window_h numerator rows plus a few tiles in flight, which do not
+    grow with the height; a whole-canvas float64 numerator alone would be
+    2x the canvas bytes, and a second latent 1x."""
     shape = (2, 2, 1920, 32)
     cfg = SamplerConfig(
         canvas_shape=shape, steps=2, mode="fd", window_h=16, window_w=32,
@@ -312,21 +375,28 @@ def test_run_memory_with_a_thumbnail_prior_does_not_grow_with_height():
     assert held and max(a.nbytes for a in held) < canvas_bytes
 
 
-@pytest.mark.parametrize("mode", ["md", "fd"])
+@pytest.mark.parametrize("mode", MODES)
 def test_steady_step_allocates_less_than_a_tile_channel(mode):
     """Once the first step has made the run's buffers, a step makes no
     allocation as large as one float32 channel of a tile: the ring add
     casts each channel into the run's float64 buffer, and a prediction's
     finiteness test is a sum. The denoiser hands back one array made
     before the run, so the traced peak of a step is the step's own: numpy's
-    fixed-size ufunc buffers and the band planes, well below a channel."""
+    fixed-size ufunc buffers, the band planes and, in fd_regional, one
+    float32 strength plane, well below a channel. The regional steps take
+    a two-valued plane (step 1) and a plane of zeros (steps 2 and 3)."""
     shape, window = (4, 32, 96, 128), 64
     rng = np.random.default_rng(9)
     pred = rng.standard_normal((4, 32, window, window)).astype(np.float32)
+    prior = PriorScheduleConfig(lambda_base=1.5, mode="constant")
+    if mode == "fd_regional":
+        prior = PriorScheduleConfig(
+            lambda_base=1.5, mode="regional", tau_active=0.2, tau_background=0.5,
+            activity_map=rng.integers(0, 2, shape[2:]).astype(bool),
+        )
     cfg = SamplerConfig(
         canvas_shape=shape, steps=4, mode=mode, window_h=window, window_w=window,
-        overlap=0.5, workers=1,
-        prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+        overlap=0.5, workers=1, prior=prior,
     )
     thumbnail = rng.standard_normal((4, 4, 12, 16)).astype(np.float32)
     sampler = TiledSampler(cfg, lambda req: DenoiserResponse(prediction=pred), thumbnail)
@@ -348,6 +418,34 @@ def test_steady_step_allocates_less_than_a_tile_channel(mode):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 3 and max(peaks) < pred[0].nbytes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_regional_strength_of_one_value_matches_the_global_runs(workers):
+    """A regional strength plane of one value takes the scalar path, with
+    the same bits as the plane: with both gates at one tau, fd_regional's
+    latent equals fd's at that tau, and at lambda_base = 0 it equals md's.
+    The gate is open at step 0 alone, where the strength is lambda_base,
+    exact in float32 (the plane's dtype)."""
+    shape = (2, 3, 20, 12)
+    rng = np.random.default_rng(12)
+    target, prior, noise = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
+    activity = rng.integers(0, 2, shape[2:]).astype(bool)
+
+    def latent(run_mode, **schedule):
+        cfg = SamplerConfig(
+            canvas_shape=shape, steps=3, mode=run_mode, window_h=8, window_w=8,
+            overlap=0.5, workers=workers, prior=PriorScheduleConfig(**schedule),
+        )
+        x, _ = TiledSampler(cfg, TargetDriver(target), prior).run(noise.copy())
+        return x.tobytes()
+
+    regional = dict(mode="regional", activity_map=activity, tau_active=0.2, tau_background=0.2)
+    assert latent("fd_regional", lambda_base=1.5, **regional) == latent(
+        "fd", lambda_base=1.5, mode="gated_cosine", tau=0.2
+    )
+    assert latent("fd_regional", lambda_base=0.0, **regional) == latent("md")
+    assert latent("fd_regional", lambda_base=1.5, **regional) != latent("md")
 
 
 @st.composite
@@ -379,7 +477,8 @@ def test_band_kernel_equals_the_public_composition(case):
     fuse_md / fuse_fd_flow, then trace_prior_mse, then euler_update, bit for
     bit, and the trace sums their means to rel 1e-12. A prior given as a
     row source is blended to the band's rows by the kernel; the composition
-    takes expand_prior's float32 rows."""
+    takes expand_prior's float32 rows. The kernel zeroes the ring rows it
+    read and no others."""
     rng = np.random.default_rng(case["seed"])
     t, rows, w, size, top = case["t"], case["rows"], case["w"], case["size"], case["top"]
     sigma = case["sigma"]
@@ -412,7 +511,7 @@ def test_band_kernel_equals_the_public_composition(case):
     fg, bg = trace_prior_mse(x[None], sigma, y, prior[None], activity)
     want = euler_update(x[None], y, dsigma)[0]
 
-    got = x.copy()
+    got, before = x.copy(), ring.copy()
     sums = np.zeros(2)
     scratch = sampler_module._KernelScratch(t * rows * w, rows * w)  # covers every piece
     for canvas_rows, ring_rows in pieces:
@@ -434,6 +533,11 @@ def test_band_kernel_equals_the_public_composition(case):
             sigma, dsigma, masks, scratch, piece_blend, budget=case["budget"],
         )
     assert got.tobytes() == want.tobytes()
+    read = np.zeros(size, bool)
+    for _, ring_rows in pieces:
+        read[ring_rows] = True
+    assert not ring[:, read].any()
+    assert ring[:, ~read].tobytes() == before[:, ~read].tobytes()
 
     n_fg = got.size if activity is None else t * np.count_nonzero(activity)
     for total, cells, ref in ((sums[0], n_fg, fg), (sums[1], got.size - n_fg, bg)):

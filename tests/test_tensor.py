@@ -143,8 +143,27 @@ class TestFltFormat:
 
     def test_non_finite_rejected(self):
         x = np.full((1, 1, 1, 2), np.nan, dtype=np.float32)
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match="^payload contains non-finite values$"):
             flt_from_bytes(b"".join(flt_parts(x)))
+
+    def test_float32_max_values_decode(self):
+        x = np.full((1, 2, 8, 8), np.finfo(np.float32).max, dtype=np.float32)
+        back = flt_from_bytes(bytearray(b"".join(flt_parts(x))))
+        assert back.tobytes() == x.tobytes()
+
+    def test_decode_makes_no_temporary_the_size_of_the_payload(self):
+        """A writable payload is decoded in place, and the finiteness test
+        is a sum: no bool array a quarter of the payload's size."""
+        x = np.full((8, 8, 256, 256), 0.5, dtype=np.float32)  # 16 MiB
+        blob = bytearray(b"".join(flt_parts(x)))
+        tracemalloc.start()
+        try:
+            back = flt_from_bytes(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(back, np.frombuffer(blob, np.uint8))
+        assert peak < 0.01 * len(blob)
 
 
 class TestEnsureFinite:
