@@ -142,7 +142,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg = default_config()
     for section in parser.sections():

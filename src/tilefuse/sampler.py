@@ -33,7 +33,8 @@ The prior is held at thumbnail height: build_prior resizes its frames
 and columns to the canvas and keeps its rows, and each band blends the
 canvas rows it needs from those, frame group by frame group, as float32
 a * src[lo] + b * src[hi] (expand_prior's rows), with the row indices and
-weight planes built once per sampler. A canvas-shaped prior is used as is.
+weight planes built once per sampler. A prior at canvas height takes the
+same blend, with weights 1 and 0, which gives its finite values back.
 
 One band kernel does a band channel's prior rows, merge, trace and Euler
 update in frame groups of about GROUP_BUDGET elements, through scratch
@@ -232,25 +233,15 @@ def build_prior(prior_latent: np.ndarray, canvas_shape, workers: int = 1) -> np.
 
 
 def _row_tables(src_h: int, height: int, width: int):
-    """None if a row source of src_h rows is at canvas height, else the
-    (index, weight) tables that blend it to `height` rows: the (2, height)
-    near and far source rows of _axis_indices and the float32
-    (2, height, width) planes of their weights (planes, not columns: a
-    column broadcast along the width makes the blend many times slower)."""
-    if src_h == height:
-        return None
+    """The (index, weight) tables that blend a row source of src_h rows to
+    `height` rows: the (2, height) near and far source rows of _axis_indices
+    and the float32 (2, height, width) planes of their weights (planes, not
+    columns: a column broadcast along the width makes the blend many times
+    slower). At src_h == height the weights are exactly 1 and 0."""
     lo, hi, frac = _axis_indices(src_h, height)
     weight = np.empty((2, height, width), dtype=np.float32)
     weight[0], weight[1] = (1.0 - frac)[:, None], frac[:, None]
     return np.stack((lo, hi)), weight
-
-
-def _band_tables(tables, rows: slice):
-    """The band kernel's blend argument for canvas rows `rows`: the
-    _row_tables rows of the band, near then far, as (2 * rows,) indices and
-    float32 (2 * rows, W) weights."""
-    index, weight = tables
-    return index[:, rows].ravel(), weight[:, rows].reshape(-1, weight.shape[2])
 
 
 def expand_prior(source: np.ndarray, height: int) -> np.ndarray:
@@ -258,25 +249,20 @@ def expand_prior(source: np.ndarray, height: int) -> np.ndarray:
     `height` rows tall, blended in float32 as a * source[lo] + b * source[hi]
     by _row_tables: the rows the band kernel builds. A source `height` rows
     tall is returned as is."""
-    tables = _row_tables(source.shape[-2], height, source.shape[-1])
-    if tables is None:
+    if source.shape[-2] == height:
         return source
-    index, weight = tables
+    index, weight = _row_tables(source.shape[-2], height, source.shape[-1])
     rows = np.take(source, index.ravel(), axis=-2, mode="clip")
     rows *= weight.reshape(2 * height, -1)
     return np.add(rows[..., :height, :], rows[..., height:, :])
 
 
-def euler_update(x: np.ndarray, y: np.ndarray, dsigma: float, out=None) -> np.ndarray:
-    """x + dsigma * y, evaluated in float64 and rounded to float32, into out
-    if given."""
+def euler_update(x: np.ndarray, y: np.ndarray, dsigma: float) -> np.ndarray:
+    """x + dsigma * y, evaluated in float64 and rounded to float32."""
     x_next = y.astype(np.float64)
     x_next *= dsigma
     x_next += x
-    if out is None:
-        return x_next.astype(np.float32)
-    np.copyto(out, x_next, casting="same_kind")
-    return out
+    return x_next.astype(np.float32)
 
 
 def trace_prior_mse(x_t, sigma_t, y, x_prior, activity=None):
@@ -326,16 +312,15 @@ class _KernelScratch(threading.local):
 
 
 def _band_update(
-    x, prior, num, den, slam, sigma, dsigma, masks, scratch, blend=None, budget=GROUP_BUDGET
+    x, source, blend, num, den, slam, sigma, dsigma, masks, scratch, budget=GROUP_BUDGET
 ):
     """Merge, trace and Euler-update one band channel; x is updated in place.
 
     x is the float32 (T, rows, W) latent rows, num the float64 numerator
     rows, zeroed once read, and den the float64 (rows, W) denominator: the
-    weight sum, plus sigma**2 * lam with the prior term. prior is the
-    float32 (T, rows, W) prior rows, or, with blend = (index, weight), the
-    (T, h0, W) row source they are blended from: the (2 * rows,) near then
-    far source rows and their float32 (2 * rows, W) weights (_band_tables),
+    weight sum, plus sigma**2 * lam with the prior term. source is the
+    channel's float32 (T, h0, W) prior row source and blend the band's rows
+    of its _row_tables: (2, rows) indices and float32 (2, rows, W) weights,
     summed in float32 as expand_prior does. slam is sigma * lam, a float or
     a (rows, W) plane, or None for the plain weighted mean. masks is None
     or the float64 (rows, W) foreground and background indicator planes.
@@ -343,11 +328,10 @@ def _band_update(
     masks all of it is foreground.
 
     Frames go in groups of at most `budget` elements (one frame if a frame
-    is larger) through the calling thread's buffers in `scratch`, a
-    _KernelScratch sized for the largest group and band. The latent, prior
-    and fused velocity of a group are each cast to float64 once (exactly),
-    so every later pass is a pure float64 one; a ufunc that casts float32
-    operands as it goes costs about twice as much. The operations are
+    is larger) through the calling thread's _KernelScratch buffers. The
+    latent, prior and fused velocity of a group are each cast to float64
+    once, so every later pass is a pure float64 one (a ufunc that casts
+    float32 operands as it goes costs about twice as much). The operations are
     those of fuse_md or fuse_fd_flow, trace_prior_mse and euler_update in
     their order, so x gets the same bits as their composition. The
     regional split sums the residual over frames per cell and weights that
@@ -355,6 +339,7 @@ def _band_update(
     """
     t, rows, w = x.shape
     cells = rows * w
+    index, weight = blend
     group = max(1, min(t, budget // cells))
     *flat, pairs, planes = scratch.buffers()
     plane, part = planes[: 2 * cells].reshape(2, rows, w)
@@ -365,16 +350,12 @@ def _band_update(
         xg = x[frames]
         x64, p64, y64, r, y32 = (b[: xg.size].reshape(xg.shape) for b in flat)
         np.copyto(x64, xg)
-        if blend is None:
-            np.copyto(p64, prior[frames])
-        else:
-            index, weight = blend
-            both = pairs[: 2 * xg.size].reshape(len(xg), 2 * rows, w)
-            np.take(prior[frames], index, axis=1, out=both, mode="clip")
-            both *= weight
-            near = both[:, :rows]
-            np.add(near, both[:, rows:], out=near)  # in float32, then cast: cheaper
-            np.copyto(p64, near)  # than numpy casting the sum's output itself
+        both = pairs[: 2 * xg.size].reshape(len(xg), 2, rows, w)
+        np.take(source[frames], index, axis=1, out=both, mode="clip")
+        both *= weight
+        near = both[:, 0]
+        np.add(near, both[:, 1], out=near)  # in float32, then cast: cheaper
+        np.copyto(p64, near)  # than numpy casting the sum's output itself
         if slam is None:
             np.divide(num[frames], den, out=y32, casting="same_kind")
         else:
@@ -605,9 +586,7 @@ class TiledSampler:
                     lam_b = np.asarray(lam[rows] if plane else lam, dtype=np.float64)
                     den, slam = sigma**2 * lam_b + self._den[rows], sigma * lam_b
                 cells = x.shape[1] * den.size
-                blend, prior_rows = None, rows
-                if self._blend is not None:  # the kernel reads the whole row source
-                    blend, prior_rows = _band_tables(self._blend, rows), slice(None)
+                blend = tuple(table[:, rows] for table in self._blend)
                 masks, n_fg = None, cells
                 if self._masks is not None:
                     masks = tuple(m[rows] for m in self._masks)
@@ -617,8 +596,8 @@ class TiledSampler:
                     """Merge, trace and Euler-update channel c of the band in
                     place; returns c and the trace's (sum, cells) per part."""
                     fg, bg = _band_update(
-                        x[c, :, rows], self.prior[c, :, prior_rows], ring[c, :, ring_rows],
-                        den, slam, sigma, dsigma, masks, scratch, blend,
+                        x[c, :, rows], self.prior[c], blend, ring[c, :, ring_rows],
+                        den, slam, sigma, dsigma, masks, scratch,
                     )
                     return c, fg, n_fg, bg, cells - n_fg
 

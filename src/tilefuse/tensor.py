@@ -241,6 +241,10 @@ def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:
 
 
 def read_flt(path) -> np.ndarray:
+    """Read an FLT1 file into one writable buffer that the result shares,
+    sized from the file, so the tensor is not copied once read."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
+        blob += fh.read()  # what the size did not cover: a pipe, a file that grew
     return flt_from_bytes(blob, name=os.fspath(path))

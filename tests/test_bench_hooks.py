@@ -6,8 +6,8 @@ them up (cli.make_noise, sampler.crop, protocol.pack_frame,
 FusionAccumulator.zeros, ...). Renaming or deleting one of them, or moving
 work where a traced span may not be, breaks the traced benchmark run and no
 other test. These tests install every hook in a fresh interpreter and run a
-small traced `sample` through child.py, whose spans must pass
-perfbench/layers.py's checks.
+small traced `sample` and a small traced regional `sweep` through child.py,
+whose spans must pass perfbench/layers.py's checks.
 """
 
 import importlib.util
@@ -16,6 +16,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from tilefuse.netpbm import write_pgm
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -60,22 +64,44 @@ def test_every_hook_installs(tmp_path):
     assert done.stdout == "installed\n"
 
 
-def test_a_traced_sample_passes_the_span_checks(tmp_path):
+def traced(tmp_path, cli_args):
+    """The spans of one CLI command on the 2x3x24x32 canvas, traced
+    through child.py, and perfbench/layers.py loaded as a module."""
     (tmp_path / "run.ini").write_text(CONFIG)
     record = tmp_path / "record.json"
     done = python(
         [str(PERFBENCH / "child.py"), "trace", str(record), "2x3x24x32", "--",
-         "sample", "--config", "run.ini", "--output", "out.flt"],
+         *cli_args, "--config", "run.ini"],
         tmp_path,
     )
     assert done.returncode == 0, done.stderr
-    spans = json.loads(record.read_text())["spans"]
-
     spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return json.loads(record.read_text())["spans"], layers
+
+
+def test_a_traced_sample_passes_the_span_checks(tmp_path):
+    spans, layers = traced(tmp_path, ["sample", "--output", "out.flt"])
     assert layers.check(spans, layers.self_times(spans)) == []
     names = {s[layers.NAME] for s in spans}
     assert {"cli.pipeline", "sampler.noise", "sampler.step", "denoiser.call"} <= names
     full_steps = [s for s in spans if s[layers.NAME] == "sampler.step" and s[layers.META]]
     assert len(full_steps) == 2
+
+
+def test_a_traced_regional_sweep_passes_the_span_checks(tmp_path):
+    """sweep reruns the tiled pass per grid point, with a regional
+    strength plane read from a PGM activity map."""
+    activity = np.zeros((24, 32), dtype=np.uint8)
+    activity[6:18, 8:20] = 255
+    write_pgm(tmp_path / "activity.pgm", activity)
+    spans, layers = traced(tmp_path, [
+        "sweep", "--lambda-grid", "0,1.5", "--tau-grid", "1.0", "--out", "sweep.tsv",
+        "--set", "run.mode=fd_regional",
+        "--set", "prior.activity_map=activity.pgm",
+    ])
+    assert layers.check(spans, layers.self_times(spans)) == []
+    assert len((tmp_path / "sweep.tsv").read_text().splitlines()) == 3
+    full_steps = [s for s in spans if s[layers.NAME] == "sampler.step" and s[layers.META]]
+    assert len(full_steps) == 2 * 2  # two steps per grid point

@@ -194,6 +194,15 @@ class TestSampleCommand:
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["sample", "--config", str(tmp_path / "absent.ini")]) == 4
 
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "bad.ini").write_bytes(b"[run]\nseed = \xff\n")
+        out = tmp_path / "o.flt"
+        assert main(["sample", "--config", str(tmp_path / "bad.ini"), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert "bad.ini" in err and "utf-8" in err
+        assert not out.exists()
+
     def test_bad_ramp_is_config_error(self, tmp_path, target_file, capsys):
         path, _ = target_file
         cfg = base_target_config(tmp_path, path)

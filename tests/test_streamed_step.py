@@ -375,19 +375,27 @@ def test_run_memory_with_a_thumbnail_prior_does_not_grow_with_height():
     assert held and max(a.nbytes for a in held) < canvas_bytes
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_steady_step_allocates_less_than_a_tile_channel(mode):
+@pytest.mark.parametrize(
+    "mode, shape, window",
+    [
+        *[pytest.param(mode, (4, 32, 96, 128), (64, 64), id=mode) for mode in MODES],
+        # a band's blend tables (2 x 16 rows x 4096 float32) are twice a tile channel
+        pytest.param("md", (1, 2, 64, 4096), (32, 1024), id="md-wide-bands"),
+    ],
+)
+def test_steady_step_allocates_less_than_a_tile_channel(mode, shape, window):
     """Once the first step has made the run's buffers, a step makes no
     allocation as large as one float32 channel of a tile: the ring add
-    casts each channel into the run's float64 buffer, and a prediction's
-    finiteness test is a sum. The denoiser hands back one array made
-    before the run, so the traced peak of a step is the step's own: numpy's
+    casts each channel into the run's float64 buffer, a prediction's
+    finiteness test is a sum, and a band reads its rows of the prior's
+    blend tables as views. The denoiser hands back one array made before
+    the run, so the traced peak of a step is the step's own: numpy's
     fixed-size ufunc buffers, the band planes and, in fd_regional, one
     float32 strength plane, well below a channel. The regional steps take
     a two-valued plane (step 1) and a plane of zeros (steps 2 and 3)."""
-    shape, window = (4, 32, 96, 128), 64
+    c, t = shape[:2]
     rng = np.random.default_rng(9)
-    pred = rng.standard_normal((4, 32, window, window)).astype(np.float32)
+    pred = rng.standard_normal((c, t, *window)).astype(np.float32)
     prior = PriorScheduleConfig(lambda_base=1.5, mode="constant")
     if mode == "fd_regional":
         prior = PriorScheduleConfig(
@@ -395,10 +403,10 @@ def test_steady_step_allocates_less_than_a_tile_channel(mode):
             activity_map=rng.integers(0, 2, shape[2:]).astype(bool),
         )
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=4, mode=mode, window_h=window, window_w=window,
+        canvas_shape=shape, steps=4, mode=mode, window_h=window[0], window_w=window[1],
         overlap=0.5, workers=1, prior=prior,
     )
-    thumbnail = rng.standard_normal((4, 4, 12, 16)).astype(np.float32)
+    thumbnail = rng.standard_normal((c, 4, 12, 16)).astype(np.float32)
     sampler = TiledSampler(cfg, lambda req: DenoiserResponse(prediction=pred), thumbnail)
     step, peaks = sampler.step, []
 
@@ -418,6 +426,48 @@ def test_steady_step_allocates_less_than_a_tile_channel(mode):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 3 and max(peaks) < pred[0].nbytes
+
+
+@pytest.mark.parametrize("mode", ["fd", "fd_regional"])
+def test_canvas_height_prior_with_signed_zeros_matches_the_composition(mode):
+    """A prior at canvas height goes through the band kernel's row blend,
+    with weights 1 and 0: a -0.0 cell may come out of it as +0.0, but the
+    numerator sum starts at +0.0, so the latent gets the bits of the
+    whole-canvas composition on the prior as it is, here where latent,
+    target and prior hold +0.0 and -0.0 cells at the same places and in
+    the last row (whose near weight is 0)."""
+    shape = (2, 3, 20, 12)
+    rng = np.random.default_rng(21)
+    target, prior, noise = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
+    zeros = np.zeros(shape, bool)
+    zeros[:, :, ::3, ::2] = zeros[:, :, -1] = True
+    signs = rng.integers(0, 2, shape).astype(bool)
+    for a in (target, prior, noise):
+        a[zeros] = np.where(signs, -0.0, 0.0)[zeros]
+        signs = ~signs  # prior and latent zeros of both sign pairs
+    assert np.signbit(prior[zeros]).any() and not np.signbit(prior[zeros]).all()
+    activity = rng.integers(0, 2, shape[2:]).astype(bool)
+    schedule = dict(lambda_base=1.5, mode="constant")
+    if mode == "fd_regional":
+        schedule = dict(
+            lambda_base=1.5, mode="regional", tau_active=0.2, tau_background=0.6,
+            activity_map=activity,
+        )
+    cfg = SamplerConfig(
+        canvas_shape=shape, steps=3, mode=mode, window_h=8, window_w=8,
+        overlap=0.5, ramp=2, workers=2, prior=PriorScheduleConfig(**schedule),
+    )
+    sampler = TiledSampler(cfg, TargetDriver(target), prior)
+    assert sampler.prior is prior  # held as it is, blended per band
+    x, trace = sampler.run(initial_noise=noise.copy())
+
+    ref = noise
+    for i, record in enumerate(trace.records):
+        ref, fg, bg = reference_step(sampler, ref, i)
+        assert_close_or_none(record.fg_mse, fg)
+        assert_close_or_none(record.bg_mse, bg)
+    assert x.tobytes() == ref.tobytes()
+    assert np.signbit(x[zeros]).any()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -454,12 +504,12 @@ def band_cases(draw):
     its rows start in a ring (the band may wrap), a frame-group budget that
     need not divide the frame count, a strength (zero, scalar or plane), an
     activity mask (none, empty, full or mixed), and the height of the row
-    source the prior rows are blended from (None: the rows themselves)."""
+    source the prior rows are blended from (rows: weights of 1 and 0)."""
     t, rows, w = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
     size = draw(st.integers(rows, rows + 6))
     return dict(
         t=t, rows=rows, w=w, size=size,
-        h0=draw(st.one_of(st.none(), st.integers(1, rows))),
+        h0=draw(st.integers(1, rows)),
         top=draw(st.integers(0, 3 * size)),
         budget=draw(st.integers(1, t * rows * w + 3)),
         strength=draw(st.sampled_from(["zero", "scalar", "plane"])),
@@ -475,16 +525,16 @@ def band_cases(draw):
 def test_band_kernel_equals_the_public_composition(case):
     """The kernel, run over a band's ring pieces, gives the latent of
     fuse_md / fuse_fd_flow, then trace_prior_mse, then euler_update, bit for
-    bit, and the trace sums their means to rel 1e-12. A prior given as a
-    row source is blended to the band's rows by the kernel; the composition
-    takes expand_prior's float32 rows. The kernel zeroes the ring rows it
-    read and no others."""
+    bit, and the trace sums their means to rel 1e-12. The kernel blends the
+    prior's row source to the band's rows; the composition takes
+    expand_prior's float32 rows. The kernel zeroes the ring rows it read
+    and no others."""
     rng = np.random.default_rng(case["seed"])
     t, rows, w, size, top = case["t"], case["rows"], case["w"], case["size"], case["top"]
     sigma = case["sigma"]
     dsigma = -case["fall"] * sigma
     x = rng.standard_normal((t, rows, w)).astype(np.float32)
-    source = rng.standard_normal((t, case["h0"] or rows, w)).astype(np.float32)
+    source = rng.standard_normal((t, case["h0"], w)).astype(np.float32)
     prior, blend = expand_prior(source, rows), sampler_module._row_tables(source.shape[1], rows, w)
     ring = rng.standard_normal((t, size, w))
     den = rng.uniform(0.1, 3.0, (rows, w))
@@ -524,13 +574,9 @@ def test_band_kernel_equals_the_public_composition(case):
         masks = None
         if activity is not None:
             masks = (activity[band].astype(np.float64), (~activity[band]).astype(np.float64))
-        if blend is None:
-            piece, piece_blend = prior[:, band], None
-        else:
-            piece, piece_blend = source, sampler_module._band_tables(blend, band)
         sums += sampler_module._band_update(
-            got[:, band], piece, ring[:, ring_rows], den_b, slam,
-            sigma, dsigma, masks, scratch, piece_blend, budget=case["budget"],
+            got[:, band], source, tuple(table[:, band] for table in blend), ring[:, ring_rows],
+            den_b, slam, sigma, dsigma, masks, scratch, budget=case["budget"],
         )
     assert got.tobytes() == want.tobytes()
     read = np.zeros(size, bool)

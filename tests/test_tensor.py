@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -164,6 +166,42 @@ class TestFltFormat:
             tracemalloc.stop()
         assert np.shares_memory(back, np.frombuffer(blob, np.uint8))
         assert peak < 0.01 * len(blob)
+
+
+    def test_read_holds_the_file_once(self, tmp_path):
+        """read_flt reads into a writable buffer sized from the file and
+        decodes it in place: its peak is the tensor, not the tensor twice."""
+        x = np.full((4, 4, 256, 256), 0.25, dtype=np.float32)  # 4 MiB
+        path = tmp_path / "latent.flt"
+        write_flt(path, x)
+        tracemalloc.start()
+        try:
+            back = read_flt(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.flags.writeable and back.tobytes() == x.tobytes()
+        assert peak < 1.25 * x.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_read_from_a_pipe(self, rng, tmp_path):
+        """A file whose size the system does not report, a pipe, is read to
+        its end all the same."""
+        x = random_latent(rng, (2, 3, 40, 50))
+        path = tmp_path / "latent.pipe"
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "wb") as fh:
+                for part in flt_parts(x):
+                    fh.write(part)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        back = read_flt(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert back.tobytes() == x.tobytes()
 
 
 class TestEnsureFinite:
