@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import itertools
 import math
 import os
@@ -48,6 +49,22 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_COMPUTE = 5
+
+M_ARENA_MAX = -8  # glibc's mallopt parameter for the malloc arena count
+
+
+def _one_malloc_arena() -> None:
+    """Pin this process to glibc's main malloc arena, before any thread
+    starts. Tile-pool threads allocate predictions and FDP1 reply buffers
+    that the calling thread frees; with an arena per thread, freed
+    tile-sized blocks stay held in the pool threads' arenas, so peak RSS
+    follows the allocator instead of the program's arrays. Where the C
+    library has no mallopt, nothing happens."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_ARENA_MAX, 1)
 
 
 def cmd_plan(args) -> int:
@@ -108,8 +125,9 @@ def run_pipeline(settings, prior=None):
     The tiled pass's noise depends on nothing the prior pass makes, so one
     background thread draws it (stream 1 of run.seed, make_noise's bits)
     from the start, beside the prior read, worker start-up, the prior pass
-    and the upsample, into a canvas allocated on this thread (a thread's
-    own malloc arena would raise peak RSS). The tiled run adopts it."""
+    and the upsample, into a canvas allocated on this thread before the
+    draw starts. The tiled run adopts it. The threads share one malloc
+    arena when main has pinned the process to one (_one_malloc_arena)."""
     timings = {}
     canvas_shape = settings.canvas_shape()
     with contextlib.ExitStack() as stack:  # closes the workers, then joins the draw
@@ -397,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _one_malloc_arena()
     try:
         args = build_parser().parse_args(argv)
         for name, parse in FLAGS.items():

@@ -108,13 +108,14 @@ class ExternalDenoiser(WorkerPool):
     WorkerPool that takes DenoiserRequests, closed like any pool.
 
     The call is thread-safe at any size: requests fan out across the pool,
-    one in flight per child, and a pool of one serialises them. A strided
-    or read-only tile is copied once, into the contiguous float32 that goes
-    on the wire.
+    one in flight per child, and a pool of one serialises them. The tile is
+    sent where it lies, with no whole-tile copy: a strided view goes on the
+    wire one channel at a time through the worker client's one-channel
+    buffer (see WorkerClient.denoise), as the bytes of its contiguous copy.
     """
 
     def __call__(self, req: DenoiserRequest) -> DenoiserResponse:
-        tile = as_latent(req.tile, "tile")
+        tile = latent_view(req.tile, "tile")
         rect = req.rect or Rect(0, 0, tile.shape[2], tile.shape[3])
         kind, pred = self.denoise(
             req.step_index, req.t, req.sigma, rect, req.conditioning, tile

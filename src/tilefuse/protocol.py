@@ -18,15 +18,18 @@ Embed response payload: u32 dimension + that many f32 values.
 All integers and floats are little-endian. Reads are select()-based so a
 hung worker trips the timeout instead of blocking forever (POSIX pipes).
 
-Tiles cross the pipe without user-space copies. A sender writes a small
-prefix (frame header, fixed fields, FLT1 header) and then the tile's own
-memory. A receiver reads the exact frame length, never past it, straight
-into a fresh buffer placed so that the tile data starts on an ALIGN-byte
+Tiles cross the pipe without a whole-tile copy. A sender writes a small
+prefix (frame header, fixed fields, FLT1 header) and then the tile data. A
+client writes a C-contiguous request tile from its own memory and any
+other one, such as a strided view of a latent, one channel at a time
+through one float32 buffer of a channel that it keeps between requests.
+A receiver reads the exact frame length, never past it, straight into a
+fresh buffer placed so that the tile data starts on an ALIGN-byte
 boundary, and decodes the tile in place; the arrays it returns are
 writable float32. A request whose conditioning id shifts the tile off
 float32 alignment costs the worker one copy. These are implementation
-choices: the bytes on the wire are the same as with whole-frame packing,
-and a worker built on serve() needs no change.
+choices: the bytes on the wire are the same as with whole-frame packing
+of a contiguous copy, and a worker built on serve() needs no change.
 
 A client whose stream may be out of step after a failure (a timeout, a
 malformed frame, the pipe closing mid-frame) is poisoned: its child is
@@ -40,6 +43,7 @@ usable.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import queue
 import select
@@ -58,7 +62,7 @@ from .errors import (
     WorkerExitError,
     WorkerReportedError,
 )
-from .tensor import FLT_HEAD_LEN, Rect, flt_from_bytes, flt_parts
+from .tensor import FLT_HEAD_LEN, Rect, flt_from_bytes, flt_head, flt_parts, latent_view
 
 MAGIC = b"FDP1"
 _HEADER = struct.Struct("<4sBQ")
@@ -66,6 +70,7 @@ HEADER_LEN = _HEADER.size  # 13
 MAX_PAYLOAD = 1 << 31  # sanity cap against corrupt length fields
 ALIGN = 64  # received tile data starts on this byte boundary
 _REQUEST_HEAD = struct.Struct("<Iff4IH")
+_WIRE_FLOAT = np.dtype("<f4")
 
 MSG_HELLO = 0
 MSG_DENOISE_REQUEST = 1
@@ -95,29 +100,48 @@ def pack_frame(msg_type: int, payload: bytes) -> bytes:
     return _frame_header(msg_type, len(payload)) + payload
 
 
-def _write_frame(out, msg_type: int, *parts) -> None:
+def _write_frame(out, msg_type: int, *parts, channel=None) -> None:
     """Write one frame to a buffered stream: its header, then each payload
-    part as given. A part larger than the stream's buffer goes from its own
-    memory to the file, uncopied."""
-    out.write(_frame_header(msg_type, sum(len(p) for p in parts)))
+    part as given. A bytes-like part larger than the stream's buffer goes
+    from its own memory to the file, uncopied. An ndarray part is a float32
+    latent view, written by _write_tile through `channel`."""
+    out.write(_frame_header(msg_type, sum(memoryview(p).nbytes for p in parts)))
     for part in parts:
-        out.write(part)
+        if isinstance(part, np.ndarray):
+            _write_tile(out, part, channel)
+        else:
+            out.write(part)
     out.flush()
 
 
+def _write_tile(out, tile: np.ndarray, channel: np.ndarray) -> None:
+    """Write a float32 latent view as FLT1 data, little-endian float32 in C
+    order: a C-contiguous one from its own memory, any other one channel at
+    a time through `channel`, a float32 buffer of at least a channel."""
+    if tile.flags.c_contiguous and tile.dtype == _WIRE_FLOAT:
+        out.write(tile.reshape(-1).view(np.uint8))
+        return
+    plane = channel[: math.prod(tile.shape[1:])].reshape(tile.shape[1:])
+    for c in range(tile.shape[0]):
+        np.copyto(plane, tile[c])
+        out.write(plane.reshape(-1).view(np.uint8))
+
+
 def _denoise_request_parts(step, t, sigma, rect: Rect, conditioning: str, tile):
-    """A denoise request payload as (prefix, tile data view): the fixed
-    fields, the conditioning id and the FLT1 header, then the data."""
+    """A denoise request payload as (prefix, tile): the fixed fields, the
+    conditioning id and the FLT1 header, then the tile as a float32 latent
+    view, uncopied, for _write_frame."""
+    tile = latent_view(tile, "tile")
     cond = conditioning.encode("utf-8")
-    flt_head, data = flt_parts(tile)
     head = _REQUEST_HEAD.pack(
         step, t, sigma, rect.row, rect.col, rect.height, rect.width, len(cond)
     )
-    return head + cond + flt_head, data
+    return head + cond + flt_head(tile.shape), tile
 
 
 def pack_denoise_request(step, t, sigma, rect: Rect, conditioning: str, tile) -> bytes:
-    return b"".join(_denoise_request_parts(step, t, sigma, rect, conditioning, tile))
+    prefix, tile = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
+    return b"".join((prefix, flt_parts(tile)[1]))
 
 
 def unpack_denoise_request(payload):
@@ -233,6 +257,7 @@ class WorkerClient:
         self.command = list(command)
         self.timeout = float(timeout)
         self.poisoned = None  # why the child was killed, once it has been
+        self._channel = np.empty(0, dtype=_WIRE_FLOAT)  # see _write_tile
         self._proc = process if process is not None else _spawn(self.command)
         self._ask(MSG_HELLO, (), MSG_HELLO, bytes)
 
@@ -259,7 +284,7 @@ class WorkerClient:
 
     def _send(self, msg_type: int, *parts) -> None:
         try:
-            _write_frame(self._proc.stdin, msg_type, *parts)
+            _write_frame(self._proc.stdin, msg_type, *parts, channel=self._channel)
         except OSError as exc:
             raise WorkerExitError(f"worker pipe closed while sending: {exc}") from exc
 
@@ -294,18 +319,20 @@ class WorkerClient:
     def denoise(self, step, t, sigma, rect: Rect, conditioning: str, tile):
         """Returns (kind, prediction). The prediction must match the tile
         shape bit for bit in layout. It is a writable float32 array whose
-        data starts on an ALIGN-byte boundary."""
+        data starts on an ALIGN-byte boundary. The tile may be any 4-D
+        float32 view: it is sent without a whole-tile copy."""
+        prefix, tile = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
+        cells = math.prod(tile.shape[1:])
+        if self._channel.size < cells:
+            self._channel = np.empty(cells, dtype=_WIRE_FLOAT)
 
         def unpack(payload):
             kind, pred = unpack_denoise_response(payload)
-            if pred.shape != tuple(tile.shape):
-                raise ShapeError(
-                    f"worker returned shape {pred.shape} for a {tuple(tile.shape)} tile"
-                )
+            if pred.shape != tile.shape:
+                raise ShapeError(f"worker returned shape {pred.shape} for a {tile.shape} tile")
             return kind, pred
 
-        parts = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
-        return self._ask(MSG_DENOISE_REQUEST, parts, MSG_DENOISE_RESPONSE, unpack)
+        return self._ask(MSG_DENOISE_REQUEST, (prefix, tile), MSG_DENOISE_RESPONSE, unpack)
 
     def embed(self, tensor) -> np.ndarray:
         parts = flt_parts(tensor)

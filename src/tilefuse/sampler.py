@@ -415,7 +415,8 @@ class TiledSampler:
                 raise ConfigError("prior-regularized run needs a prior latent")
             self.prior = np.zeros((c, t, 1, w), dtype=np.float32)
         else:
-            self.prior = build_prior(prior, cfg.canvas_shape, cfg.workers)
+            prior = build_prior(prior, cfg.canvas_shape, cfg.workers)
+            self.prior = ensure_finite(prior, "prior")  # named before any tile runs
         self._blend = _row_tables(self.prior.shape[2], h, w)
 
         # the weight sum is the same every step: add it up once, in plan order

@@ -203,9 +203,13 @@ def flt_parts(tensor: np.ndarray) -> tuple[bytes, memoryview]:
     The view shares memory with the tensor when the tensor is already
     C-contiguous little-endian float32."""
     tensor = as_latent(tensor, "tensor")
-    head = FLT_MAGIC + struct.pack("<5I", FLT_VERSION, *tensor.shape)
     data = tensor.astype("<f4", copy=False).reshape(-1).view(np.uint8)
-    return head, memoryview(data)
+    return flt_head(tensor.shape), memoryview(data)
+
+
+def flt_head(shape) -> bytes:
+    """The FLT1 header of a tensor of this 4-D shape."""
+    return FLT_MAGIC + struct.pack("<5I", FLT_VERSION, *shape)
 
 
 def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:

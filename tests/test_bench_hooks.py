@@ -5,14 +5,17 @@ tilefuse.cli, tilefuse.sampler, tilefuse.protocol and tilefuse.fusion look
 them up (cli.make_noise, sampler.crop, protocol.pack_frame,
 FusionAccumulator.zeros, ...). Renaming or deleting one of them, or moving
 work where a traced span may not be, breaks the traced benchmark run and no
-other test. These tests install every hook in a fresh interpreter and run a
-small traced `sample` and a small traced regional `sweep` through child.py,
-whose spans must pass perfbench/layers.py's checks.
+other test. These tests install every hook in a fresh interpreter and run,
+through child.py, a small traced `sample` in process, the same `sample`
+through FDP1 echo workers (the client's send and receive path) and a small
+traced regional `sweep`; the spans of each must pass perfbench/layers.py's
+checks.
 """
 
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +89,22 @@ def test_a_traced_sample_passes_the_span_checks(tmp_path):
     assert layers.check(spans, layers.self_times(spans)) == []
     names = {s[layers.NAME] for s in spans}
     assert {"cli.pipeline", "sampler.noise", "sampler.step", "denoiser.call"} <= names
+    full_steps = [s for s in spans if s[layers.NAME] == "sampler.step" and s[layers.META]]
+    assert len(full_steps) == 2
+
+
+def test_a_traced_fdp1_sample_passes_the_span_checks(tmp_path):
+    """The same sample through a pool of two echo workers, so the client's
+    send and receive path runs under the hooks that wrap it."""
+    worker = f"{shlex.quote(sys.executable)} -m tilefuse.echo_worker"
+    spans, layers = traced(tmp_path, [
+        "sample", "--output", "out.flt",
+        "--set", "denoiser.kind=external", "--set", f"denoiser.command={worker}",
+    ])
+    assert layers.check(spans, layers.self_times(spans)) == []
+    names = {s[layers.NAME] for s in spans}
+    assert {"fdp1.handshake", "fdp1.pool", "fdp1.client", "fdp1.recv", "denoiser.call"} <= names
+    assert not [s for s in spans if s[layers.NAME].startswith("fdp1.") and s[layers.ERROR]]
     full_steps = [s for s in spans if s[layers.NAME] == "sampler.step" and s[layers.META]]
     assert len(full_steps) == 2
 

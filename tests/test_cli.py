@@ -113,6 +113,40 @@ class TestPlanCommand:
         assert lines[2:] == [f"{r.row} {r.col} {r.height} {r.width}" for r in plan.tiles]
 
 
+PLAN_ARGS = ["plan", "--canvas", "128x128", "--window", "60x104", "--overlap", "0.3", "--latent"]
+
+
+class TestMallocArenaPolicy:
+    """main pins the process to one glibc malloc arena before it parses or
+    dispatches anything; a C library without mallopt changes nothing."""
+
+    def test_applied_once_before_the_subcommand(self, monkeypatch, capsys):
+        events = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                events.append(("mallopt", param, value))
+                return 1
+
+        def libc(name):
+            assert name is None  # the process's own symbols: its C library
+            return Libc()
+
+        plan = cli.cmd_plan
+        monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+        monkeypatch.setattr(cli, "cmd_plan", lambda args: events.append("plan") or plan(args))
+        assert main(PLAN_ARGS) == 0
+        assert events == [("mallopt", cli.M_ARENA_MAX, 1), "plan"]
+        assert cli.M_ARENA_MAX == -8
+
+    def test_no_mallopt_is_a_silent_no_op(self, monkeypatch, capsys):
+        assert main(PLAN_ARGS) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert main(PLAN_ARGS) == 0
+        assert capsys.readouterr() == expected
+
+
 class TestSampleCommand:
     def test_target_run_reaches_target(self, tmp_path, target_file, capsys):
         path, target = target_file

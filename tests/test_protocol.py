@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -484,8 +485,26 @@ class TestExternalDenoiser:
         assert latent(1) == latent(2) == latent(2, echo)
 
 
+def strided_view(latent, view):
+    """A non-contiguous float32 view of latent: a column slice, a flip of
+    the columns, or both."""
+    if view == "columns":
+        return latent[:, :, :, 2:11]
+    if view == "flipped":
+        return np.flip(latent, axis=3)
+    return np.flip(latent, axis=3)[:, :, :, 3:12]
+
+
 class TestCopyFreeWire:
     def test_sent_bytes_equal_whole_frame_packing(self, rng, tmp_path):
+        """A contiguous tile, and strided views lent as the sampler lends
+        its tiles, go on the wire as whole-frame packing of their
+        contiguous copies; the client's channel buffer is reused."""
+        latent = rng.standard_normal((3, 2, 5, 16)).astype(np.float32)
+        latent.flags.writeable = False
+        tiles = [np.array(latent[..., :9])] + [
+            strided_view(latent, view) for view in ("columns", "flipped", "flipped-columns")
+        ]
         dump = tmp_path / "stdin.bin"
         cmd = worker_script(
             tmp_path,
@@ -507,14 +526,59 @@ class TestCopyFreeWire:
             "            out.write(pack_frame(2, pack_denoise_response('flow', tile)))\n"
             "        out.flush()\n",
         ) + [str(dump)]
-        tile = rng.standard_normal((3, 2, 5, 9)).astype(np.float32)
-        args = (12, 0.375, 0.625, Rect(4, 6, 5, 9), "prompt-β", tile)
+        expected = pack_frame(MSG_HELLO, b"")
         with WorkerClient(cmd, timeout=30) as client:
-            _, pred = client.denoise(*args)
-        assert pred.tobytes() == tile.tobytes()
-        assert dump.read_bytes() == pack_frame(MSG_HELLO, b"") + pack_frame(
-            MSG_DENOISE_REQUEST, pack_denoise_request(*args)
-        )
+            for tile in tiles:
+                args = (12, 0.375, 0.625, Rect(4, 6, 5, 9), "prompt-β", tile)
+                _, pred = client.denoise(*args)
+                contiguous = np.ascontiguousarray(tile)
+                assert pred.tobytes() == contiguous.tobytes()
+                expected += pack_frame(
+                    MSG_DENOISE_REQUEST, pack_denoise_request(*args[:-1], contiguous)
+                )
+        assert dump.read_bytes() == expected
+
+    @pytest.mark.parametrize("view", ["columns", "flipped", "flipped-columns"])
+    def test_strided_tile_round_trip_through_serve_echo(self, rng, view):
+        latent = rng.standard_normal((4, 3, 12, 20)).astype(np.float32)
+        shapes = []
+        with WorkerClient(ECHO_CMD, timeout=30) as client:
+            for rows in (slice(0, 12), slice(2, 9), slice(5, 6)):  # channels grow and shrink
+                tile = strided_view(latent[:, :, rows], view)
+                _, pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, *tile.shape[2:]), "", tile)
+                assert_decoded_tile(pred, np.ascontiguousarray(tile))
+                shapes.append(tile.shape)
+        assert len(set(shapes)) == 3
+
+    @pytest.mark.parametrize("through", ["client", "denoiser"])
+    def test_strided_send_allocates_the_reply_and_one_channel(self, through):
+        """No whole-tile copy per request: a strided 16-channel tile costs
+        its reply buffer and, on the first call only, one channel, through
+        WorkerClient.denoise and through an ExternalDenoiser."""
+        latent = np.random.default_rng(3).standard_normal((16, 4, 64, 160)).astype(np.float32)
+        latent.flags.writeable = False
+        tile = latent[:, :, :, 16:144]  # 2 MiB; one channel is 128 KiB
+        channel = tile[0].nbytes
+        slack = 32 << 10  # headers, views and a few small objects
+        req = DenoiserRequest(tile=tile, step_index=0, t=0.5, sigma=0.5, rect=Rect(0, 0, 64, 128))
+        with ExternalDenoiser(ECHO_CMD, timeout=30) as den:
+            client, = den._clients
+            peaks = []
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    if through == "client":
+                        _, pred = client.denoise(0, 0.5, 0.5, req.rect, "", tile)
+                    else:
+                        pred = den(req).prediction
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert pred.tobytes() == np.ascontiguousarray(tile).tobytes()
+                del pred
+        reply = tile.nbytes + ALIGN
+        assert peaks[0] <= reply + channel + slack, peaks
+        assert peaks[1] <= reply + slack, peaks
 
     def test_tile_larger_than_pipe_through_pool_from_threads(self):
         shape = (16, 21, 60, 104)  # 8.4 MB, far past a pipe's capacity

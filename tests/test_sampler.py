@@ -398,6 +398,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="prior"):
             TiledSampler(cfg, lambda req: None)
 
+    def test_non_finite_prior_rejected_before_any_denoiser_call(self, rng):
+        shape = (1, 2, 16, 16)
+        cfg = fd_config(shape, PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+                        steps=2, window_h=8, window_w=8)
+        prior = rng.standard_normal(shape).astype(np.float32)
+        prior[0, 1, 5, 9] = np.inf
+        calls = []
+
+        def denoiser(req):
+            calls.append(req.step_index)
+            return GaussianAnalytic(0.0, 1.0)(req)
+
+        with pytest.raises(ShapeError, match="prior contains 1 non-finite"):
+            TiledSampler(cfg, denoiser, prior)
+        with pytest.raises(ShapeError, match="prior"):
+            run(cfg, denoiser, prior)
+        assert calls == []
+
 
 def reference_step(sampler, x, i):
     """The step as a plain composition over the whole canvas: accumulate
