@@ -3,13 +3,14 @@
 Subcommands: plan (print a tile plan), sample (prior pass, upsample, tiled
 pass), metrics (score frame sequences), sweep (sample over a strength/gate
 grid and tabulate the trade-off). Exit codes: 0 ok, 2 usage, 3 config,
-4 I/O, 5 compute.
+4 I/O, 5 compute, 130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import ctypes
 import itertools
 import math
@@ -17,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,6 +51,7 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_COMPUTE = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a job that SIGINT ended
 
 M_ARENA_MAX = -8  # glibc's mallopt parameter for the malloc arena count
 
@@ -116,11 +119,12 @@ def _build_denoiser(settings, canvas_shape):
 
 def run_pipeline(settings, prior=None):
     """Prior pass, upsample, tiled pass. Returns (x_final, trace,
-    prior_rows, timings). The upsample resizes frames and columns only:
-    prior_rows is build_prior's row source, at the thumbnail's height,
-    which the tiled pass used (expand_prior gives its canvas rows); the
-    thumbnail is dropped once that is made. A prior from an earlier run of
-    the same settings, bar prior strength and gates, skips the prior pass.
+    prior_rows, timings). prior_rows is build_prior's source, which the
+    tiled pass used (expand_prior gives its canvas cells): the thumbnail
+    itself when it is no larger than the canvas, else a resized copy, and
+    then the thumbnail is dropped once that is made. A prior from an
+    earlier run of the same settings, bar prior strength and gates, skips
+    the prior pass.
 
     The tiled pass's noise depends on nothing the prior pass makes, so one
     background thread draws it (stream 1 of run.seed, make_noise's bits)
@@ -157,7 +161,7 @@ def run_pipeline(settings, prior=None):
 
         t0 = time.perf_counter()
         prior_rows = build_prior(prior, canvas_shape, settings.run.workers)
-        del prior  # the tiled pass reads the row source, not the thumbnail
+        del prior  # the tiled pass reads the source: a resized thumbnail is freed
         timings["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -305,33 +309,46 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _latent_frames(latent, height):
-    """Channel-mean luminance frames, `height` rows tall, from a latent or
-    a prior row source, expanded one frame at a time, for latent-domain
-    metric sweeps."""
+def _latent_frames(latent, height, width):
+    """Channel-mean luminance frames, `height` by `width`, from a latent or
+    a prior source, expanded one frame at a time, for latent-domain metric
+    sweeps."""
     return [
-        expand_prior(latent[:, t], height).mean(axis=0).astype(np.float64)
+        expand_prior(latent[:, t], height, width).mean(axis=0).astype(np.float64)
         for t in range(latent.shape[1])
     ]
 
 
 def _distance(x, prior) -> float:
-    """Euclidean distance between a latent and the prior of a row source,
+    """Euclidean distance between a latent and the prior of a source,
     summed in float64 and expanded one channel at a time, so no
     whole-canvas copy is made."""
-    height = x.shape[2]
+    height, width = x.shape[2:]
     total = sum(
-        np.square(ch.astype(np.float64) - expand_prior(src, height)).sum()
+        np.square(ch.astype(np.float64) - expand_prior(src, height, width)).sum()
         for ch, src in zip(x, prior)
     )
     return math.sqrt(total)
 
 
+def _grid_point(settings, lam, tau):
+    """settings with the tiled stage's prior strength and gate set to one
+    sweep point. An md run has no prior term, so its schedule stays as
+    resolve_settings built it."""
+    point = copy.copy(settings)
+    if settings.tiled.mode != "md":
+        prior = replace(settings.tiled.prior, lambda_base=lam, tau=tau)
+        point.tiled = replace(settings.tiled, prior=prior)
+    return point
+
+
 def cmd_sweep(args) -> int:
     """One run per (lambda, tau) point; the prior pass, which depends on
-    neither, runs once. Every point is resolved before any runs."""
+    neither, runs once. The settings, with their INI file and activity map,
+    are read once, and every point is derived from them before any runs."""
+    settings = _load_settings(args)
     points = [
-        (lam, tau, _load_settings(args, [f"prior.lambda_base={lam}", f"prior.tau={tau}"]))
+        (lam, tau, _grid_point(settings, lam, tau))
         for lam, tau in itertools.product(args.lambda_grid, args.tau_grid)
     ]
     header = "lambda_base\ttau\tprior_l2\tsharpness\ttemporal_consistency"
@@ -344,14 +361,14 @@ def cmd_sweep(args) -> int:
         for lam, tau, settings in points:
             x_final, _, prior, _ = run_pipeline(settings, prior)
             dist = _distance(x_final, prior)
-            frames = _latent_frames(x_final, x_final.shape[2])
+            frames = _latent_frames(x_final, *x_final.shape[2:])
             sharp = video_tenengrad(frames)
             temp = temporal_consistency(frames) if len(frames) > 1 else float("nan")
             row = f"{lam:g}\t{tau:g}\t{dist:.8g}\t{sharp:.8g}\t{temp:.8g}"
             if embedder is not None:
                 align = prior_alignment(
                     frames,
-                    _latent_frames(prior, x_final.shape[2]),
+                    _latent_frames(prior, *x_final.shape[2:]),
                     lambda f: embedder.embed(_frame_to_tensor(f)),
                 )
                 row += f"\t{align:.8g}"
@@ -434,6 +451,9 @@ def main(argv=None) -> int:
     except TileFuseError as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except KeyboardInterrupt:  # raised here once every with block has closed
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -29,14 +29,19 @@ tiles reach them. A band's ring rows are reused only after its update has
 finished, so the first tile of a tile row waits for the band of the tile
 row above.
 
-The prior is held at thumbnail height: build_prior resizes its frames
-and columns to the canvas and keeps its rows, and each band blends the
-canvas rows it needs from those, frame group by frame group, as float32
-a * src[lo] + b * src[hi] (expand_prior's rows), with the row indices and
-weight planes built once per sampler. A prior at canvas height takes the
-same blend, with weights 1 and 0, which gives its finite values back.
+The prior is held at thumbnail size: build_prior keeps a prior with the
+canvas's frames and at most its rows and columns as it is (the thumbnail
+stage's output), and resizes any other to the canvas's frames and
+columns. Each band reads the source rows its canvas rows blend from,
+frame group by frame group: it casts them to float64, blends their
+columns to the canvas width as trilinear_resize does and rounds them to
+float32, then blends the rows in float32 as a * src[lo] + b * src[hi]
+(expand_prior's prior). The column and row tables are built once per
+sampler. A source at canvas width skips the column blend; one at canvas
+height takes the row blend with weights 1 and 0, which gives its finite
+values back.
 
-One band kernel does a band channel's prior rows, merge, trace and Euler
+One band kernel does a band channel's prior cells, merge, trace and Euler
 update in frame groups of about GROUP_BUDGET elements, through scratch
 buffers that each pool thread makes once per run, at the size of the
 run's largest band, and keeps, so the passes over a group reuse buffers
@@ -73,7 +78,7 @@ from .errors import ConfigError, DenoiseError, ShapeError
 from .fusion import accumulate, add_weighted_tile, fuse_fd_flow, fuse_md
 from .planner import TilePlan, plan_tiles
 from .schedules import PriorScheduleConfig, SigmaSchedule
-from .tensor import _axis_indices, as_latent, crop, ensure_finite, trilinear_resize
+from .tensor import _axis_indices, _lerp, as_latent, crop, ensure_finite, trilinear_resize
 
 RUN_MODES = ("md", "fd", "fd_regional")
 
@@ -214,22 +219,22 @@ def fill_noise(out: np.ndarray, seed: int, stream: int = 0) -> None:
 
 
 def build_prior(prior_latent: np.ndarray, canvas_shape, workers: int = 1) -> np.ndarray:
-    """The row source of a native-resolution prior on the canvas grid: its
-    frames and columns resized to the canvas's (channels on `workers`
-    threads), its rows kept, or resized down if there are more than the
-    canvas has. expand_prior blends the source to canvas rows. A float32
-    prior already at that shape, a canvas-shaped one included, is returned
-    as is, not copied."""
+    """The source of a native-resolution prior on the canvas grid. A prior
+    with the canvas's frames and at most its rows and columns, such as the
+    thumbnail stage's output, is the source as it is (a float32 one is not
+    copied); any other is resized (channels on `workers` threads) to the
+    canvas's frames and columns and to min(H, h0) rows. expand_prior
+    blends a source to canvas columns and rows."""
     prior_latent = as_latent(prior_latent, "prior")
     c, t, h, w = canvas_shape
     if prior_latent.shape[0] != c:
         raise ShapeError(
             f"prior has {prior_latent.shape[0]} channels, canvas has {c}"
         )
-    shape = (c, t, min(h, prior_latent.shape[2]), w)
-    if prior_latent.shape == shape:
+    _, t0, h0, w0 = prior_latent.shape
+    if t0 == t and h0 <= h and w0 <= w:
         return prior_latent
-    return trilinear_resize(prior_latent, *shape[1:], workers)
+    return trilinear_resize(prior_latent, t, min(h, h0), w, workers)
 
 
 def _row_tables(src_h: int, height: int, width: int):
@@ -244,11 +249,24 @@ def _row_tables(src_h: int, height: int, width: int):
     return np.stack((lo, hi)), weight
 
 
-def expand_prior(source: np.ndarray, height: int) -> np.ndarray:
-    """The prior rows of a float32 row source (..., h0, W) on a canvas
-    `height` rows tall, blended in float32 as a * source[lo] + b * source[hi]
-    by _row_tables: the rows the band kernel builds. A source `height` rows
-    tall is returned as is."""
+def _column_tables(src_w: int, width: int):
+    """trilinear_resize's column pass from src_w columns to `width`, as
+    _lerp's (lo, hi, w_lo, w_hi): the near and far source columns of
+    _axis_indices and their float64 weights."""
+    lo, hi, frac = _axis_indices(src_w, width)
+    return lo, hi, 1.0 - frac, frac
+
+
+def expand_prior(source: np.ndarray, height: int, width: int | None = None) -> np.ndarray:
+    """The prior of a float32 source (..., h0, w0) on a canvas `height` rows
+    by `width` columns (None: w0), the cells the band kernel builds. The
+    columns come first, in float64 and rounded to float32 as
+    trilinear_resize makes them; the rows are then blended in float32 as
+    a * source[lo] + b * source[hi] by _row_tables. A source of that shape
+    is returned as is."""
+    if width is not None and source.shape[-1] != width:
+        columns = _column_tables(source.shape[-1], width)
+        source = _lerp(source.astype(np.float64), -1, *columns).astype(np.float32)
     if source.shape[-2] == height:
         return source
     index, weight = _row_tables(source.shape[-2], height, source.shape[-1])
@@ -296,36 +314,53 @@ def _kernel_buffers(n, cells):
     return (*f64[: 4 * n].reshape(4, n), f32[:n], f32[n:], f64[4 * n :])
 
 
+def _column_buffers(m, src_w, width):
+    """The column pass's buffers, carved from one allocation: a float64 of
+    m source rows of src_w columns, two float64 and a float32 of m rows of
+    `width` columns."""
+    block = np.empty(m * (8 * src_w + 20 * width), np.uint8)
+    f64 = block[: 8 * m * (src_w + 2 * width)].view(np.float64)
+    f32 = block[8 * m * (src_w + 2 * width) :].view(np.float32)
+    cut = m * src_w
+    return f64[:cut], *f64[cut:].reshape(2, -1), f32
+
+
 class _KernelScratch(threading.local):
     """Per-thread band-kernel buffers of fixed sizes, the most any band
-    piece of the run needs (_kernel_buffers(n, cells)): a thread makes them
-    on its first use and keeps them, so what is allocated does not depend
-    on which thread takes which band."""
+    piece of the run needs (_kernel_buffers(n, cells), and with a source
+    narrower than the canvas _column_buffers(*columns)): a thread makes
+    them on its first use and keeps them, so what is allocated does not
+    depend on which thread takes which band."""
 
-    def __init__(self, n, cells):
-        self.sizes, self.held = (n, cells), None
+    def __init__(self, n, cells, columns=None):
+        self.sizes, self.columns, self.held = (n, cells), columns, None
 
     def buffers(self):
         if self.held is None:
-            self.held = _kernel_buffers(*self.sizes)
+            wide = None if self.columns is None else _column_buffers(*self.columns)
+            self.held = (*_kernel_buffers(*self.sizes), wide)
         return self.held
 
 
 def _band_update(
-    x, source, blend, num, den, slam, sigma, dsigma, masks, scratch, budget=GROUP_BUDGET
+    x, source, blend, num, den, slam, sigma, dsigma, masks, scratch, columns=None,
+    budget=GROUP_BUDGET,
 ):
     """Merge, trace and Euler-update one band channel; x is updated in place.
 
     x is the float32 (T, rows, W) latent rows, num the float64 numerator
     rows, zeroed once read, and den the float64 (rows, W) denominator: the
     weight sum, plus sigma**2 * lam with the prior term. source is the
-    channel's float32 (T, h0, W) prior row source and blend the band's rows
-    of its _row_tables: (2, rows) indices and float32 (2, rows, W) weights,
-    summed in float32 as expand_prior does. slam is sigma * lam, a float or
-    a (rows, W) plane, or None for the plain weighted mean. masks is None
-    or the float64 (rows, W) foreground and background indicator planes.
-    Returns the squared residual's sums over the two partitions; with no
-    masks all of it is foreground.
+    float32 (T, k, w0) prior source rows that the band's blend reads, and
+    blend the band's rows of its _row_tables: (2, rows) indices into those
+    k rows and float32 (2, rows, W) weights. columns is None for a source W
+    wide, else its _column_tables to W: each frame group's source rows are
+    cast to float64, blended to W columns and rounded to float32 first, as
+    expand_prior does. The rows are then summed in float32. slam is sigma *
+    lam, a float or a (rows, W) plane, or None for the plain weighted mean.
+    masks is None or the float64 (rows, W) foreground and background
+    indicator planes. Returns the squared residual's sums over the two
+    partitions; with no masks all of it is foreground.
 
     Frames go in groups of at most `budget` elements (one frame if a frame
     is larger) through the calling thread's _KernelScratch buffers. The
@@ -341,7 +376,7 @@ def _band_update(
     cells = rows * w
     index, weight = blend
     group = max(1, min(t, budget // cells))
-    *flat, pairs, planes = scratch.buffers()
+    *flat, pairs, planes, wide = scratch.buffers()
     plane, part = planes[: 2 * cells].reshape(2, rows, w)
     plane[...] = 0.0
     total = 0.0
@@ -350,8 +385,17 @@ def _band_update(
         xg = x[frames]
         x64, p64, y64, r, y32 = (b[: xg.size].reshape(xg.shape) for b in flat)
         np.copyto(x64, xg)
+        src = source[frames]
+        if columns is not None:  # trilinear_resize's column pass, then its rounding
+            g, k, w0 = src.shape
+            s64, near, far, src32 = (
+                b[: g * k * n].reshape(g, k, n) for b, n in zip(wide, (w0, w, w, w))
+            )
+            np.copyto(s64, src)
+            np.copyto(src32, _lerp(s64, -1, *columns, near, far))
+            src = src32
         both = pairs[: 2 * xg.size].reshape(len(xg), 2, rows, w)
-        np.take(source[frames], index, axis=1, out=both, mode="clip")
+        np.take(src, index, axis=1, out=both, mode="clip")
         both *= weight
         near = both[:, 0]
         np.add(near, both[:, 1], out=near)  # in float32, then cast: cheaper
@@ -407,8 +451,8 @@ class TiledSampler:
         self.schedule = cfg.schedule()
         self._weight = cfg.weight_map()
 
-        # the prior is held as build_prior's row source; each band kernel
-        # blends the rows it needs, by tables built here once
+        # the prior is held as build_prior's source; each band kernel blends
+        # the columns and rows it needs, by tables built here once
         c, t, h, w = cfg.canvas_shape
         if prior is None:
             if cfg.mode != "md" and cfg.prior.lambda_base > 0:
@@ -418,6 +462,8 @@ class TiledSampler:
             prior = build_prior(prior, cfg.canvas_shape, cfg.workers)
             self.prior = ensure_finite(prior, "prior")  # named before any tile runs
         self._blend = _row_tables(self.prior.shape[2], h, w)
+        src_w = self.prior.shape[3]
+        self._columns = None if src_w == w else _column_tables(src_w, w)
 
         # the weight sum is the same every step: add it up once, in plan order
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
@@ -446,7 +492,7 @@ class TiledSampler:
             self._local.run = _RunState(
                 pool, 2 * workers, np.zeros((c, t, rows, w), dtype=np.float64),
                 np.empty(t * rows * self.plan.window_w, dtype=np.float64),
-                _KernelScratch(*self._scratch_sizes()), latent,
+                _KernelScratch(*self._scratch_sizes(), self._column_sizes()), latent,
             )
             try:
                 yield self._local.run
@@ -462,6 +508,24 @@ class TiledSampler:
         tops = sorted({r.row for r in self.plan.tiles}) + [h]
         cells = w * max(b - a for a, b in zip(tops, tops[1:]))
         return min(t * cells, max(cells, GROUP_BUDGET)), cells
+
+    def _column_sizes(self):
+        """_column_buffers' sizes for the run, None for a source as wide as
+        the canvas: the most source rows times frames that one frame group
+        of a band piece reads, with the source's and the canvas's widths.
+        The pieces are the bands, split where the ring of one tile row
+        wraps."""
+        if self._columns is None:
+            return None
+        _, t, h, w = self.cfg.canvas_shape
+        tops = sorted({r.row for r in self.plan.tiles}) + [h]
+        index, most = self._blend[0], 0
+        for a, b in zip(tops, tops[1:]):
+            for rows, _ in _ring_slices(a, b, self.plan.window_h):
+                group = max(1, min(t, GROUP_BUDGET // ((rows.stop - rows.start) * w)))
+                span = index[1, rows.stop - 1] - index[0, rows.start] + 1
+                most = max(most, group * int(span))
+        return most, self.prior.shape[3], w
 
     def _predict_tile(self, x, i, t, sigma, k, rect):
         tile = x[:, :, rect.row_slice, rect.col_slice]
@@ -587,7 +651,10 @@ class TiledSampler:
                     lam_b = np.asarray(lam[rows] if plane else lam, dtype=np.float64)
                     den, slam = sigma**2 * lam_b + self._den[rows], sigma * lam_b
                 cells = x.shape[1] * den.size
-                blend = tuple(table[:, rows] for table in self._blend)
+                # the source rows the band reads, and its row table into them
+                index, weight = (table[:, rows] for table in self._blend)
+                top, bottom = index[0, 0], index[1, -1] + 1
+                blend = index - top, weight
                 masks, n_fg = None, cells
                 if self._masks is not None:
                     masks = tuple(m[rows] for m in self._masks)
@@ -597,8 +664,9 @@ class TiledSampler:
                     """Merge, trace and Euler-update channel c of the band in
                     place; returns c and the trace's (sum, cells) per part."""
                     fg, bg = _band_update(
-                        x[c, :, rows], self.prior[c], blend, ring[c, :, ring_rows],
-                        den, slam, sigma, dsigma, masks, scratch,
+                        x[c, :, rows], self.prior[c, :, top:bottom], blend,
+                        ring[c, :, ring_rows], den, slam, sigma, dsigma, masks,
+                        scratch, self._columns,
                     )
                     return c, fg, n_fg, bg, cells - n_fg
 

@@ -116,6 +116,18 @@ def _axis_indices(src_len: int, out_len: int):
     return lo, lo + 1, frac
 
 
+def _lerp(src, axis, lo, hi, w_lo, w_hi, near=None, far=None):
+    """w_lo * src[lo] + w_hi * src[hi] along axis, in src's dtype and in
+    that order of operations: one axis pass of trilinear_resize. near and
+    far, if given, receive the two terms; the result is near."""
+    near = np.take(src, lo, axis=axis, out=near, mode="clip")
+    near *= w_lo
+    far = np.take(src, hi, axis=axis, out=far, mode="clip")
+    far *= w_hi
+    near += far
+    return near
+
+
 def trilinear_resize(
     src: np.ndarray, out_t: int, out_h: int, out_w: int, workers: int = 1
 ) -> np.ndarray:
@@ -150,7 +162,7 @@ def trilinear_resize(
 
     def resize_channel(ch):
         for k in range(out_t):
-            # each pass is (1 - frac) * vol[lo] + frac * vol[hi], in two buffers
+            # each pass is (1 - frac) * vol[lo] + frac * vol[hi]
             if t == out_t:
                 frame = src[ch, k].astype(np.float64)
             else:
@@ -160,12 +172,7 @@ def trilinear_resize(
                 far *= t_frac[k]
                 frame += far
             for axis, lo, hi, w_lo, w_hi in passes:
-                near = np.take(frame, lo, axis=axis)
-                near *= w_lo
-                far = np.take(frame, hi, axis=axis)
-                far *= w_hi
-                near += far
-                frame = near
+                frame = _lerp(frame, axis, lo, hi, w_lo, w_hi)
             out[ch, k] = frame
 
     with ThreadPoolExecutor(max(1, min(workers, c)), thread_name_prefix="tilefuse-resize") as pool:

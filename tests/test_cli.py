@@ -2,6 +2,8 @@ import gc
 import hashlib
 import json
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -10,7 +12,8 @@ import weakref
 import numpy as np
 import pytest
 
-from tilefuse import GaussianAnalytic, cli, protocol, read_flt, write_flt
+import tilefuse
+from tilefuse import GaussianAnalytic, cli, config, protocol, read_flt, write_flt
 from tilefuse.cli import main
 from tilefuse.config import apply_overrides, default_config, load_config_file, resolve_settings
 from tilefuse.errors import DenoiseError
@@ -763,6 +766,60 @@ window_width = 8
         ]
         assert table == singles[0][:1] + [rows[1] for rows in singles]
 
+    @pytest.mark.parametrize(
+        "mode, lambdas, taus",
+        [("fd_regional", "0,0.5,1.5,5", "1.0"), ("fd", "0.5,1.5", "0.2,1")],
+    )
+    def test_four_points_read_each_file_once(self, monkeypatch, tmp_path, mode, lambdas, taus):
+        """A 4-point sweep reads its INI file and activity map once and
+        derives every point's settings from them; its table is
+        byte-identical to the one of points each resolved from the file
+        on their own."""
+        board = ((np.indices((16, 24)).sum(axis=0) % 3 == 0) * 255).astype(np.uint8)
+        write_pgm(tmp_path / "act.pgm", board)
+        cfg = write_config(
+            tmp_path / "sweep.ini",
+            f"""
+[run]
+seed = 17
+mode = {mode}
+steps = 3
+
+[canvas]
+channels = 2
+frames = 2
+height = 16
+width = 24
+
+[tiles]
+window_height = 8
+window_width = 8
+
+[prior]
+activity_map = {tmp_path / "act.pgm"}
+""",
+        )
+        reads = []
+        load_config_file, load_activity_map = cli.load_config_file, config.load_activity_map
+        monkeypatch.setattr(cli, "load_config_file", lambda path: reads.append(path) or load_config_file(path))
+        monkeypatch.setattr(
+            config, "load_activity_map",
+            lambda path, h, w: reads.append(path) or load_activity_map(path, h, w),
+        )
+        sweep = ["sweep", "--config", cfg, "--lambda-grid", lambdas, "--tau-grid", taus, "--out"]
+        assert main([*sweep, str(tmp_path / "once.tsv")]) == 0
+        assert reads == [cfg] + ([str(tmp_path / "act.pgm")] if mode == "fd_regional" else [])
+
+        def alone(settings, lam, tau):
+            overrides = [f"prior.lambda_base={lam}", f"prior.tau={tau}"]
+            return resolve_settings(apply_overrides(load_config_file(cfg), overrides))
+
+        monkeypatch.setattr(cli, "_grid_point", alone)
+        assert main([*sweep, str(tmp_path / "alone.tsv")]) == 0
+        table = (tmp_path / "once.tsv").read_bytes()
+        assert table.count(b"\n") == 5
+        assert table == (tmp_path / "alone.tsv").read_bytes()
+
 
 def noise_config(tmp_path, workers, denoiser="kind = gaussian"):
     return write_config(
@@ -900,6 +957,49 @@ class TestTiledNoiseDraw:
         cli.run_pipeline(noise_settings(tmp_path, 2))
         assert len(thumbnails) == 1 and freed == [True]
 
+    def test_a_thumbnail_within_the_canvas_is_the_tiled_runs_source(self, monkeypatch, tmp_path):
+        """On a canvas larger than the thumbnail, the thumbnail latent is
+        itself the prior source: the tiled run holds it, uncopied, and
+        run_pipeline returns it, so no canvas-wide prior is made."""
+        cfg = write_config(
+            tmp_path / "wide.ini",
+            """
+[run]
+seed = 13
+mode = fd
+steps = 2
+workers = 2
+
+[canvas]
+channels = 2
+frames = 2
+height = 80
+width = 120
+
+[tiles]
+window_height = 40
+window_width = 60
+""",
+        )
+        settings = resolve_settings(load_config_file(cfg))
+        thumbnail = settings.prior_stage.canvas_shape
+        assert thumbnail[2] < 80 and thumbnail[3] < 120
+        original_run = TiledSampler.run
+        thumbnails, held = [], []
+
+        def run(self, initial_noise=None):
+            if self.cfg.canvas_shape == thumbnail:
+                x, trace = original_run(self, initial_noise)
+                thumbnails.append(x)
+                return x, trace
+            held.append(self.prior)
+            return original_run(self, initial_noise)
+
+        monkeypatch.setattr(TiledSampler, "run", run)
+        _, _, source, _ = cli.run_pipeline(settings)
+        assert len(thumbnails) == len(held) == 1
+        assert held[0] is thumbnails[0] and source is thumbnails[0]
+
     def test_a_failed_draw_is_raised_on_the_calling_thread(self, monkeypatch, tmp_path):
         drawn_on = []
 
@@ -939,3 +1039,91 @@ class TestTiledNoiseDraw:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert threading.active_count() == threads
+
+
+# Runs main on the command line after it with Python's own SIGINT handler (a
+# process started from a background job inherits SIGINT ignored), and says
+# "stepped" on stdout once the tiled pass has finished its first step.
+INTERRUPTIBLE = (
+    "import signal, sys\n"
+    "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+    "from tilefuse import cli\n"
+    "from tilefuse.sampler import TiledSampler\n"
+    "step = TiledSampler.step\n"
+    "def step_and_say(self, x, i):\n"
+    "    out = step(self, x, i)\n"
+    "    if i == 0 and self.cfg.canvas_shape[2:] == (48, 64):\n"
+    "        print('stepped', flush=True)\n"
+    "    return out\n"
+    "TiledSampler.step = step_and_say\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("denoiser", ["in-process", "echo-workers"])
+def test_sigint_is_one_line_and_exit_130(tmp_path, denoiser):
+    """SIGINT in the tiled pass ends a sample with exit 130 and one stderr
+    line once the pipeline has unwound: no traceback, no output or
+    temporary file, and no worker left."""
+    pids = tmp_path / "pids"
+    section = "kind = gaussian"
+    if denoiser == "echo-workers":
+        script = tmp_path / "echo.py"
+        script.write_text(
+            "import os, sys\n"
+            "with open(sys.argv[1], 'a') as fh:\n"
+            "    fh.write(f'{os.getpid()}\\n')\n"
+            "from tilefuse.echo_worker import main\n"
+            "main([])\n"
+        )
+        section = f"kind = external\ncommand = {sys.executable} {script} {pids}"
+    cfg = write_config(
+        tmp_path / "long.ini",
+        f"""
+[run]
+seed = 5
+mode = fd
+steps = 100
+workers = 2
+
+[canvas]
+channels = 2
+frames = 3
+height = 48
+width = 64
+
+[tiles]
+window_height = 12
+window_width = 16
+overlap = 0.25
+
+[denoiser]
+{section}
+""",
+    )
+    src = os.path.dirname(os.path.dirname(tilefuse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTIBLE, "sample", "--config", cfg,
+         "--output", str(tmp_path / "out.flt")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    deadline = threading.Timer(120, proc.kill)
+    deadline.start()
+    try:
+        assert proc.stdout.readline() == b"stepped\n"
+        proc.send_signal(signal.SIGINT)
+        rest, err = proc.communicate()
+    finally:
+        deadline.cancel()
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert (rest, err) == (b"", b"interrupted\n")
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out.flt")]
+    if denoiser == "echo-workers":
+        started = [int(v) for v in pids.read_text().split()]
+        assert len(started) == 2
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

@@ -22,7 +22,7 @@ from tilefuse.denoisers import DenoiserRequest, DenoiserResponse
 from tilefuse.errors import ConfigError, DenoiseError, ShapeError
 from tilefuse.fusion import FusionAccumulator, accumulate, fuse_fd_flow, fuse_md
 from tilefuse.sampler import expand_prior, fill_noise
-from tilefuse.tensor import crop
+from tilefuse.tensor import crop, trilinear_resize
 
 from _oracles import trilinear_loop
 
@@ -66,10 +66,40 @@ class TestBuildPrior:
 
     def test_matches_resize_oracle(self, rng):
         prior = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
-        out = expand_prior(build_prior(prior, (1, 2, 6, 8)), 6)
+        out = expand_prior(build_prior(prior, (1, 2, 6, 8)), 6, 8)
         ref = trilinear_loop(prior, 2, 6, 8)
         assert out.shape == ref.shape
         assert np.allclose(out, ref, atol=1e-6)
+
+    def test_a_thumbnail_within_the_canvas_is_the_source_uncopied(self, rng):
+        prior = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+        assert build_prior(prior, (2, 3, 9, 8)) is prior
+        assert build_prior(prior, (2, 3, 4, 5)) is prior
+        for canvas in ((2, 3, 9, 4), (2, 3, 3, 8), (2, 2, 9, 8)):  # wider, taller, more frames
+            assert build_prior(prior, canvas) is not prior
+
+    @pytest.mark.parametrize(
+        "shape, canvas",
+        [
+            ((2, 3, 5, 7), (2, 3, 11, 16)),  # a thumbnail: the source as it is
+            ((2, 3, 5, 1), (2, 3, 11, 16)),  # one column
+            ((2, 3, 5, 16), (2, 3, 11, 16)),  # as wide as the canvas
+            ((2, 2, 5, 7), (2, 3, 11, 16)),  # other frames: resized
+            ((1, 3, 9, 7), (1, 3, 6, 16)),  # taller than the canvas: resized
+            ((1, 3, 4, 20), (1, 3, 9, 16)),  # wider than the canvas: resized
+        ],
+    )
+    def test_expansion_equals_the_resize_then_the_row_blend(self, rng, shape, canvas):
+        """expand_prior of build_prior's source gives, bit for bit, the
+        floats trilinear_resize stores at the canvas's frames and columns
+        (and at most its rows), blended to canvas rows: the prior a source
+        widened to the canvas gave."""
+        c, t, h, w = canvas
+        prior = rng.standard_normal(shape).astype(np.float32)
+        resized = trilinear_resize(prior, t, min(h, shape[2]), w)
+        out = expand_prior(build_prior(prior, canvas), h, w)
+        assert out.shape == (c, t, h, w) and out.dtype == np.float32
+        assert out.tobytes() == expand_prior(resized, h).tobytes()
 
     def test_channel_mismatch(self, rng):
         prior = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
@@ -419,11 +449,13 @@ class TestConfigValidation:
 
 def reference_step(sampler, x, i):
     """The step as a plain composition over the whole canvas: accumulate
-    every tile in plan order, merge, trace, then take the Euler step."""
+    every tile in plan order, merge, trace, then take the Euler step, on
+    expand_prior's canvas of the sampler's prior source."""
     cfg = sampler.cfg
     sched = cfg.schedule()
     t, sigma, sigma_next = sched.times[i], sched.sigmas[i], sched.sigmas[i + 1]
     lam = 0.0 if cfg.mode == "md" else cfg.prior.strength_at(t)
+    prior = expand_prior(sampler.prior, *cfg.canvas_shape[2:])
     acc = FusionAccumulator.zeros(cfg.canvas_shape)
     for rect in cfg.plan().tiles:
         req = DenoiserRequest(tile=crop(x, rect), step_index=i, t=t, sigma=sigma, rect=rect)
@@ -432,8 +464,8 @@ def reference_step(sampler, x, i):
     if np.ndim(lam) == 0 and float(lam) == 0.0:
         y = fuse_md(acc)
     else:
-        y = fuse_fd_flow(acc, x, sampler.prior, lam, sigma)
-    fg, bg = trace_prior_mse(x, sigma, y, sampler.prior, cfg.prior.activity_map)
+        y = fuse_fd_flow(acc, x, prior, lam, sigma)
+    fg, bg = trace_prior_mse(x, sigma, y, prior, cfg.prior.activity_map)
     return euler_update(x, y, sigma_next - sigma), fg, bg
 
 

@@ -43,11 +43,13 @@ MODES = ("md", "fd", "fd_regional")
 @st.composite
 def streamed_cases(draw):
     """A small random sampler: canvas, window, overlap, ramp, mode, workers,
-    a seed for its target, prior, activity map and initial noise, and
-    whether that noise is handed to run read-only."""
+    a seed for its target, prior, activity map and initial noise, whether
+    that noise is handed to run read-only, and the prior's rows and columns
+    if it is a thumbnail within the canvas (None: canvas-shaped)."""
     h = draw(st.integers(1, 40))
     w = draw(st.integers(1, 12))
     return dict(
+        prior_hw=draw(st.none() | st.tuples(st.integers(1, h), st.integers(1, w))),
         shape=(draw(st.integers(1, 2)), draw(st.integers(1, 2)), h, w),
         window=(draw(st.integers(1, h + 3)), draw(st.integers(1, w + 3))),
         overlap=draw(st.sampled_from([0.0, 0.3, 0.5, 0.75])),
@@ -64,7 +66,8 @@ def build(case):
     rng = np.random.default_rng(case["seed"])
     shape = case["shape"]
     target = rng.standard_normal(shape).astype(np.float32)
-    prior = rng.standard_normal(shape).astype(np.float32)
+    prior_hw = case.get("prior_hw") or shape[2:]
+    prior = rng.standard_normal((*shape[:2], *prior_hw)).astype(np.float32)
     if case["mode"] == "fd":
         prior_cfg = PriorScheduleConfig(lambda_base=1.5, mode="constant")
     elif case["mode"] == "fd_regional":
@@ -97,6 +100,7 @@ FAST = settings(max_examples=60, deadline=None, suppress_health_check=[HealthChe
 @given(streamed_cases())
 def test_run_equals_composition_of_whole_canvas_steps(case):
     sampler, noise = build(case)
+    assert sampler.prior.shape[2:] == (case["prior_hw"] or case["shape"][2:])  # held as is
     handed = noise.copy()
     handed.flags.writeable = not case["read_only"]
     x, trace = sampler.run(initial_noise=handed)
@@ -376,14 +380,20 @@ def test_run_memory_with_a_thumbnail_prior_does_not_grow_with_height():
 
 
 @pytest.mark.parametrize(
-    "mode, shape, window",
+    "mode, shape, window, prior_frames",
     [
-        *[pytest.param(mode, (4, 32, 96, 128), (64, 64), id=mode) for mode in MODES],
+        *[pytest.param(mode, (4, 32, 96, 128), (64, 64), 4, id=mode) for mode in MODES],
         # a band's blend tables (2 x 16 rows x 4096 float32) are twice a tile channel
-        pytest.param("md", (1, 2, 64, 4096), (32, 1024), id="md-wide-bands"),
+        pytest.param("md", (1, 2, 64, 4096), (32, 1024), 4, id="md-wide-bands"),
+        # a thumbnail with the canvas's frames is the source as it is, 16 columns
+        # wide: each band blends its columns too
+        *[
+            pytest.param(mode, (4, 32, 96, 128), (64, 64), 32, id=f"{mode}-narrow-prior")
+            for mode in ("fd", "fd_regional")
+        ],
     ],
 )
-def test_steady_step_allocates_less_than_a_tile_channel(mode, shape, window):
+def test_steady_step_allocates_less_than_a_tile_channel(mode, shape, window, prior_frames):
     """Once the first step has made the run's buffers, a step makes no
     allocation as large as one float32 channel of a tile: the ring add
     casts each channel into the run's float64 buffer, a prediction's
@@ -406,8 +416,9 @@ def test_steady_step_allocates_less_than_a_tile_channel(mode, shape, window):
         canvas_shape=shape, steps=4, mode=mode, window_h=window[0], window_w=window[1],
         overlap=0.5, workers=1, prior=prior,
     )
-    thumbnail = rng.standard_normal((c, 4, 12, 16)).astype(np.float32)
+    thumbnail = rng.standard_normal((c, prior_frames, 12, 16)).astype(np.float32)
     sampler = TiledSampler(cfg, lambda req: DenoiserResponse(prediction=pred), thumbnail)
+    assert (sampler.prior is thumbnail) == (prior_frames == t)
     step, peaks = sampler.step, []
 
     def traced_step(x, i):
@@ -426,6 +437,45 @@ def test_steady_step_allocates_less_than_a_tile_channel(mode, shape, window):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 3 and max(peaks) < pred[0].nbytes
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("mode", MODES)
+def test_narrow_prior_over_a_flush_band_matches_the_composition(mode, workers):
+    """A thumbnail prior narrower and shorter than the canvas is held as it
+    is, and the run's latent equals, bit for bit, the whole-canvas
+    composition on expand_prior's canvas of it, here on a plan whose last
+    tile row is flush with the bottom edge, two rows below the one above
+    it, so that a band of two rows is blended, and whose bands wrap the
+    ring of one tile row."""
+    shape = (2, 3, 22, 20)
+    rng = np.random.default_rng(31)
+    schedule = {
+        "md": {},
+        "fd": dict(lambda_base=1.5, mode="constant"),
+        "fd_regional": dict(
+            lambda_base=1.5, mode="regional", tau_active=0.2, tau_background=0.6,
+            activity_map=rng.integers(0, 2, shape[2:]).astype(bool),
+        ),
+    }[mode]
+    cfg = SamplerConfig(
+        canvas_shape=shape, steps=3, mode=mode, window_h=8, window_w=8, overlap=0.25,
+        ramp=2, workers=workers, prior=PriorScheduleConfig(**schedule),
+    )
+    tops = sorted({r.row for r in cfg.plan().tiles})
+    assert tops == [0, 6, 12, 14]  # bands [12, 14) of two rows and [6, 12), which wraps
+    target, noise = (rng.standard_normal(shape).astype(np.float32) for _ in range(2))
+    thumbnail = rng.standard_normal((2, 3, 5, 7)).astype(np.float32)
+    sampler = TiledSampler(cfg, TargetDriver(target), thumbnail)
+    assert sampler.prior is thumbnail
+    x, trace = sampler.run(initial_noise=noise.copy())
+
+    ref = noise
+    for i, record in enumerate(trace.records):
+        ref, fg, bg = reference_step(sampler, ref, i)
+        assert_close_or_none(record.fg_mse, fg)
+        assert_close_or_none(record.bg_mse, bg)
+    assert x.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["fd", "fd_regional"])
@@ -503,13 +553,15 @@ def band_cases(draw):
     """One band channel for the kernel: its frames, rows and width, where
     its rows start in a ring (the band may wrap), a frame-group budget that
     need not divide the frame count, a strength (zero, scalar or plane), an
-    activity mask (none, empty, full or mixed), and the height of the row
-    source the prior rows are blended from (rows: weights of 1 and 0)."""
+    activity mask (none, empty, full or mixed), and the height and width of
+    the source the prior is blended from (rows: weights of 1 and 0; w: no
+    column pass)."""
     t, rows, w = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
     size = draw(st.integers(rows, rows + 6))
     return dict(
         t=t, rows=rows, w=w, size=size,
         h0=draw(st.integers(1, rows)),
+        w0=draw(st.integers(1, w)),
         top=draw(st.integers(0, 3 * size)),
         budget=draw(st.integers(1, t * rows * w + 3)),
         strength=draw(st.sampled_from(["zero", "scalar", "plane"])),
@@ -525,17 +577,20 @@ def band_cases(draw):
 def test_band_kernel_equals_the_public_composition(case):
     """The kernel, run over a band's ring pieces, gives the latent of
     fuse_md / fuse_fd_flow, then trace_prior_mse, then euler_update, bit for
-    bit, and the trace sums their means to rel 1e-12. The kernel blends the
-    prior's row source to the band's rows; the composition takes
-    expand_prior's float32 rows. The kernel zeroes the ring rows it read
-    and no others."""
+    bit, and the trace sums their means to rel 1e-12. The kernel is called
+    as a step calls it: per piece, on the source rows its row table reads,
+    which it blends to the canvas's columns (when the source is narrower)
+    and the piece's rows; the composition takes expand_prior's float32
+    prior. The kernel zeroes the ring rows it read and no others."""
     rng = np.random.default_rng(case["seed"])
     t, rows, w, size, top = case["t"], case["rows"], case["w"], case["size"], case["top"]
     sigma = case["sigma"]
     dsigma = -case["fall"] * sigma
     x = rng.standard_normal((t, rows, w)).astype(np.float32)
-    source = rng.standard_normal((t, case["h0"], w)).astype(np.float32)
-    prior, blend = expand_prior(source, rows), sampler_module._row_tables(source.shape[1], rows, w)
+    h0, w0 = case["h0"], case["w0"]
+    source = rng.standard_normal((t, h0, w0)).astype(np.float32)
+    prior, blend = expand_prior(source, rows, w), sampler_module._row_tables(h0, rows, w)
+    columns = None if w0 == w else sampler_module._column_tables(w0, w)
     ring = rng.standard_normal((t, size, w))
     den = rng.uniform(0.1, 3.0, (rows, w))
     lam = {
@@ -563,7 +618,8 @@ def test_band_kernel_equals_the_public_composition(case):
 
     got, before = x.copy(), ring.copy()
     sums = np.zeros(2)
-    scratch = sampler_module._KernelScratch(t * rows * w, rows * w)  # covers every piece
+    # sizes that cover every piece: a group reads at most every frame and source row
+    scratch = sampler_module._KernelScratch(t * rows * w, rows * w, (t * h0, w0, w))
     for canvas_rows, ring_rows in pieces:
         band = slice(canvas_rows.start - top, canvas_rows.stop - top)
         if case["strength"] == "zero":
@@ -574,9 +630,11 @@ def test_band_kernel_equals_the_public_composition(case):
         masks = None
         if activity is not None:
             masks = (activity[band].astype(np.float64), (~activity[band]).astype(np.float64))
+        index, weight = (table[:, band] for table in blend)
+        first, stop = index[0, 0], index[1, -1] + 1  # the source rows the piece reads
         sums += sampler_module._band_update(
-            got[:, band], source, tuple(table[:, band] for table in blend), ring[:, ring_rows],
-            den_b, slam, sigma, dsigma, masks, scratch, budget=case["budget"],
+            got[:, band], source[:, first:stop], (index - first, weight), ring[:, ring_rows],
+            den_b, slam, sigma, dsigma, masks, scratch, columns, budget=case["budget"],
         )
     assert got.tobytes() == want.tobytes()
     read = np.zeros(size, bool)
