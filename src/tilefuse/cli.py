@@ -160,7 +160,7 @@ def run_pipeline(settings, prior=None):
         timings["prior"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        prior_rows = build_prior(prior, canvas_shape, settings.run.workers)
+        prior_rows = build_prior(prior, canvas_shape)
         del prior  # the tiled pass reads the source: a resized thumbnail is freed
         timings["upsample"] = time.perf_counter() - t0
 

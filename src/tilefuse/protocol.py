@@ -215,12 +215,16 @@ def unpack_embedding(payload: bytes) -> np.ndarray:
 
 
 def _spawn(command) -> subprocess.Popen:
-    """Start one worker child with pipes on its stdin and stdout."""
+    """Start one worker child with pipes on its stdin and stdout, in a
+    session of its own: a terminal's SIGINT to the parent's process group
+    does not reach it, and it ends on EOF when the parent closes its
+    stdin."""
     return subprocess.Popen(
         list(command),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=None,
+        start_new_session=True,
     )
 
 

@@ -36,21 +36,22 @@ columns. Each band reads the source rows its canvas rows blend from,
 frame group by frame group: it casts them to float64, blends their
 columns to the canvas width as trilinear_resize does and rounds them to
 float32, then blends the rows in float32 as a * src[lo] + b * src[hi]
-(expand_prior's prior). The column and row tables are built once per
-sampler. A source at canvas width skips the column blend; one at canvas
-height takes the row blend with weights 1 and 0, which gives its finite
-values back.
+(expand_prior's prior). Every source takes both blends, by tables built
+once per sampler; at the canvas's width or height a blend has weights 1
+and 0, which give the source's finite values back. A run with no prior
+blends a zero source of one row and one column.
 
 One band kernel does a band channel's prior cells, merge, trace and Euler
 update in frame groups of about GROUP_BUDGET elements, through scratch
-buffers that each pool thread makes once per run, at the size of the
-run's largest band, and keeps, so the passes over a group reuse buffers
-that are already cached. Each float32 operand of a group is cast to
-float64 once, so the passes after it are pure float64 ones. It applies the elementwise operations of
-fuse_md or fuse_fd_flow, trace_prior_mse and euler_update in their order,
-so the latent gets the same bits as their composition on the expanded
-prior. The trace means are float64 sums and cell counts over the bands;
-only these sums run in another order than trace_prior_mse's.
+buffers that each pool thread makes once per run, in one allocation at
+the sizes the run's largest band piece needs, and keeps, so the passes
+over a group reuse buffers that are already cached. Each float32 operand
+of a group is cast to float64 once, so the passes after it are pure
+float64 ones. It applies the elementwise operations of fuse_md or
+fuse_fd_flow, trace_prior_mse and euler_update in their order, so the
+latent gets the same bits as their composition on the expanded prior.
+The trace means are float64 sums and cell counts over the bands; only
+these sums run in another order than trace_prior_mse's.
 
 Every cell sees the same additions in the same order and the same
 elementwise closed form whatever the worker count, so runs are bitwise
@@ -218,13 +219,13 @@ def fill_noise(out: np.ndarray, seed: int, stream: int = 0) -> None:
     gen.standard_normal(dtype=np.float32, out=out)
 
 
-def build_prior(prior_latent: np.ndarray, canvas_shape, workers: int = 1) -> np.ndarray:
+def build_prior(prior_latent: np.ndarray, canvas_shape) -> np.ndarray:
     """The source of a native-resolution prior on the canvas grid. A prior
     with the canvas's frames and at most its rows and columns, such as the
     thumbnail stage's output, is the source as it is (a float32 one is not
-    copied); any other is resized (channels on `workers` threads) to the
-    canvas's frames and columns and to min(H, h0) rows. expand_prior
-    blends a source to canvas columns and rows."""
+    copied); any other is resized to the canvas's frames and columns and
+    to min(H, h0) rows. expand_prior blends a source to canvas columns and
+    rows."""
     prior_latent = as_latent(prior_latent, "prior")
     c, t, h, w = canvas_shape
     if prior_latent.shape[0] != c:
@@ -234,7 +235,7 @@ def build_prior(prior_latent: np.ndarray, canvas_shape, workers: int = 1) -> np.
     _, t0, h0, w0 = prior_latent.shape
     if t0 == t and h0 <= h and w0 <= w:
         return prior_latent
-    return trilinear_resize(prior_latent, t, min(h, h0), w, workers)
+    return trilinear_resize(prior_latent, t, min(h, h0), w)
 
 
 def _row_tables(src_h: int, height: int, width: int):
@@ -257,19 +258,18 @@ def _column_tables(src_w: int, width: int):
     return lo, hi, 1.0 - frac, frac
 
 
-def expand_prior(source: np.ndarray, height: int, width: int | None = None) -> np.ndarray:
+def expand_prior(source: np.ndarray, height: int, width: int) -> np.ndarray:
     """The prior of a float32 source (..., h0, w0) on a canvas `height` rows
-    by `width` columns (None: w0), the cells the band kernel builds. The
-    columns come first, in float64 and rounded to float32 as
-    trilinear_resize makes them; the rows are then blended in float32 as
-    a * source[lo] + b * source[hi] by _row_tables. A source of that shape
-    is returned as is."""
-    if width is not None and source.shape[-1] != width:
-        columns = _column_tables(source.shape[-1], width)
-        source = _lerp(source.astype(np.float64), -1, *columns).astype(np.float32)
-    if source.shape[-2] == height:
+    by `width` columns, the cells the band kernel builds. The columns come
+    first, in float64 and rounded to float32 as trilinear_resize makes
+    them; the rows are then blended in float32 as a * source[lo] +
+    b * source[hi] by _row_tables. A source of that shape is returned as
+    is."""
+    if source.shape[-2:] == (height, width):
         return source
-    index, weight = _row_tables(source.shape[-2], height, source.shape[-1])
+    columns = _column_tables(source.shape[-1], width)
+    source = _lerp(source.astype(np.float64), -1, *columns).astype(np.float32)
+    index, weight = _row_tables(source.shape[-2], height, width)
     rows = np.take(source, index.ravel(), axis=-2, mode="clip")
     rows *= weight.reshape(2 * height, -1)
     return np.add(rows[..., :height, :], rows[..., height:, :])
@@ -304,46 +304,36 @@ def trace_prior_mse(x_t, sigma_t, y, x_prior, activity=None):
     return fg, bg
 
 
-def _kernel_buffers(n, cells):
-    """The band kernel's buffers, carved from one allocation: four float64
-    of n elements, a float32 of n and one of 2n, and a float64 block of two
-    `cells` planes."""
-    block = np.empty(44 * n + 16 * cells, np.uint8)
-    f64 = block[: 32 * n + 16 * cells].view(np.float64)
-    f32 = block[32 * n + 16 * cells :].view(np.float32)
-    return (*f64[: 4 * n].reshape(4, n), f32[:n], f32[n:], f64[4 * n :])
-
-
-def _column_buffers(m, src_w, width):
-    """The column pass's buffers, carved from one allocation: a float64 of
-    m source rows of src_w columns, two float64 and a float32 of m rows of
-    `width` columns."""
-    block = np.empty(m * (8 * src_w + 20 * width), np.uint8)
-    f64 = block[: 8 * m * (src_w + 2 * width)].view(np.float64)
-    f32 = block[8 * m * (src_w + 2 * width) :].view(np.float32)
-    cut = m * src_w
-    return f64[:cut], *f64[cut:].reshape(2, -1), f32
+def _kernel_buffers(n, cells, src, wide):
+    """The band kernel's buffers, carved from one allocation with the
+    float64 views first, so that every view is aligned: float64s of n
+    (four), 2 * cells, src and wide (two), then float32s of n, 2n and wide."""
+    f64 = 4 * n + 2 * cells + src + 2 * wide
+    block = np.empty(8 * f64 + 4 * (3 * n + wide), np.uint8)
+    *flat, planes, s64, near, far = np.split(
+        block[: 8 * f64].view(np.float64), np.cumsum([n, n, n, n, 2 * cells, src, wide])
+    )
+    y32, pairs, src32 = np.split(block[8 * f64 :].view(np.float32), [n, 3 * n])
+    return (*flat, y32), pairs, planes, (s64, near, far, src32)
 
 
 class _KernelScratch(threading.local):
     """Per-thread band-kernel buffers of fixed sizes, the most any band
-    piece of the run needs (_kernel_buffers(n, cells), and with a source
-    narrower than the canvas _column_buffers(*columns)): a thread makes
-    them on its first use and keeps them, so what is allocated does not
-    depend on which thread takes which band."""
+    piece of the run needs (_kernel_buffers(*sizes)): a thread makes them
+    on its first use and keeps them, so what is allocated does not depend
+    on which thread takes which band."""
 
-    def __init__(self, n, cells, columns=None):
-        self.sizes, self.columns, self.held = (n, cells), columns, None
+    def __init__(self, sizes):
+        self.sizes, self.held = sizes, None
 
     def buffers(self):
         if self.held is None:
-            wide = None if self.columns is None else _column_buffers(*self.columns)
-            self.held = (*_kernel_buffers(*self.sizes), wide)
+            self.held = _kernel_buffers(*self.sizes)
         return self.held
 
 
 def _band_update(
-    x, source, blend, num, den, slam, sigma, dsigma, masks, scratch, columns=None,
+    x, source, blend, columns, num, den, slam, sigma, dsigma, masks, scratch,
     budget=GROUP_BUDGET,
 ):
     """Merge, trace and Euler-update one band channel; x is updated in place.
@@ -351,16 +341,16 @@ def _band_update(
     x is the float32 (T, rows, W) latent rows, num the float64 numerator
     rows, zeroed once read, and den the float64 (rows, W) denominator: the
     weight sum, plus sigma**2 * lam with the prior term. source is the
-    float32 (T, k, w0) prior source rows that the band's blend reads, and
-    blend the band's rows of its _row_tables: (2, rows) indices into those
-    k rows and float32 (2, rows, W) weights. columns is None for a source W
-    wide, else its _column_tables to W: each frame group's source rows are
-    cast to float64, blended to W columns and rounded to float32 first, as
-    expand_prior does. The rows are then summed in float32. slam is sigma *
-    lam, a float or a (rows, W) plane, or None for the plain weighted mean.
-    masks is None or the float64 (rows, W) foreground and background
-    indicator planes. Returns the squared residual's sums over the two
-    partitions; with no masks all of it is foreground.
+    float32 (T, k, w0) prior source rows that the band's blend reads, blend
+    the band's rows of its _row_tables: (2, rows) indices into those k rows
+    and float32 (2, rows, W) weights, and columns its _column_tables to W.
+    Each frame group's source rows are cast to float64, blended to W
+    columns and rounded to float32, as expand_prior does, and then their
+    rows are summed in float32. slam is sigma * lam, a float or a (rows, W)
+    plane, or None for the plain weighted mean. masks is None or the
+    float64 (rows, W) foreground and background indicator planes. Returns
+    the squared residual's sums over the two partitions; with no masks all
+    of it is foreground.
 
     Frames go in groups of at most `budget` elements (one frame if a frame
     is larger) through the calling thread's _KernelScratch buffers. The
@@ -376,7 +366,7 @@ def _band_update(
     cells = rows * w
     index, weight = blend
     group = max(1, min(t, budget // cells))
-    *flat, pairs, planes, wide = scratch.buffers()
+    flat, pairs, planes, wide = scratch.buffers()
     plane, part = planes[: 2 * cells].reshape(2, rows, w)
     plane[...] = 0.0
     total = 0.0
@@ -385,17 +375,15 @@ def _band_update(
         xg = x[frames]
         x64, p64, y64, r, y32 = (b[: xg.size].reshape(xg.shape) for b in flat)
         np.copyto(x64, xg)
-        src = source[frames]
-        if columns is not None:  # trilinear_resize's column pass, then its rounding
-            g, k, w0 = src.shape
-            s64, near, far, src32 = (
-                b[: g * k * n].reshape(g, k, n) for b, n in zip(wide, (w0, w, w, w))
-            )
-            np.copyto(s64, src)
-            np.copyto(src32, _lerp(s64, -1, *columns, near, far))
-            src = src32
+        src = source[frames]  # trilinear_resize's column pass, then its rounding
+        g, k, w0 = src.shape
+        s64, near, far, src32 = (
+            b[: g * k * n].reshape(g, k, n) for b, n in zip(wide, (w0, w, w, w))
+        )
+        np.copyto(s64, src)
+        np.copyto(src32, _lerp(s64, -1, *columns, near, far))
         both = pairs[: 2 * xg.size].reshape(len(xg), 2, rows, w)
-        np.take(src, index, axis=1, out=both, mode="clip")
+        np.take(src32, index, axis=1, out=both, mode="clip")
         both *= weight
         near = both[:, 0]
         np.add(near, both[:, 1], out=near)  # in float32, then cast: cheaper
@@ -457,13 +445,11 @@ class TiledSampler:
         if prior is None:
             if cfg.mode != "md" and cfg.prior.lambda_base > 0:
                 raise ConfigError("prior-regularized run needs a prior latent")
-            self.prior = np.zeros((c, t, 1, w), dtype=np.float32)
-        else:
-            prior = build_prior(prior, cfg.canvas_shape, cfg.workers)
-            self.prior = ensure_finite(prior, "prior")  # named before any tile runs
+            self.prior = np.zeros((c, t, 1, 1), dtype=np.float32)
+        else:  # named before any tile runs
+            self.prior = ensure_finite(build_prior(prior, cfg.canvas_shape), "prior")
         self._blend = _row_tables(self.prior.shape[2], h, w)
-        src_w = self.prior.shape[3]
-        self._columns = None if src_w == w else _column_tables(src_w, w)
+        self._columns = _column_tables(self.prior.shape[3], w)
 
         # the weight sum is the same every step: add it up once, in plan order
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)
@@ -492,7 +478,7 @@ class TiledSampler:
             self._local.run = _RunState(
                 pool, 2 * workers, np.zeros((c, t, rows, w), dtype=np.float64),
                 np.empty(t * rows * self.plan.window_w, dtype=np.float64),
-                _KernelScratch(*self._scratch_sizes(), self._column_sizes()), latent,
+                _KernelScratch(self._scratch_sizes()), latent,
             )
             try:
                 yield self._local.run
@@ -500,32 +486,23 @@ class TiledSampler:
                 self._local.run = None
 
     def _scratch_sizes(self):
-        """The kernel buffer sizes that cover every band piece of the run:
-        a piece is at most a band, the rows from one tile row's top to the
-        next's (or to the canvas bottom), and takes frame groups of at most
-        GROUP_BUDGET elements, or one frame if a frame is larger."""
+        """The _kernel_buffers sizes that cover every band piece of the run.
+        The pieces are the bands, the rows from one tile row's top to the
+        next's (or to the canvas bottom), split where the ring of one tile
+        row wraps. A piece takes frame groups of at most GROUP_BUDGET
+        elements, or one frame if a frame is larger, and a group reads the
+        source rows that the piece's row table spans, in each of its frames."""
         _, t, h, w = self.cfg.canvas_shape
         tops = sorted({r.row for r in self.plan.tiles}) + [h]
-        cells = w * max(b - a for a, b in zip(tops, tops[1:]))
-        return min(t * cells, max(cells, GROUP_BUDGET)), cells
-
-    def _column_sizes(self):
-        """_column_buffers' sizes for the run, None for a source as wide as
-        the canvas: the most source rows times frames that one frame group
-        of a band piece reads, with the source's and the canvas's widths.
-        The pieces are the bands, split where the ring of one tile row
-        wraps."""
-        if self._columns is None:
-            return None
-        _, t, h, w = self.cfg.canvas_shape
-        tops = sorted({r.row for r in self.plan.tiles}) + [h]
-        index, most = self._blend[0], 0
+        index, n, cells, most = self._blend[0], 0, 0, 0
         for a, b in zip(tops, tops[1:]):
             for rows, _ in _ring_slices(a, b, self.plan.window_h):
-                group = max(1, min(t, GROUP_BUDGET // ((rows.stop - rows.start) * w)))
-                span = index[1, rows.stop - 1] - index[0, rows.start] + 1
-                most = max(most, group * int(span))
-        return most, self.prior.shape[3], w
+                piece = (rows.stop - rows.start) * w
+                group = max(1, min(t, GROUP_BUDGET // piece))
+                span = int(index[1, rows.stop - 1] - index[0, rows.start]) + 1
+                n, cells = max(n, group * piece), max(cells, piece)
+                most = max(most, group * span)
+        return n, cells, most * self.prior.shape[3], most * w
 
     def _predict_tile(self, x, i, t, sigma, k, rect):
         tile = x[:, :, rect.row_slice, rect.col_slice]
@@ -664,9 +641,8 @@ class TiledSampler:
                     """Merge, trace and Euler-update channel c of the band in
                     place; returns c and the trace's (sum, cells) per part."""
                     fg, bg = _band_update(
-                        x[c, :, rows], self.prior[c, :, top:bottom], blend,
-                        ring[c, :, ring_rows], den, slam, sigma, dsigma, masks,
-                        scratch, self._columns,
+                        x[c, :, rows], self.prior[c, :, top:bottom], blend, self._columns,
+                        ring[c, :, ring_rows], den, slam, sigma, dsigma, masks, scratch,
                     )
                     return c, fg, n_fg, bg, cells - n_fg
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,17 +127,13 @@ def _lerp(src, axis, lo, hi, w_lo, w_hi, near=None, far=None):
     return near
 
 
-def trilinear_resize(
-    src: np.ndarray, out_t: int, out_h: int, out_w: int, workers: int = 1
-) -> np.ndarray:
+def trilinear_resize(src: np.ndarray, out_t: int, out_h: int, out_w: int) -> np.ndarray:
     """Endpoint-aligned trilinear interpolation over (T,H,W), channel-wise.
 
     Corners map to corners; resizing to the source dims returns the source
     bit-exactly. Interpolation runs in float64 one output frame at a time,
     so its temporaries are a few frames, not a channel, and the result is
-    cast back to float32. The channels run on a pool of `workers` threads;
-    each frame's arithmetic is the same whatever the count, so the result
-    is bit-identical.
+    cast back to float32.
     """
     src = as_latent(src, "source")
     if out_t < 1 or out_h < 1 or out_w < 1:
@@ -159,24 +154,19 @@ def trilinear_resize(
         passes.append((axis, lo, hi, 1.0 - frac, frac))
 
     out = np.empty((c, out_t, out_h, out_w), dtype=np.float32)
-
-    def resize_channel(ch):
-        for k in range(out_t):
-            # each pass is (1 - frac) * vol[lo] + frac * vol[hi]
-            if t == out_t:
-                frame = src[ch, k].astype(np.float64)
-            else:
-                frame = src[ch, t_lo[k]].astype(np.float64)
-                frame *= 1.0 - t_frac[k]
-                far = src[ch, t_hi[k]].astype(np.float64)
-                far *= t_frac[k]
-                frame += far
-            for axis, lo, hi, w_lo, w_hi in passes:
-                frame = _lerp(frame, axis, lo, hi, w_lo, w_hi)
-            out[ch, k] = frame
-
-    with ThreadPoolExecutor(max(1, min(workers, c)), thread_name_prefix="tilefuse-resize") as pool:
-        list(pool.map(resize_channel, range(c)))
+    for ch, k in np.ndindex(c, out_t):
+        # each pass is (1 - frac) * vol[lo] + frac * vol[hi]
+        if t == out_t:
+            frame = src[ch, k].astype(np.float64)
+        else:
+            frame = src[ch, t_lo[k]].astype(np.float64)
+            frame *= 1.0 - t_frac[k]
+            far = src[ch, t_hi[k]].astype(np.float64)
+            far *= t_frac[k]
+            frame += far
+        for axis, lo, hi, w_lo, w_hi in passes:
+            frame = _lerp(frame, axis, lo, hi, w_lo, w_hi)
+        out[ch, k] = frame
     return out
 
 

@@ -1060,11 +1060,20 @@ INTERRUPTIBLE = (
 )
 
 
-@pytest.mark.parametrize("denoiser", ["in-process", "echo-workers"])
-def test_sigint_is_one_line_and_exit_130(tmp_path, denoiser):
+@pytest.mark.parametrize(
+    "denoiser, group",
+    [
+        pytest.param("in-process", False, id="in-process"),
+        pytest.param("echo-workers", False, id="echo-workers"),
+        pytest.param("echo-workers", True, id="echo-workers-process-group"),
+    ],
+)
+def test_sigint_is_one_line_and_exit_130(tmp_path, denoiser, group):
     """SIGINT in the tiled pass ends a sample with exit 130 and one stderr
     line once the pipeline has unwound: no traceback, no output or
-    temporary file, and no worker left."""
+    temporary file, and no worker left. Sent to the whole process group,
+    as a terminal's Ctrl-C is, it does not reach the FDP1 workers, which
+    run in sessions of their own and end on EOF."""
     pids = tmp_path / "pids"
     section = "kind = gaussian"
     if denoiser == "echo-workers":
@@ -1106,13 +1115,16 @@ overlap = 0.25
     proc = subprocess.Popen(
         [sys.executable, "-c", INTERRUPTIBLE, "sample", "--config", cfg,
          "--output", str(tmp_path / "out.flt")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=group,
     )
     deadline = threading.Timer(120, proc.kill)
     deadline.start()
     try:
         assert proc.stdout.readline() == b"stepped\n"
-        proc.send_signal(signal.SIGINT)
+        if group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            proc.send_signal(signal.SIGINT)
         rest, err = proc.communicate()
     finally:
         deadline.cancel()

@@ -49,7 +49,7 @@ class TestBuildPrior:
         prior = np.full((1, 2, 3, 3), 1.25, dtype=np.float32)
         out = build_prior(prior, (1, 2, 9, 9))
         assert np.allclose(out, 1.25, atol=1e-6)
-        assert np.allclose(expand_prior(out, 9), 1.25, atol=1e-6)
+        assert np.allclose(expand_prior(out, 9, 9), 1.25, atol=1e-6)
 
     def test_row_source_keeps_the_source_rows(self, rng):
         prior = rng.standard_normal((2, 1, 3, 4)).astype(np.float32)
@@ -62,7 +62,7 @@ class TestBuildPrior:
         prior = rng.standard_normal((1, 2, 9, 4)).astype(np.float32)
         out = build_prior(prior, (1, 2, 6, 8))
         assert out.shape == (1, 2, 6, 8)
-        assert expand_prior(out, 6) is out
+        assert expand_prior(out, 6, 8) is out
 
     def test_matches_resize_oracle(self, rng):
         prior = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
@@ -99,7 +99,7 @@ class TestBuildPrior:
         resized = trilinear_resize(prior, t, min(h, shape[2]), w)
         out = expand_prior(build_prior(prior, canvas), h, w)
         assert out.shape == (c, t, h, w) and out.dtype == np.float32
-        assert out.tobytes() == expand_prior(resized, h).tobytes()
+        assert out.tobytes() == expand_prior(resized, h, w).tobytes()
 
     def test_channel_mismatch(self, rng):
         prior = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)

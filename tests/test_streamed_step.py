@@ -231,9 +231,9 @@ def test_each_pool_thread_makes_its_kernel_buffers_once_per_run(monkeypatch):
     made = []
     kernel_buffers = sampler_module._kernel_buffers
 
-    def record(n, cells):
-        made.append((threading.current_thread().name, n, cells))
-        return kernel_buffers(n, cells)
+    def record(*sizes):
+        made.append((threading.current_thread().name, sizes))
+        return kernel_buffers(*sizes)
 
     monkeypatch.setattr(sampler_module, "_kernel_buffers", record)
     for _ in range(2):
@@ -242,7 +242,7 @@ def test_each_pool_thread_makes_its_kernel_buffers_once_per_run(monkeypatch):
         threads = [name for name, *_ in made]
         assert 1 <= len(threads) <= cfg.workers
         assert len(set(threads)) == len(threads)
-        assert {(n, cells) for _, n, cells in made} == {sampler._scratch_sizes()}
+        assert {sizes for _, sizes in made} == {sampler._scratch_sizes()}
 
 
 @pytest.mark.parametrize(
@@ -293,8 +293,8 @@ def test_run_memory_holds_one_tile_row_of_numerator():
     thumbnail = rng.standard_normal((4, 2, 6, 512)).astype(np.float32)
     sampler = TiledSampler(cfg, lambda req: DenoiserResponse(prediction=pred), thumbnail)
     noise = make_noise(shape, 3)
-    n, cells = sampler._scratch_sizes()
-    fixed = 44 * n + 16 * cells + 8 * shape[1] * window_h * 256
+    n, cells, src, wide = sampler._scratch_sizes()
+    fixed = 44 * n + 16 * cells + 8 * src + 20 * wide + 8 * shape[1] * window_h * 256
     row = 8 * shape[0] * shape[1] * shape[3]  # one float64 canvas row of all frames
 
     tracemalloc.start()
@@ -439,15 +439,20 @@ def test_steady_step_allocates_less_than_a_tile_channel(mode, shape, window, pri
     assert len(peaks) == 3 and max(peaks) < pred[0].nbytes
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("mode", MODES)
-def test_narrow_prior_over_a_flush_band_matches_the_composition(mode, workers):
+@pytest.mark.parametrize(
+    "mode, workers, prior_frames",
+    [pytest.param(m, n, 3, id=f"{m}-{n}") for m in MODES for n in (1, 2, 3)]
+    + [pytest.param(m, n, 2, id=f"{m}-{n}-other-frames") for m in MODES for n in (1, 3)],
+)
+def test_narrow_prior_over_a_flush_band_matches_the_composition(mode, workers, prior_frames):
     """A thumbnail prior narrower and shorter than the canvas is held as it
-    is, and the run's latent equals, bit for bit, the whole-canvas
-    composition on expand_prior's canvas of it, here on a plan whose last
-    tile row is flush with the bottom edge, two rows below the one above
-    it, so that a band of two rows is blended, and whose bands wrap the
-    ring of one tile row."""
+    is (one of other frames, such as a prior.latent file, is resized to the
+    canvas's frames and width, and then blended with column weights of 1
+    and 0), and the run's latent equals, bit for bit, the whole-canvas
+    composition on expand_prior's canvas of the sampler's prior source,
+    here on a plan whose last tile row is flush with the bottom edge, two
+    rows below the one above it, so that a band of two rows is blended,
+    and whose bands wrap the ring of one tile row."""
     shape = (2, 3, 22, 20)
     rng = np.random.default_rng(31)
     schedule = {
@@ -465,9 +470,12 @@ def test_narrow_prior_over_a_flush_band_matches_the_composition(mode, workers):
     tops = sorted({r.row for r in cfg.plan().tiles})
     assert tops == [0, 6, 12, 14]  # bands [12, 14) of two rows and [6, 12), which wraps
     target, noise = (rng.standard_normal(shape).astype(np.float32) for _ in range(2))
-    thumbnail = rng.standard_normal((2, 3, 5, 7)).astype(np.float32)
+    thumbnail = rng.standard_normal((2, prior_frames, 5, 7)).astype(np.float32)
     sampler = TiledSampler(cfg, TargetDriver(target), thumbnail)
-    assert sampler.prior is thumbnail
+    if prior_frames == 3:
+        assert sampler.prior is thumbnail
+    else:
+        assert sampler.prior.shape == (2, 3, 5, 20)
     x, trace = sampler.run(initial_noise=noise.copy())
 
     ref = noise
@@ -478,24 +486,35 @@ def test_narrow_prior_over_a_flush_band_matches_the_composition(mode, workers):
     assert x.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["fd", "fd_regional"])
-def test_canvas_height_prior_with_signed_zeros_matches_the_composition(mode):
-    """A prior at canvas height goes through the band kernel's row blend,
-    with weights 1 and 0: a -0.0 cell may come out of it as +0.0, but the
-    numerator sum starts at +0.0, so the latent gets the bits of the
-    whole-canvas composition on the prior as it is, here where latent,
-    target and prior hold +0.0 and -0.0 cells at the same places and in
-    the last row (whose near weight is 0)."""
-    shape = (2, 3, 20, 12)
+@pytest.mark.parametrize(
+    "mode, prior_rows",
+    [
+        pytest.param(mode, rows, id=mode + tag)
+        for rows, tag in ((20, ""), (7, "-canvas-width"))
+        for mode in ("fd", "fd_regional")
+    ],
+)
+def test_canvas_height_prior_with_signed_zeros_matches_the_composition(mode, prior_rows):
+    """A prior at canvas size, or at canvas width and fewer rows, goes
+    through the band kernel's column and row blends, whose weights at the
+    canvas's width and height are 1 and 0: a -0.0 cell may come out of them
+    as +0.0, but the numerator sum starts at +0.0, so the latent gets the
+    bits of the whole-canvas composition on expand_prior's prior, here
+    where latent, target and prior hold +0.0 and -0.0 cells at the same
+    places and in their last rows (whose near weight is 0)."""
+    shape, prior_shape = (2, 3, 20, 12), (2, 3, prior_rows, 12)
     rng = np.random.default_rng(21)
-    target, prior, noise = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
-    zeros = np.zeros(shape, bool)
-    zeros[:, :, ::3, ::2] = zeros[:, :, -1] = True
+    target, prior, noise = (
+        rng.standard_normal(s).astype(np.float32) for s in (shape, prior_shape, shape)
+    )
     signs = rng.integers(0, 2, shape).astype(bool)
     for a in (target, prior, noise):
-        a[zeros] = np.where(signs, -0.0, 0.0)[zeros]
+        zeros = np.zeros(a.shape, bool)
+        zeros[:, :, ::3, ::2] = zeros[:, :, -1] = True
+        a[zeros] = np.where(signs[:, :, : a.shape[2]], -0.0, 0.0)[zeros]
         signs = ~signs  # prior and latent zeros of both sign pairs
-    assert np.signbit(prior[zeros]).any() and not np.signbit(prior[zeros]).all()
+        if a is prior:
+            assert np.signbit(a[zeros]).any() and not np.signbit(a[zeros]).all()
     activity = rng.integers(0, 2, shape[2:]).astype(bool)
     schedule = dict(lambda_base=1.5, mode="constant")
     if mode == "fd_regional":
@@ -554,8 +573,7 @@ def band_cases(draw):
     its rows start in a ring (the band may wrap), a frame-group budget that
     need not divide the frame count, a strength (zero, scalar or plane), an
     activity mask (none, empty, full or mixed), and the height and width of
-    the source the prior is blended from (rows: weights of 1 and 0; w: no
-    column pass)."""
+    the source the prior is blended from (rows or w: weights of 1 and 0)."""
     t, rows, w = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
     size = draw(st.integers(rows, rows + 6))
     return dict(
@@ -579,8 +597,9 @@ def test_band_kernel_equals_the_public_composition(case):
     fuse_md / fuse_fd_flow, then trace_prior_mse, then euler_update, bit for
     bit, and the trace sums their means to rel 1e-12. The kernel is called
     as a step calls it: per piece, on the source rows its row table reads,
-    which it blends to the canvas's columns (when the source is narrower)
-    and the piece's rows; the composition takes expand_prior's float32
+    which it blends to the canvas's columns (by identity tables when the
+    source is as wide) and the piece's rows; the composition takes
+    expand_prior's float32
     prior. The kernel zeroes the ring rows it read and no others."""
     rng = np.random.default_rng(case["seed"])
     t, rows, w, size, top = case["t"], case["rows"], case["w"], case["size"], case["top"]
@@ -590,7 +609,7 @@ def test_band_kernel_equals_the_public_composition(case):
     h0, w0 = case["h0"], case["w0"]
     source = rng.standard_normal((t, h0, w0)).astype(np.float32)
     prior, blend = expand_prior(source, rows, w), sampler_module._row_tables(h0, rows, w)
-    columns = None if w0 == w else sampler_module._column_tables(w0, w)
+    columns = sampler_module._column_tables(w0, w)
     ring = rng.standard_normal((t, size, w))
     den = rng.uniform(0.1, 3.0, (rows, w))
     lam = {
@@ -619,7 +638,7 @@ def test_band_kernel_equals_the_public_composition(case):
     got, before = x.copy(), ring.copy()
     sums = np.zeros(2)
     # sizes that cover every piece: a group reads at most every frame and source row
-    scratch = sampler_module._KernelScratch(t * rows * w, rows * w, (t * h0, w0, w))
+    scratch = sampler_module._KernelScratch((t * rows * w, rows * w, t * h0 * w0, t * h0 * w))
     for canvas_rows, ring_rows in pieces:
         band = slice(canvas_rows.start - top, canvas_rows.stop - top)
         if case["strength"] == "zero":
@@ -633,8 +652,8 @@ def test_band_kernel_equals_the_public_composition(case):
         index, weight = (table[:, band] for table in blend)
         first, stop = index[0, 0], index[1, -1] + 1  # the source rows the piece reads
         sums += sampler_module._band_update(
-            got[:, band], source[:, first:stop], (index - first, weight), ring[:, ring_rows],
-            den_b, slam, sigma, dsigma, masks, scratch, columns, budget=case["budget"],
+            got[:, band], source[:, first:stop], (index - first, weight), columns,
+            ring[:, ring_rows], den_b, slam, sigma, dsigma, masks, scratch, budget=case["budget"],
         )
     assert got.tobytes() == want.tobytes()
     read = np.zeros(size, bool)

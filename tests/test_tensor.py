@@ -102,19 +102,18 @@ class TestTrilinearResize:
         out = trilinear_resize(x, 2, 3, 4)
         assert np.allclose(out, 3.0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_temporaries_are_frames_not_channels(self, rng, workers):
+    def test_temporaries_are_frames_not_channels(self, rng):
         # the upsample runs while the tiled stage's noise is alive, so its
-        # float64 scratch must stay a few output frames per thread
+        # float64 scratch must stay a few output frames
         x = random_latent(rng, (2, 4, 8, 8))
         tracemalloc.start()
         try:
-            out = trilinear_resize(x, 16, 64, 64, workers)
+            out = trilinear_resize(x, 16, 64, 64)
             scratch = tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()
         frame64 = 64 * 64 * 8
-        assert scratch <= 4 * workers * frame64  # a channel is 16 frames
+        assert scratch <= 4 * frame64  # a channel is 16 frames
         assert np.allclose(out, trilinear_loop(x, 16, 64, 64), atol=1e-6)
 
 
