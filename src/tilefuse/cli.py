@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, interrupt
 from .config import (
     FLAGS,
     apply_overrides,
@@ -131,10 +131,15 @@ def run_pipeline(settings, prior=None):
     from the start, beside the prior read, worker start-up, the prior pass
     and the upsample, into a canvas allocated on this thread before the
     draw starts. The tiled run adopts it. The threads share one malloc
-    arena when main has pinned the process to one (_one_malloc_arena)."""
+    arena when main has pinned the process to one (_one_malloc_arena).
+
+    A SIGINT is deferred (interrupt.deferred) while it runs: it raises
+    KeyboardInterrupt before the next tile is submitted, or once the
+    workers are closed and the draw is joined."""
     timings = {}
     canvas_shape = settings.canvas_shape()
     with contextlib.ExitStack() as stack:  # closes the workers, then joins the draw
+        stack.enter_context(interrupt.deferred())  # exited last: no SIGINT cuts the closing
         draw = stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="tilefuse-noise"))
         tiled_noise = [np.empty(canvas_shape, dtype=np.float32)]
         drawn = draw.submit(fill_noise, tiled_noise[0], settings.run.seed, 1)

@@ -71,6 +71,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import interrupt
 from .blending import DEFAULT_MIN_WEIGHT, ramp_weight_map
 from .denoisers import DenoiserRequest
 from .errors import ConfigError, DenoiseError, ShapeError
@@ -573,6 +574,7 @@ class TiledSampler:
 
         try:
             for k, rect in enumerate(tiles):
+                interrupt.check()  # a deferred SIGINT leaves here, holding no lock
                 pending.append(
                     (k, rect, pool.submit(self._predict_tile, x, i, t, sigma, k, rect))
                 )

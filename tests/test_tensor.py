@@ -102,10 +102,12 @@ class TestTrilinearResize:
         out = trilinear_resize(x, 2, 3, 4)
         assert np.allclose(out, 3.0)
 
-    def test_temporaries_are_frames_not_channels(self, rng):
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_temporaries_are_frames_not_channels(self, rng, channels):
         # the upsample runs while the tiled stage's noise is alive, so its
-        # float64 scratch must stay a few output frames
-        x = random_latent(rng, (2, 4, 8, 8))
+        # float64 scratch must stay a few output frames, whatever the
+        # channel count
+        x = random_latent(rng, (channels, 4, 8, 8))
         tracemalloc.start()
         try:
             out = trilinear_resize(x, 16, 64, 64)
