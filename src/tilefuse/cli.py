@@ -3,7 +3,11 @@
 Subcommands: plan (print a tile plan), sample (prior pass, upsample, tiled
 pass), metrics (score frame sequences), sweep (sample over a strength/gate
 grid and tabulate the trade-off). Exit codes: 0 ok, 2 usage, 3 config,
-4 I/O, 5 compute, 130 interrupted (SIGINT).
+4 I/O, 5 compute, 130 interrupted (SIGINT), 143 terminated (SIGTERM).
+
+main gives a SIGINT or SIGTERM that has its default handler to _end_now
+while it runs on the main thread: the process ends at once, unwinding
+nothing, so no lock is left held and no hung worker is waited for.
 """
 
 from __future__ import annotations
@@ -15,14 +19,16 @@ import ctypes
 import itertools
 import math
 import os
+import signal
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, interrupt
+from . import __version__, protocol, tensor
 from .config import (
     FLAGS,
     apply_overrides,
@@ -51,7 +57,6 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_COMPUTE = 5
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a job that SIGINT ended
 
 M_ARENA_MAX = -8  # glibc's mallopt parameter for the malloc arena count
 
@@ -131,15 +136,10 @@ def run_pipeline(settings, prior=None):
     from the start, beside the prior read, worker start-up, the prior pass
     and the upsample, into a canvas allocated on this thread before the
     draw starts. The tiled run adopts it. The threads share one malloc
-    arena when main has pinned the process to one (_one_malloc_arena).
-
-    A SIGINT is deferred (interrupt.deferred) while it runs: it raises
-    KeyboardInterrupt before the next tile is submitted, or once the
-    workers are closed and the draw is joined."""
+    arena when main has pinned the process to one (_one_malloc_arena)."""
     timings = {}
     canvas_shape = settings.canvas_shape()
     with contextlib.ExitStack() as stack:  # closes the workers, then joins the draw
-        stack.enter_context(interrupt.deferred())  # exited last: no SIGINT cuts the closing
         draw = stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="tilefuse-noise"))
         tiled_noise = [np.empty(canvas_shape, dtype=np.float32)]
         drawn = draw.submit(fill_noise, tiled_noise[0], settings.run.seed, 1)
@@ -436,8 +436,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each signal that ends a run at once, with the handler of its default action
+_ENDING_SIGNALS = {signal.SIGINT: signal.default_int_handler, signal.SIGTERM: signal.SIG_DFL}
+
+
+def _end_now(signum, frame) -> None:
+    """Kill and reap every worker child, remove every temporary output file,
+    print one line and exit 128 + signum, as a shell reports it. os.waitpid
+    takes no lock: the signal may have cut into a Popen.wait holding one."""
+    for proc in tuple(protocol.children):  # one C call: no thread changes it meanwhile
+        with contextlib.suppress(OSError):  # reaped already, or by another thread
+            os.kill(proc.pid, signal.SIGKILL)
+            os.waitpid(proc.pid, 0)
+    for tmp in tuple(tensor.temporaries):
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+    os.write(2, b"interrupted\n")
+    os._exit(128 + signum)
+
+
 def main(argv=None) -> int:
     _one_malloc_arena()
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum, default in _ENDING_SIGNALS.items():
+            if signal.getsignal(signum) == default:
+                previous[signum] = signal.signal(signum, _end_now)
     try:
         args = build_parser().parse_args(argv)
         for name, parse in FLAGS.items():
@@ -456,9 +480,9 @@ def main(argv=None) -> int:
     except TileFuseError as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except KeyboardInterrupt:  # raised here once every with block has closed
-        print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

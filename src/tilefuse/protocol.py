@@ -38,6 +38,10 @@ it out. A worker that sends garbage (a wrong message type or kind byte, a
 bad tile, a prediction of the wrong shape) is poisoned the same way. An
 error frame from the worker is a complete reply and leaves the client
 usable.
+
+A worker runs in a session of its own, so a terminal's SIGINT reaches the
+parent alone. It ends on EOF, or by a kill 5 s later (_end), and is in
+`children` until it is reaped, for the CLI's signal handler.
 """
 
 from __future__ import annotations
@@ -214,33 +218,37 @@ def unpack_embedding(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4", count=dim, offset=4).astype(np.float32)
 
 
+children = set()  # every worker child started and not yet reaped by _end
+
+
 def _spawn(command) -> subprocess.Popen:
-    """Start one worker child with pipes on its stdin and stdout, in a
-    session of its own: a terminal's SIGINT to the parent's process group
-    does not reach it, and it ends on EOF when the parent closes its
-    stdin."""
-    return subprocess.Popen(
+    """Start one worker child, piped to stdin and stdout, in its own session."""
+    proc = subprocess.Popen(
         list(command),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=None,
         start_new_session=True,
     )
+    children.add(proc)
+    return proc
 
 
 def _end(*procs: subprocess.Popen) -> None:
     """EOF on every child's stdin first, so they wind down together, then
-    each child is waited for, and killed if it has not exited within 5 s.
+    every child still running 5 s later is killed, and each is reaped.
     Safe to call more than once."""
     for proc in procs:
         with contextlib.suppress(OSError):
             proc.stdin.close()
+    deadline = time.monotonic() + 5.0
     for proc in procs:
         try:
-            proc.wait(timeout=5.0)
+            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        children.discard(proc)
         proc.stdout.close()
 
 
@@ -401,8 +409,7 @@ class WorkerPool:
             return client.denoise(*args, **kwargs)
 
     def close(self) -> None:
-        """End every child: EOF to all of them, then WorkerClient.close's
-        wait and kill for each."""
+        """End every child: EOF to all, a kill 5 s later for any still running."""
         _end(*(c._proc for c in self._clients))
 
     def __enter__(self):

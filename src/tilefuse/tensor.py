@@ -170,12 +170,16 @@ def trilinear_resize(src: np.ndarray, out_t: int, out_h: int, out_w: int) -> np.
     return out
 
 
+temporaries = set()  # atomic_write's temporary files, while they may exist
+
+
 def atomic_write(path, *chunks) -> None:
     """Write the bytes-like chunks, in order and uncopied, to path: first to
     a temporary sibling, which is then renamed over path. A failure at any
     point removes the temporary file and leaves path as it was; an OSError
     is raised again naming path alone."""
     tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
+    temporaries.add(tmp)
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
@@ -187,6 +191,8 @@ def atomic_write(path, *chunks) -> None:
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
+    finally:
+        temporaries.discard(tmp)
 
 
 def write_flt(path, tensor: np.ndarray) -> None:

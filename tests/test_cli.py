@@ -1041,13 +1041,17 @@ window_width = 60
         assert threading.active_count() == threads
 
 
-# Runs main on the command line after it with Python's own SIGINT handler (a
-# process started from a background job inherits SIGINT ignored), and says
-# "stepped" on stdout once the tiled pass has finished its first step.
-INTERRUPTIBLE = (
-    "import signal, sys\n"
+# Restores both ending signals to their defaults: a process started from a
+# background job inherits SIGINT ignored.
+DEFAULT_HANDLERS = (
+    "import os, signal, sys, time\n"
     "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
-    "from tilefuse import cli\n"
+    "signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
+)
+
+# Says "stepped" on stdout once the tiled pass of a 48x64 canvas has
+# finished its first step.
+SAY_STEPPED = (
     "from tilefuse.sampler import TiledSampler\n"
     "step = TiledSampler.step\n"
     "def step_and_say(self, x, i):\n"
@@ -1056,43 +1060,40 @@ INTERRUPTIBLE = (
     "        print('stepped', flush=True)\n"
     "    return out\n"
     "TiledSampler.step = step_and_say\n"
-    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+# Appends the worker's pid to the file named by its first argument.
+RECORD_PID = (
+    "import os, sys, time\n"
+    "with open(sys.argv[1], 'a') as fh:\n"
+    "    fh.write(f'{os.getpid()}\\n')\n"
+)
+
+ENDING_SIGNALS = pytest.mark.parametrize(
+    "signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)], ids=["SIGINT", "SIGTERM"]
 )
 
 
-@pytest.mark.parametrize(
-    "denoiser, group",
-    [
-        pytest.param("in-process", False, id="in-process"),
-        pytest.param("echo-workers", False, id="echo-workers"),
-        pytest.param("echo-workers", True, id="echo-workers-process-group"),
-    ],
-)
-def test_sigint_is_one_line_and_exit_130(tmp_path, denoiser, group):
-    """SIGINT in the tiled pass ends a sample with exit 130 and one stderr
-    line once the pipeline has unwound: no traceback, no output or
-    temporary file, and no worker left. Sent to the whole process group,
-    as a terminal's Ctrl-C is, it does not reach the FDP1 workers, which
-    run in sessions of their own and end on EOF."""
-    pids = tmp_path / "pids"
-    section = "kind = gaussian"
-    if denoiser == "echo-workers":
-        script = tmp_path / "echo.py"
-        script.write_text(
-            "import os, sys\n"
-            "with open(sys.argv[1], 'a') as fh:\n"
-            "    fh.write(f'{os.getpid()}\\n')\n"
-            "from tilefuse.echo_worker import main\n"
-            "main([])\n"
-        )
-        section = f"kind = external\ncommand = {sys.executable} {script} {pids}"
-    cfg = write_config(
+def start_cli(argv, prelude="", **popen):
+    """Run main on argv in a child Python, after DEFAULT_HANDLERS and then
+    prelude, with this checkout's package on its path."""
+    src = os.path.dirname(os.path.dirname(tilefuse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = DEFAULT_HANDLERS + prelude + "from tilefuse import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **popen,
+    )
+
+
+def signal_config(tmp_path, denoiser="kind = gaussian", steps=100):
+    return write_config(
         tmp_path / "long.ini",
         f"""
 [run]
 seed = 5
 mode = fd
-steps = 100
+steps = {steps}
 workers = 2
 
 [canvas]
@@ -1107,15 +1108,69 @@ window_width = 16
 overlap = 0.25
 
 [denoiser]
-{section}
+{denoiser}
 """,
     )
-    src = os.path.dirname(os.path.dirname(tilefuse.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", INTERRUPTIBLE, "sample", "--config", cfg,
-         "--output", str(tmp_path / "out.flt")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=group,
+
+
+def worker_command(tmp_path, body, *args):
+    """A denoiser section whose worker records its pid in tmp_path/pids
+    and then runs body, with args after the pid file on its command line."""
+    script = tmp_path / "worker.py"
+    script.write_text(RECORD_PID + body)
+    return f"kind = external\ncommand = {sys.executable} {script} {tmp_path / 'pids'} " + " ".join(args)
+
+
+def recorded_pids(tmp_path):
+    path = tmp_path / "pids"
+    return [int(v) for v in path.read_text().split()] if path.exists() else []
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def kill_everything(proc, pids):
+    """SIGKILL the CLI child and every recorded worker, so that a failing
+    test leaves no process behind."""
+    proc.kill()
+    proc.wait()
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def outputs(tmp_path):
+    return sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("out.flt"))
+
+
+@pytest.mark.parametrize(
+    "denoiser, group",
+    [
+        pytest.param("in-process", False, id="in-process"),
+        pytest.param("echo-workers", False, id="echo-workers"),
+        pytest.param("echo-workers", True, id="echo-workers-process-group"),
+    ],
+)
+def test_sigint_is_one_line_and_exit_130(tmp_path, denoiser, group):
+    """SIGINT in the tiled pass ends a sample at once with exit 130 and one
+    stderr line: no traceback, no output or temporary file, and no worker
+    left. Sent to the whole process group, as a terminal's Ctrl-C is, it
+    does not reach the FDP1 workers, which run in sessions of their own
+    and are killed by the CLI's handler."""
+    section = "kind = gaussian"
+    if denoiser == "echo-workers":
+        section = worker_command(tmp_path, "from tilefuse.echo_worker import main\nmain([])\n")
+    cfg = signal_config(tmp_path, section)
+    proc = start_cli(
+        ["sample", "--config", cfg, "--output", str(tmp_path / "out.flt")],
+        SAY_STEPPED, start_new_session=group,
     )
     deadline = threading.Timer(120, proc.kill)
     deadline.start()
@@ -1128,14 +1183,154 @@ overlap = 0.25
         rest, err = proc.communicate()
     finally:
         deadline.cancel()
-        proc.kill()
-        proc.wait()
+        kill_everything(proc, recorded_pids(tmp_path))
     assert proc.returncode == 130
     assert (rest, err) == (b"", b"interrupted\n")
-    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out.flt")]
+    assert outputs(tmp_path) == []
     if denoiser == "echo-workers":
-        started = [int(v) for v in pids.read_text().split()]
+        started = recorded_pids(tmp_path)
         assert len(started) == 2
-        for pid in started:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        assert not any(alive(pid) for pid in started)
+
+
+HUNG_WORKERS = {
+    # takes 8 s to boot: the pool is waiting for the hellos
+    "slow-hello": "time.sleep(8)\nfrom tilefuse.echo_worker import main\nmain([])\n",
+    # answers the hello, then never answers a tile; it marks the file named
+    # by its second argument when the first tile arrives
+    "hung-tile": (
+        "from tilefuse.protocol import serve\n"
+        "def hang(*request):\n"
+        "    open(sys.argv[2], 'w').close()\n"
+        "    time.sleep(3600)\n"
+        "serve(denoise=hang)\n"
+    ),
+}
+
+
+@ENDING_SIGNALS
+@pytest.mark.parametrize("worker", HUNG_WORKERS)
+def test_a_signal_ends_a_run_with_hung_workers_at_once(tmp_path, worker, signum, code):
+    """With workers that have not said hello yet, or one that hangs on a
+    tile, a SIGINT or SIGTERM ends the run within 2 s, not at the
+    denoiser's 300 s timeout: 128 + signum, one stderr line, no output or
+    temporary file, and every worker killed and reaped."""
+    hung = tmp_path / "hung"
+    cfg = signal_config(tmp_path, worker_command(tmp_path, HUNG_WORKERS[worker], str(hung)))
+    proc = start_cli(["sample", "--config", cfg, "--output", str(tmp_path / "out.flt")])
+    ready = hung.exists if worker == "hung-tile" else lambda: len(recorded_pids(tmp_path)) == 2
+    try:
+        limit = time.monotonic() + 60
+        while not ready():
+            assert proc.poll() is None and time.monotonic() < limit
+            time.sleep(0.02)
+        sent = time.monotonic()
+        proc.send_signal(signum)
+        rest, err = proc.communicate(timeout=60)
+        took = time.monotonic() - sent
+    finally:
+        kill_everything(proc, recorded_pids(tmp_path))
+    assert proc.returncode == code
+    assert (rest, err) == (b"", b"interrupted\n")
+    assert took < 2.0
+    assert outputs(tmp_path) == []
+    started = recorded_pids(tmp_path)
+    assert len(started) == 2
+    assert not any(alive(pid) for pid in started)
+
+
+@ENDING_SIGNALS
+def test_a_signal_while_the_output_is_written_leaves_no_file(tmp_path, signum, code):
+    """A signal that arrives while the latent's temporary file is complete
+    but not yet renamed removes that file: no output of any kind is left."""
+    slow_replace = (
+        "def slow_replace(src, dst):\n"
+        "    print('replacing', flush=True)\n"
+        "    time.sleep(3600)\n"
+        "os.replace = slow_replace\n"
+    )
+    cfg = noise_config(tmp_path, 2)
+    proc = start_cli(["sample", "--config", cfg, "--output", str(tmp_path / "out.flt")], slow_replace)
+    try:
+        assert proc.stdout.readline() == b"replacing\n"
+        assert outputs(tmp_path) == [f"out.flt.tmp.{proc.pid}"]
+        proc.send_signal(signum)
+        rest, err = proc.communicate(timeout=60)
+    finally:
+        kill_everything(proc, [])
+    assert proc.returncode == code
+    assert (rest, err) == (b"", b"interrupted\n")
+    assert outputs(tmp_path) == []
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_an_ignored_signal_lets_the_run_finish(tmp_path, signum):
+    """A signal that the CLI inherits ignored, as a background job does
+    SIGINT, stays ignored: the sample finishes and exits 0."""
+    ignore = f"signal.signal({int(signum)}, signal.SIG_IGN)\n"
+    proc = start_cli(
+        ["sample", "--config", signal_config(tmp_path, steps=4), "--output", str(tmp_path / "out.flt")],
+        ignore + SAY_STEPPED,
+    )
+    try:
+        assert proc.stdout.readline() == b"stepped\n"
+        proc.send_signal(signum)
+        rest, err = proc.communicate(timeout=60)
+    finally:
+        kill_everything(proc, [])
+    assert proc.returncode == 0
+    assert (rest, err) == (f"wrote {tmp_path / 'out.flt'}\n".encode(), b"")
+    assert read_flt(tmp_path / "out.flt").shape == (2, 3, 48, 64)
+
+
+@pytest.fixture
+def default_handlers():
+    """SIGINT and SIGTERM at their default handlers for the test."""
+    previous = {s: signal.signal(s, h) for s, h in cli._ENDING_SIGNALS.items()}
+    yield
+    for s, h in previous.items():
+        signal.signal(s, h)
+
+
+def record_handlers(monkeypatch):
+    """The handlers of SIGINT and SIGTERM that each plan command sees."""
+    seen = []
+    plan = cli.cmd_plan
+
+    def record(args):
+        seen.append({s: signal.getsignal(s) for s in cli._ENDING_SIGNALS})
+        return plan(args)
+
+    monkeypatch.setattr(cli, "cmd_plan", record)
+    return seen
+
+
+class TestSignalHandlers:
+    """main gives SIGINT and SIGTERM to its handler only while it runs,
+    only on the main thread, and only where they have their defaults."""
+
+    @pytest.mark.parametrize("argv, code", [(PLAN_ARGS, 0), (["plan"], 2)], ids=["ok", "usage-error"])
+    def test_main_restores_the_defaults(self, default_handlers, monkeypatch, capsys, argv, code):
+        seen = record_handlers(monkeypatch)
+        assert main(argv) == code
+        assert seen == ([{signal.SIGINT: cli._end_now, signal.SIGTERM: cli._end_now}] if code == 0 else [])
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+    @pytest.mark.parametrize("handler", [signal.SIG_IGN, lambda signum, frame: None], ids=["ignored", "handled"])
+    def test_an_ignored_or_handled_signal_is_left_alone(self, default_handlers, monkeypatch, capsys, handler):
+        for signum in cli._ENDING_SIGNALS:
+            signal.signal(signum, handler)
+        seen = record_handlers(monkeypatch)
+        assert main(PLAN_ARGS) == 0
+        assert seen == [{signal.SIGINT: handler, signal.SIGTERM: handler}]
+        assert all(signal.getsignal(s) == handler for s in cli._ENDING_SIGNALS)
+
+    def test_off_the_main_thread_nothing_changes(self, default_handlers, monkeypatch, capsys):
+        seen = record_handlers(monkeypatch)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(PLAN_ARGS)))
+        thread.start()
+        thread.join()
+        assert codes == [0]
+        assert seen == [{signal.SIGINT: signal.default_int_handler, signal.SIGTERM: signal.SIG_DFL}]

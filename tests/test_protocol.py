@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import io
 import os
+import signal
 import struct
 import sys
 import threading
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tilefuse import ExternalDenoiser, PriorScheduleConfig, Rect, SamplerConfig, run
+from tilefuse import ExternalDenoiser, PriorScheduleConfig, Rect, SamplerConfig, protocol, run
 from tilefuse.denoisers import DenoiserRequest, DenoiserResponse
 from tilefuse.errors import (
     FileFormatError,
@@ -423,6 +425,36 @@ class TestWorkerPool:
         started = recorded_pids(pids)
         assert len(started) == 3
         assert not any(alive(pid) for pid in started)
+
+    def test_close_kills_workers_that_ignore_eof_after_one_deadline(self, tmp_path):
+        """Workers that answer the hello and then ignore EOF are killed once
+        one 5 s deadline has passed for all of them, not 5 s each, and are
+        reaped: none is alive and none is left in protocol.children."""
+        pids = tmp_path / "pids"
+        cmd = worker_script(
+            tmp_path,
+            RECORD_PID
+            + "import time\n"
+            "from tilefuse.protocol import MSG_HELLO, pack_frame\n"
+            "sys.stdout.buffer.write(pack_frame(MSG_HELLO, b''))\n"
+            "sys.stdout.buffer.flush()\n"
+            "time.sleep(600)\n",
+        )
+        try:
+            pool = WorkerPool(cmd + [str(pids)], size=3, timeout=30)
+            procs = [c._proc for c in pool._clients]
+            assert protocol.children >= set(procs)
+            start = time.monotonic()
+            pool.close()
+            assert time.monotonic() - start < 7.0
+            started = recorded_pids(pids)
+            assert len(started) == 3
+            assert not any(alive(pid) for pid in started)
+            assert not protocol.children & set(procs)
+        finally:
+            for pid in recorded_pids(pids):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestExternalDenoiser:
