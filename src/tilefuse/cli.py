@@ -341,7 +341,7 @@ def _grid_point(settings, lam, tau):
     sweep point. An md run has no prior term, so its schedule stays as
     resolve_settings built it."""
     point = copy.copy(settings)
-    if settings.tiled.mode != "md":
+    if settings.run.mode != "md":
         prior = replace(settings.tiled.prior, lambda_base=lam, tau=tau)
         point.tiled = replace(settings.tiled, prior=prior)
     return point

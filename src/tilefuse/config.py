@@ -3,8 +3,9 @@ the run manifest. Each key is one row of KEYS: section, name, default text
 and parser. Defaults, the reading of files, overrides and manifests, the
 error text and the typed view settings.<section>.<key> all come from that
 table. Resolving also builds both stages' sampler configurations, so every
-bad value fails before any work starts. The manifest embeds the raw
-configuration, so feeding it back reproduces the run exactly.
+bad value fails before any work starts; run.mode only picks the prior
+schedule they carry. The manifest embeds the raw configuration, so feeding
+it back reproduces the run exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from types import SimpleNamespace
 from .errors import ArgumentError, ConfigError
 from .planner import DEFAULT_COMPRESSION, _latent_dims, prior_resolution, snap_dim
 from .schedules import GLOBAL_SCHEDULES, PriorScheduleConfig, load_activity_map
-from .sampler import RUN_MODES, SamplerConfig
+from .sampler import SamplerConfig
 from .tensor import atomic_write
+
+RUN_MODES = ("md", "fd", "fd_regional")  # the schedules of _prior_schedule
 
 
 def _parser(what, convert, valid=lambda value: True):
@@ -233,7 +236,6 @@ def _build_stages(s: Settings) -> None:
         ramp=s.blending.ramp,
         min_weight=s.blending.min_weight,
         prior=_prior_schedule(s, *latent),
-        mode=s.run.mode,
         seed=s.run.seed,
         workers=s.run.workers,
         conditioning=s.denoiser.conditioning,
@@ -248,11 +250,12 @@ def _build_stages(s: Settings) -> None:
             window_h=shape[2],
             window_w=shape[3],
             prior=PriorScheduleConfig(),
-            mode="md",
         )
 
 
 def _prior_schedule(s: Settings, h: int, w: int) -> PriorScheduleConfig:
+    """The tiled stage's prior schedule, which alone decides its merge: md
+    is strength 0, fd prior.schedule, fd_regional the regional schedule."""
     if s.run.mode == "md":
         return PriorScheduleConfig()
     p, regional = s.prior, s.run.mode == "fd_regional"

@@ -81,8 +81,6 @@ from .planner import TilePlan, plan_tiles
 from .schedules import PriorScheduleConfig, SigmaSchedule
 from .tensor import _axis_indices, _lerp, as_latent, crop, ensure_finite, trilinear_resize
 
-RUN_MODES = ("md", "fd", "fd_regional")
-
 # elements per frame group in the band update: a group's passes run over
 # buffers of a few MiB, near a 2 MiB per-core L2 cache, and the groups are
 # few: with two threads on a 2-vCPU VM, halving the groups' size raised the
@@ -94,7 +92,9 @@ GROUP_BUDGET = 1 << 16
 class SamplerConfig:
     """One sampling run's settings. The plan, the sigma schedule and the
     tile weight map are built here, once, so a bad value fails at
-    construction; the lower layers' range checks raise ArgumentError."""
+    construction; the lower layers' range checks raise ArgumentError.
+    The prior schedule alone decides the merge: strength 0, the default,
+    is the plain weighted tile mean. Any activity map must match the canvas."""
 
     canvas_shape: tuple[int, int, int, int]
     steps: int = 6
@@ -105,7 +105,6 @@ class SamplerConfig:
     ramp: int | tuple[int, int] | None = None  # None: span the overlap extent
     min_weight: float = DEFAULT_MIN_WEIGHT
     prior: PriorScheduleConfig = field(default_factory=PriorScheduleConfig)
-    mode: str = "fd"
     seed: int = 0
     workers: int = 1
     conditioning: str = ""
@@ -115,25 +114,17 @@ class SamplerConfig:
         self.__dict__["canvas_shape"] = tuple(map(int, self.canvas_shape))
         if self.ramp is not None and np.ndim(self.ramp):
             self.__dict__["ramp"] = tuple(map(int, self.ramp))
-        if self.mode not in RUN_MODES:
-            raise ConfigError(f"unknown run mode {self.mode!r}")
         if len(self.canvas_shape) != 4 or min(self.canvas_shape) < 1:
             raise ConfigError(f"bad canvas shape {self.canvas_shape}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit value, got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.mode == "fd_regional":
-            if self.prior.mode != "regional":
-                raise ConfigError("fd_regional mode needs a regional prior schedule")
-            a = self.prior.activity_map
-            if a.shape != self.canvas_shape[2:]:
-                raise ConfigError(
-                    f"activity map {a.shape} does not match canvas "
-                    f"{self.canvas_shape[2:]}"
-                )
-        elif self.mode == "fd" and self.prior.mode == "regional":
-            raise ConfigError("regional prior schedule requires fd_regional mode")
+        a = self.prior.activity_map
+        if a is not None and a.shape != self.canvas_shape[2:]:
+            raise ConfigError(
+                f"activity map {a.shape} does not match canvas {self.canvas_shape[2:]}"
+            )
 
         if self.sigmas is None:
             schedule = SigmaSchedule.linear(self.steps)
@@ -443,7 +434,7 @@ class TiledSampler:
         # the columns and rows it needs, by tables built here once
         c, t, h, w = cfg.canvas_shape
         if prior is None:
-            if cfg.mode != "md" and cfg.prior.lambda_base > 0:
+            if cfg.prior.lambda_base > 0:
                 raise ConfigError("prior-regularized run needs a prior latent")
             self.prior = np.zeros((c, t, 1, 1), dtype=np.float32)
         else:  # named before any tile runs
@@ -459,7 +450,6 @@ class TiledSampler:
         activity = cfg.prior.activity_map
         self._masks = None
         if activity is not None:
-            activity = np.asarray(activity, dtype=bool)
             self._masks = (activity.astype(np.float64), (~activity).astype(np.float64))
         self._local = threading.local()  # .run: the calling thread's _RunState
 
@@ -596,7 +586,7 @@ class TiledSampler:
         t = self.schedule.times[i]
         sigma = self.schedule.sigmas[i]
         dsigma = self.schedule.sigmas[i + 1] - sigma
-        lam = 0.0 if self.cfg.mode == "md" else self.cfg.prior.strength_at(t)
+        lam = self.cfg.prior.strength_at(t)
         lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
         if lam_min == lam_max:  # a plane of one value takes the scalar path: same bits
             lam = lam_min

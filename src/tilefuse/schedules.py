@@ -84,7 +84,9 @@ class PriorScheduleConfig:
 
     mode 'constant' ignores the gate entirely; 'cosine' decays without a
     gate; 'gated_cosine' applies the cutoff tau; 'regional' switches between
-    tau_active and tau_background per cell of the activity map.
+    tau_active and tau_background per cell of the activity map. A map is
+    optional in the global modes, where it only splits the run's trace; in
+    any mode it must be 2-D and binary, and is held as a bool array.
     """
 
     lambda_base: float = 0.0
@@ -104,9 +106,9 @@ class PriorScheduleConfig:
                 f"active cutoff {self.tau_active} must not exceed background "
                 f"cutoff {self.tau_background}"
             )
-        if self.mode == "regional":
-            if self.activity_map is None:
-                raise ConfigError("regional schedule requires an activity map")
+        if self.mode == "regional" and self.activity_map is None:
+            raise ConfigError("regional schedule requires an activity map")
+        if self.activity_map is not None:  # the trace splits by it in every mode
             a = np.asarray(self.activity_map)
             if a.ndim != 2:
                 raise ConfigError(f"activity map must be 2-D, got {a.ndim}-D")

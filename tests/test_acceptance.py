@@ -154,10 +154,9 @@ def test_criterion_02_reduction_to_plain_fusion(tmp_path):
     shape = (1, 2, 16, 16)
     target = rng.standard_normal(shape).astype(np.float32)
     common = dict(canvas_shape=shape, steps=4, window_h=8, window_w=8, seed=77)
-    x_md, _ = run(SamplerConfig(mode="md", **common), TargetDriver(target))
+    x_md, _ = run(SamplerConfig(**common), TargetDriver(target))
     x_fd, _ = run(
         SamplerConfig(
-            mode="fd",
             prior=PriorScheduleConfig(lambda_base=0.0, mode="gated_cosine"),
             **common,
         ),
@@ -219,7 +218,7 @@ def test_criterion_05_gaussian_end_to_end():
     started = time.perf_counter()
     mu, s = 0.7, 0.3
     cfg = SamplerConfig(
-        canvas_shape=(1, 1, 120, 208), steps=50, mode="md",
+        canvas_shape=(1, 1, 120, 208), steps=50,
         window_h=60, window_w=104, overlap=0.3, seed=4242,
     )
     x, _ = run(cfg, GaussianAnalytic(mu, s))
@@ -249,7 +248,6 @@ def test_criterion_06_prior_pull_limit_and_pareto():
     common = dict(canvas_shape=shape, steps=6, window_h=12, window_w=16, seed=6)
 
     cfg = SamplerConfig(
-        mode="fd",
         prior=PriorScheduleConfig(lambda_base=1e6, mode="constant", tau=1.0),
         **common,
     )
@@ -259,7 +257,6 @@ def test_criterion_06_prior_pull_limit_and_pareto():
     dists = []
     for lam in LAMBDA_SET:
         cfg = SamplerConfig(
-            mode="fd",
             prior=PriorScheduleConfig(lambda_base=lam, mode="constant", tau=1.0),
             **common,
         )
@@ -280,7 +277,7 @@ def test_criterion_07_regional_ordering():
     checker = (np.indices(shape[2:]).sum(axis=0) % 2).astype(bool)
     prior = np.full(shape, 2.0, dtype=np.float32)
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=6, mode="fd_regional",
+        canvas_shape=shape, steps=6,
         window_h=16, window_w=16, seed=7,
         prior=PriorScheduleConfig(
             lambda_base=1.5, mode="regional",

@@ -383,6 +383,7 @@ command = {command}
         [
             ("run.steps=0", 3),
             ("run.sigmas=1.0,1.0,0.5", 3),  # not strictly decreasing
+            ("run.sigmas=1,0.5", 3),  # 2 steps, run.steps says 6
             ("tiles.overlap=1.5", 3),
             ("tiles.window_height=0", 3),  # a given 0 is given
             ("canvas.height=0", 3),

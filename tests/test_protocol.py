@@ -482,7 +482,7 @@ class TestExternalDenoiser:
     def test_default_size_is_safe_to_share_between_tile_threads(self):
         # one worker serves four tile threads; replies must not interleave
         def latent(workers):
-            cfg = SamplerConfig(canvas_shape=(2, 1, 16, 16), steps=3, mode="md",
+            cfg = SamplerConfig(canvas_shape=(2, 1, 16, 16), steps=3,
                                 window_h=6, window_w=6, seed=5, workers=workers)
             with ExternalDenoiser(ECHO_CMD, timeout=30) as den:
                 x, _ = run(cfg, den)
@@ -503,7 +503,7 @@ class TestExternalDenoiser:
 
         def latent(workers, denoiser=None):
             cfg = SamplerConfig(
-                canvas_shape=shape, steps=3, mode="fd", window_h=12, window_w=16,
+                canvas_shape=shape, steps=3, window_h=12, window_w=16,
                 overlap=0.5, seed=5, workers=workers,
                 prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
             )

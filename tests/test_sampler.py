@@ -28,11 +28,11 @@ from _oracles import trilinear_loop
 
 
 def md_config(shape, steps=6, **kw):
-    return SamplerConfig(canvas_shape=shape, steps=steps, mode="md", **kw)
+    return SamplerConfig(canvas_shape=shape, steps=steps, **kw)
 
 
 def fd_config(shape, prior_cfg, steps=6, **kw):
-    return SamplerConfig(canvas_shape=shape, steps=steps, mode="fd", prior=prior_cfg, **kw)
+    return SamplerConfig(canvas_shape=shape, steps=steps, prior=prior_cfg, **kw)
 
 
 class TestBuildPrior:
@@ -206,15 +206,17 @@ class TestStepMechanics:
 
 class TestRuns:
     def test_md_equals_fd_with_zero_base_bitwise(self, rng):
+        """No prior under the default schedule, the plain merge, gives the
+        bits of a zero-strength schedule with a prior."""
         shape = (1, 2, 12, 16)
         target = rng.standard_normal(shape).astype(np.float32)
         prior = rng.standard_normal(shape).astype(np.float32)
         common = dict(steps=4, window_h=6, window_w=8, seed=5)
-        x_md, _ = run(SamplerConfig(canvas_shape=shape, mode="md", **common),
+        x_md, _ = run(SamplerConfig(canvas_shape=shape, **common),
                       TargetDriver(target))
         x_fd, _ = run(
             SamplerConfig(
-                canvas_shape=shape, mode="fd",
+                canvas_shape=shape,
                 prior=PriorScheduleConfig(lambda_base=0.0, mode="gated_cosine"),
                 **common,
             ),
@@ -286,7 +288,7 @@ class TestRuns:
         activity = (np.indices(shape[2:]).sum(axis=0) % 2).astype(bool)
         prior = np.full(shape, 2.0, dtype=np.float32)
         cfg = SamplerConfig(
-            canvas_shape=shape, steps=6, mode="fd_regional",
+            canvas_shape=shape, steps=6,
             window_h=16, window_w=16, seed=21,
             prior=PriorScheduleConfig(
                 lambda_base=1.5, mode="regional",
@@ -363,22 +365,33 @@ class TestTracePriorMse:
 
 
 class TestConfigValidation:
-    def test_regional_mode_needs_regional_schedule(self):
-        with pytest.raises(ConfigError):
-            SamplerConfig(
-                canvas_shape=(1, 1, 8, 8), mode="fd_regional",
-                prior=PriorScheduleConfig(lambda_base=1.0, mode="gated_cosine"),
-            )
-
     def test_activity_map_shape_checked(self):
-        with pytest.raises(ConfigError):
-            SamplerConfig(
-                canvas_shape=(1, 1, 8, 8), mode="fd_regional",
-                prior=PriorScheduleConfig(
-                    lambda_base=1.0, mode="regional",
-                    activity_map=np.ones((4, 4), dtype=bool),
-                ),
+        """The trace splits by a map in every schedule mode, so a map that
+        is not the canvas's shape fails when the config is made, before a
+        sampler or a denoiser exists."""
+        for mode in ("constant", "cosine", "gated_cosine", "regional"):
+            prior = PriorScheduleConfig(
+                lambda_base=1.0, mode=mode, activity_map=np.ones((4, 4), dtype=bool)
             )
+            with pytest.raises(ConfigError, match=r"activity map \(4, 4\) does not match"):
+                SamplerConfig(canvas_shape=(1, 1, 8, 8), prior=prior)
+
+    def test_zero_strength_regional_run_without_prior_is_the_plain_merge(self, rng):
+        """A regional schedule at strength 0 needs no prior and merges as the
+        default schedule does, bit for bit, while its trace still reports
+        the means of both parts of the map."""
+        shape = (2, 2, 12, 16)
+        target = rng.standard_normal(shape).astype(np.float32)
+        activity = rng.integers(0, 2, shape[2:]).astype(bool)
+        common = dict(canvas_shape=shape, steps=4, window_h=6, window_w=8, seed=5)
+        regional = PriorScheduleConfig(mode="regional", activity_map=activity)
+        x_regional, trace = run(SamplerConfig(prior=regional, **common), TargetDriver(target))
+        x_plain, plain = run(SamplerConfig(**common), TargetDriver(target))
+        assert x_regional.tobytes() == x_plain.tobytes()
+        for r, p in zip(trace.records, plain.records):
+            assert r.lam_min == r.lam_max == 0.0
+            assert r.fg_mse is not None and r.bg_mse is not None
+            assert p.bg_mse is None
 
     @pytest.mark.parametrize("canvas", [(20, 30), (6, 30)])  # (6, 30): window clamped
     def test_one_float64_weight_map_the_size_of_every_tile(self, canvas):
@@ -411,7 +424,7 @@ class TestConfigValidation:
 
         def latent(canvas_shape, ramp):
             cfg = SamplerConfig(
-                canvas_shape=canvas_shape, steps=3, mode=mode, prior=prior_cfg,
+                canvas_shape=canvas_shape, steps=3, prior=prior_cfg,
                 window_h=6, window_w=6, overlap=0.5, ramp=ramp,
             )
             x, _ = TiledSampler(cfg, TargetDriver(target), prior).run(make_noise(shape, 0))
@@ -422,7 +435,7 @@ class TestConfigValidation:
 
     def test_missing_prior_rejected_when_needed(self):
         cfg = SamplerConfig(
-            canvas_shape=(1, 1, 8, 8), mode="fd", window_h=8, window_w=8,
+            canvas_shape=(1, 1, 8, 8), window_h=8, window_w=8,
             prior=PriorScheduleConfig(lambda_base=1.0, mode="gated_cosine"),
         )
         with pytest.raises(ConfigError, match="prior"):
@@ -454,7 +467,7 @@ def reference_step(sampler, x, i):
     cfg = sampler.cfg
     sched = cfg.schedule()
     t, sigma, sigma_next = sched.times[i], sched.sigmas[i], sched.sigmas[i + 1]
-    lam = 0.0 if cfg.mode == "md" else cfg.prior.strength_at(t)
+    lam = cfg.prior.strength_at(t)
     prior = expand_prior(sampler.prior, *cfg.canvas_shape[2:])
     acc = FusionAccumulator.zeros(cfg.canvas_shape)
     for rect in cfg.plan().tiles:
@@ -490,7 +503,7 @@ class TestPooledStep:
         else:
             prior_cfg = PriorScheduleConfig()
         cfg = SamplerConfig(
-            canvas_shape=self.SHAPE, steps=6, mode=mode, prior=prior_cfg,
+            canvas_shape=self.SHAPE, steps=6, prior=prior_cfg,
             window_h=6, window_w=8, overlap=0.3, ramp=2, workers=workers,
         )
         return TiledSampler(cfg, TargetDriver(target), prior)

@@ -116,6 +116,15 @@ class TestLambdaRegional:
         with pytest.raises(ConfigError):
             PriorScheduleConfig(lambda_base=1.0, mode="regional")
 
+    @pytest.mark.parametrize("mode", ["constant", "cosine", "gated_cosine", "regional"])
+    def test_map_checked_in_every_mode(self, mode):
+        with pytest.raises(ConfigError, match="2-D"):
+            PriorScheduleConfig(mode=mode, activity_map=np.ones((1, 2, 2)))
+        with pytest.raises(ConfigError, match="binary"):
+            PriorScheduleConfig(mode=mode, activity_map=np.full((2, 2), 0.5))
+        cfg = PriorScheduleConfig(mode=mode, activity_map=np.eye(2))
+        assert cfg.activity_map.dtype == bool
+
     def test_tau_ordering_enforced(self):
         with pytest.raises(ConfigError):
             PriorScheduleConfig(tau_active=0.5, tau_background=0.1)

@@ -78,7 +78,7 @@ def build(case):
     else:
         prior_cfg = PriorScheduleConfig()
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=3, mode=case["mode"], prior=prior_cfg,
+        canvas_shape=shape, steps=3, prior=prior_cfg,
         window_h=case["window"][0], window_w=case["window"][1],
         overlap=case["overlap"], ramp=case["ramp"], workers=case["workers"],
     )
@@ -121,7 +121,7 @@ def test_concurrent_runs_on_one_sampler_match_serial_runs():
     """Two threads running one sampler at once each get their own pool,
     ring, scratch and latent: each result equals its serial run."""
     cfg = SamplerConfig(
-        canvas_shape=(2, 2, 40, 16), steps=3, mode="fd", window_h=8,
+        canvas_shape=(2, 2, 40, 16), steps=3, window_h=8,
         window_w=8, overlap=0.3, workers=2,
         prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
     )
@@ -185,7 +185,7 @@ def test_failure_after_bands_were_handed_out_stops_every_task(monkeypatch):
     """A tile that fails in a later tile row leaves the step only after the
     band updates already on the pool have finished: none runs afterwards."""
     cfg = SamplerConfig(
-        canvas_shape=(2, 1, 40, 16), steps=2, mode="md", window_h=8,
+        canvas_shape=(2, 1, 40, 16), steps=2, window_h=8,
         window_w=8, overlap=0.0, workers=2,
     )
     plan = cfg.plan()
@@ -219,7 +219,7 @@ def test_each_pool_thread_makes_its_kernel_buffers_once_per_run(monkeypatch):
     wraps), but a pool thread makes its kernel buffers once per run, at the
     sizes that cover every piece, whichever bands it takes."""
     cfg = SamplerConfig(
-        canvas_shape=(2, 3, 50, 24), steps=3, mode="fd", window_h=8,
+        canvas_shape=(2, 3, 50, 24), steps=3, window_h=8,
         window_w=8, overlap=0.3, workers=2,
         prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
     )
@@ -254,7 +254,7 @@ def test_run_holds_a_ring_of_one_tile_row(monkeypatch, shape, window_h):
     """The numerator ring a run allocates is min(H, window_h) rows: one
     tile row, not a tile row plus a stride."""
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=2, mode="fd", window_h=window_h, window_w=8,
+        canvas_shape=shape, steps=2, window_h=window_h, window_w=8,
         overlap=0.5, workers=2,
         prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
     )
@@ -284,7 +284,7 @@ def test_run_memory_holds_one_tile_row_of_numerator():
     stride_h rows, what a ring of a tile row and a stride would take."""
     shape, window_h = (4, 8, 24, 4096), 8
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=2, mode="fd", window_h=window_h, window_w=256,
+        canvas_shape=shape, steps=2, window_h=window_h, window_w=256,
         overlap=0.5, workers=1,
         prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
     )
@@ -315,7 +315,7 @@ def test_run_memory_does_not_grow_with_height():
     2x the canvas bytes, and a second latent 1x."""
     shape = (2, 2, 1920, 32)
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=2, mode="fd", window_h=16, window_w=32,
+        canvas_shape=shape, steps=2, window_h=16, window_w=32,
         overlap=0.3, workers=2,
         prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
     )
@@ -344,7 +344,7 @@ def test_run_memory_with_a_thumbnail_prior_does_not_grow_with_height():
     sampler holds, bar the latent, is as large as the canvas."""
     shape = (2, 2, 1920, 32)
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=2, mode="fd", window_h=16, window_w=32,
+        canvas_shape=shape, steps=2, window_h=16, window_w=32,
         overlap=0.3, workers=2,
         prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
     )
@@ -406,14 +406,16 @@ def test_steady_step_allocates_less_than_a_tile_channel(mode, shape, window, pri
     c, t = shape[:2]
     rng = np.random.default_rng(9)
     pred = rng.standard_normal((c, t, *window)).astype(np.float32)
-    prior = PriorScheduleConfig(lambda_base=1.5, mode="constant")
-    if mode == "fd_regional":
+    prior = PriorScheduleConfig()
+    if mode == "fd":
+        prior = PriorScheduleConfig(lambda_base=1.5, mode="constant")
+    elif mode == "fd_regional":
         prior = PriorScheduleConfig(
             lambda_base=1.5, mode="regional", tau_active=0.2, tau_background=0.5,
             activity_map=rng.integers(0, 2, shape[2:]).astype(bool),
         )
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=4, mode=mode, window_h=window[0], window_w=window[1],
+        canvas_shape=shape, steps=4, window_h=window[0], window_w=window[1],
         overlap=0.5, workers=1, prior=prior,
     )
     thumbnail = rng.standard_normal((c, prior_frames, 12, 16)).astype(np.float32)
@@ -464,7 +466,7 @@ def test_narrow_prior_over_a_flush_band_matches_the_composition(mode, workers, p
         ),
     }[mode]
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=3, mode=mode, window_h=8, window_w=8, overlap=0.25,
+        canvas_shape=shape, steps=3, window_h=8, window_w=8, overlap=0.25,
         ramp=2, workers=workers, prior=PriorScheduleConfig(**schedule),
     )
     tops = sorted({r.row for r in cfg.plan().tiles})
@@ -523,7 +525,7 @@ def test_canvas_height_prior_with_signed_zeros_matches_the_composition(mode, pri
             activity_map=activity,
         )
     cfg = SamplerConfig(
-        canvas_shape=shape, steps=3, mode=mode, window_h=8, window_w=8,
+        canvas_shape=shape, steps=3, window_h=8, window_w=8,
         overlap=0.5, ramp=2, workers=2, prior=PriorScheduleConfig(**schedule),
     )
     sampler = TiledSampler(cfg, TargetDriver(target), prior)
@@ -551,20 +553,20 @@ def test_regional_strength_of_one_value_matches_the_global_runs(workers):
     target, prior, noise = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
     activity = rng.integers(0, 2, shape[2:]).astype(bool)
 
-    def latent(run_mode, **schedule):
+    def latent(**schedule):
         cfg = SamplerConfig(
-            canvas_shape=shape, steps=3, mode=run_mode, window_h=8, window_w=8,
+            canvas_shape=shape, steps=3, window_h=8, window_w=8,
             overlap=0.5, workers=workers, prior=PriorScheduleConfig(**schedule),
         )
         x, _ = TiledSampler(cfg, TargetDriver(target), prior).run(noise.copy())
         return x.tobytes()
 
     regional = dict(mode="regional", activity_map=activity, tau_active=0.2, tau_background=0.2)
-    assert latent("fd_regional", lambda_base=1.5, **regional) == latent(
-        "fd", lambda_base=1.5, mode="gated_cosine", tau=0.2
+    assert latent(lambda_base=1.5, **regional) == latent(
+        lambda_base=1.5, mode="gated_cosine", tau=0.2
     )
-    assert latent("fd_regional", lambda_base=0.0, **regional) == latent("md")
-    assert latent("fd_regional", lambda_base=1.5, **regional) != latent("md")
+    assert latent(lambda_base=0.0, **regional) == latent()
+    assert latent(lambda_base=1.5, **regional) != latent()
 
 
 @st.composite
@@ -674,7 +676,7 @@ def test_denoiser_cannot_write_the_latent_through_its_tile():
     """An in-process denoiser gets a read-only view of the run's latent:
     a write into it fails the run, and the latent keeps its bytes."""
     cfg = SamplerConfig(
-        canvas_shape=(2, 2, 20, 16), steps=2, mode="md", window_h=8,
+        canvas_shape=(2, 2, 20, 16), steps=2, window_h=8,
         window_w=8, overlap=0.5, workers=2,
     )
     tiles = []
