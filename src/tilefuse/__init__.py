@@ -9,7 +9,6 @@ full-resolution metrics, and a CLI that strings the stages together.
 from .blending import ramp_profile, ramp_weight_map
 from .denoisers import (
     DenoiserRequest,
-    DenoiserResponse,
     ExternalDenoiser,
     GaussianAnalytic,
     TargetDriver,
@@ -34,7 +33,6 @@ from .errors import (
 from .fusion import (
     FusionAccumulator,
     accumulate,
-    fuse_fd_eps,
     fuse_fd_flow,
     fuse_md,
 )

@@ -152,16 +152,15 @@ def run_pipeline(settings, prior=None):
                     f"needs {settings.canvas.channels}"
                 )
         # An external denoiser is one worker pool serving both stages; built-in
-        # ones are built per stage, as they may depend on the canvas shape.
+        # ones, which hold no process, are built per stage for its canvas shape.
         shared = None
         if settings.denoiser.kind == "external":
             shared = _build_denoiser(settings, canvas_shape)
-            stack.callback(_close, shared)
+            stack.callback(shared.close)
         if prior is None:  # the thumbnail pass
             cfg = settings.prior_stage
-            with _stage_denoiser(settings, cfg.canvas_shape, shared) as den:
-                sampler = TiledSampler(cfg, den)
-                prior, _ = sampler.run(make_noise(cfg.canvas_shape, settings.run.seed, stream=0))
+            sampler = TiledSampler(cfg, shared or _build_denoiser(settings, cfg.canvas_shape))
+            prior, _ = sampler.run(make_noise(cfg.canvas_shape, settings.run.seed, stream=0))
         timings["prior"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -170,33 +169,14 @@ def run_pipeline(settings, prior=None):
         timings["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        with _stage_denoiser(settings, canvas_shape, shared) as den:
-            sampler = TiledSampler(settings.tiled, den, prior_rows)
-            drawn.result()  # a failed draw is raised here, on this thread
-            # run adopts the canvas and overwrites it in place, so it is handed
-            # the only reference: no alias here sees the noise turn into x_final
-            x_final, trace = sampler.run(tiled_noise.pop())
+        den = shared or _build_denoiser(settings, canvas_shape)
+        sampler = TiledSampler(settings.tiled, den, prior_rows)
+        drawn.result()  # a failed draw is raised here, on this thread
+        # run adopts the canvas and overwrites it in place, so it is handed
+        # the only reference: no alias here sees the noise turn into x_final
+        x_final, trace = sampler.run(tiled_noise.pop())
         timings["tiled"] = time.perf_counter() - t0
     return x_final, trace, prior_rows, timings
-
-
-@contextlib.contextmanager
-def _stage_denoiser(settings, canvas_shape, shared):
-    """The shared worker pool if there is one, else a denoiser built for
-    this stage alone and closed when the stage ends."""
-    denoiser = shared if shared is not None else _build_denoiser(settings, canvas_shape)
-    try:
-        yield denoiser
-    finally:
-        if denoiser is not shared:
-            _close(denoiser)
-
-
-def _close(denoiser) -> None:
-    """Stop a denoiser's worker processes, if it has any."""
-    close = getattr(denoiser, "close", None)
-    if close is not None:
-        close()
 
 
 def _load_settings(args, overrides=()):
@@ -350,8 +330,18 @@ def _grid_point(settings, lam, tau):
 def cmd_sweep(args) -> int:
     """One run per (lambda, tau) point; the prior pass, which depends on
     neither, runs once. The settings, with their INI file and activity map,
-    are read once, and every point is derived from them before any runs."""
+    are read once, and every point is derived from them before any runs. An
+    axis that the tiled schedule does not read may hold one value only: tau
+    is read by gated_cosine alone, and md reads neither axis."""
     settings = _load_settings(args)
+    md, schedule = settings.run.mode == "md", settings.tiled.prior.mode
+    for flag, values, read in (
+        ("--lambda-grid", args.lambda_grid, not md),
+        ("--tau-grid", args.tau_grid, not md and schedule == "gated_cosine"),
+    ):
+        if not read and len(set(values)) > 1:  # every value would rerun the same point
+            ignores = "an md run" if md else f"the {schedule} schedule"
+            raise ConfigError(f"{flag} holds {len(set(values))} values, but {ignores} ignores it")
     points = [
         (lam, tau, _grid_point(settings, lam, tau))
         for lam, tau in itertools.product(args.lambda_grid, args.tau_grid)
@@ -400,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     config = argparse.ArgumentParser(add_help=False)  # sample and sweep
-    config.add_argument("--config", help="INI configuration file")
-    config.add_argument("--from-manifest", help="reproduce a run from its manifest")
+    source = config.add_mutually_exclusive_group()
+    source.add_argument("--config", help="INI configuration file")
+    source.add_argument("--from-manifest", help="reproduce a run from its manifest")
     config.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL")
     scoring = argparse.ArgumentParser(add_help=False)  # metrics and sweep
     scoring.add_argument("--embedder", help="FDP1 embedding worker command line")

@@ -1,10 +1,11 @@
 """Pluggable per-tile denoisers.
 
-A denoiser is any callable mapping a DenoiserRequest to a DenoiserResponse
-and must be a pure function of the request given fixed parameters. Two
-verifiable built-ins ship here: an exact posterior-mean model for i.i.d.
-Gaussian data and a driver that steers every tile toward a fixed target
-canvas. Real backbones attach through the FDP1 worker protocol.
+A denoiser is any callable mapping a DenoiserRequest to its flow (velocity)
+prediction, an array of the tile's shape, and must be a pure function of
+the request given fixed parameters. Two verifiable built-ins ship here: an
+exact posterior-mean model for i.i.d. Gaussian data and a driver that
+steers every tile toward a fixed target canvas. Real backbones attach
+through the FDP1 worker protocol.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .protocol import KINDS, WorkerPool
+from .protocol import WorkerPool
 from .tensor import Rect, as_latent, crop, ensure_finite, latent_view
 
 
@@ -26,16 +27,6 @@ class DenoiserRequest:
     sigma: float
     conditioning: str = ""
     rect: Rect | None = None
-
-
-@dataclass(frozen=True)
-class DenoiserResponse:
-    prediction: np.ndarray
-    kind: str = "flow"
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown prediction kind {self.kind!r}")
 
 
 def gaussian_posterior_mean(x: np.ndarray, sigma: float, mu: float, s: float, out=None) -> np.ndarray:
@@ -66,7 +57,7 @@ class GaussianAnalytic:
         self.mu = float(mu)
         self.s = float(s)
 
-    def __call__(self, req: DenoiserRequest) -> DenoiserResponse:
+    def __call__(self, req: DenoiserRequest) -> np.ndarray:
         if not 0.0 < req.sigma <= 1.0:
             raise DomainError(f"sigma must lie in (0, 1], got {req.sigma}")
         x = latent_view(req.tile, "tile")
@@ -76,7 +67,7 @@ class GaussianAnalytic:
             gaussian_posterior_mean(x[c], req.sigma, self.mu, self.s, out=x0)
             np.subtract(x[c], x0, out=x0, dtype=np.float64)
             np.divide(x0, req.sigma, out=y[c], casting="same_kind")
-        return DenoiserResponse(prediction=y, kind="flow")
+        return y
 
 
 class TargetDriver:
@@ -86,7 +77,7 @@ class TargetDriver:
     def __init__(self, target: np.ndarray):
         self.target = ensure_finite(as_latent(target, "target"), "target")
 
-    def __call__(self, req: DenoiserRequest) -> DenoiserResponse:
+    def __call__(self, req: DenoiserRequest) -> np.ndarray:
         if req.sigma <= 0.0:
             raise DomainError(f"sigma must be positive, got {req.sigma}")
         if req.rect is None:
@@ -100,7 +91,7 @@ class TargetDriver:
         y = (
             (x.astype(np.float64) - goal.astype(np.float64)) / req.sigma
         ).astype(np.float32)
-        return DenoiserResponse(prediction=y, kind="flow")
+        return y
 
 
 class ExternalDenoiser(WorkerPool):
@@ -114,10 +105,7 @@ class ExternalDenoiser(WorkerPool):
     buffer (see WorkerClient.denoise), as the bytes of its contiguous copy.
     """
 
-    def __call__(self, req: DenoiserRequest) -> DenoiserResponse:
+    def __call__(self, req: DenoiserRequest) -> np.ndarray:
         tile = latent_view(req.tile, "tile")
         rect = req.rect or Rect(0, 0, tile.shape[2], tile.shape[3])
-        kind, pred = self.denoise(
-            req.step_index, req.t, req.sigma, rect, req.conditioning, tile
-        )
-        return DenoiserResponse(prediction=pred, kind=kind)
+        return self.denoise(req.step_index, req.t, req.sigma, rect, req.conditioning, tile)

@@ -2,7 +2,7 @@
 tensors as their first-moment signature. Useful for loopback testing and as
 a template for wiring a real backbone.
 
-Run with: python -m tilefuse.echo_worker [--kind flow|eps] [--scale S]
+Run with: python -m tilefuse.echo_worker [--scale S]
 """
 
 from __future__ import annotations
@@ -11,19 +11,18 @@ import argparse
 
 import numpy as np
 
-from .protocol import KINDS, serve
+from .protocol import serve
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--kind", choices=KINDS, default="flow")
     parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args(argv)
 
     def denoise(step, t, sigma, rect, conditioning, tile):
         if args.scale == 1.0:
-            return args.kind, tile
-        return args.kind, (args.scale * tile).astype(np.float32)
+            return tile
+        return (args.scale * tile).astype(np.float32)
 
     def embed(tensor):
         flat = tensor.astype(np.float64).ravel()

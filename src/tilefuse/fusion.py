@@ -1,11 +1,11 @@
 """Closed-form merging of overlapping tile predictions.
 
-Plain weighted averaging merges tiles alone; the prior-regularized variants
-add a term that pulls the one-step clean estimate toward a reference latent,
-for flow (velocity) outputs and for noise (epsilon) outputs. Each closed
-form is the unique minimizer of a separable strictly convex objective.
-The objectives are written out only in tests/_oracles.py, apart from this
-code, and the tests check each closed form against them.
+Plain weighted averaging merges tiles alone; the prior-regularized form
+adds a term that pulls the one-step clean estimate of the flow (velocity)
+output toward a reference latent. Each closed form is the unique minimizer
+of a separable strictly convex objective. The objectives are written out
+only in tests/_oracles.py, apart from this code, and the tests check each
+closed form against them.
 
 Accumulation runs in float64 and happens strictly in the caller's order; the
 numerator is single-writer. The closed forms are elementwise, so they may be
@@ -135,43 +135,14 @@ def fuse_fd_flow(
         return fuse_md(acc)
     if sigma_t <= 0.0 and np.any(lam_b > 0):
         raise DomainError(f"sigma must be positive with an active prior, got {sigma_t}")
-    x_hat = _check_canvas(x_t, acc, "current latent").astype(np.float64)
-    return _fuse_prior(acc, x_hat, x_prior, lam_b, sigma_t, sigma_t**2)
-
-
-def fuse_fd_eps(
-    acc: FusionAccumulator,
-    x_t: np.ndarray,
-    x_prior: np.ndarray,
-    lam,
-    alpha_t: float,
-) -> np.ndarray:
-    """Prior-regularized fused noise estimate for epsilon-output models.
-
-    Elementwise
-    (sqrt((1-a)/a) * lam * (x_t/sqrt(a) - x_prior) + num) / ((1-a)/a * lam + den).
-    """
-    if not 0.0 < alpha_t < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha_t}")
-    lam_b = _broadcast_strength(lam, acc.canvas_shape)
-    if lam_b.ndim == 0 and float(lam_b) == 0.0:
-        return fuse_md(acc)
-    x_hat = _check_canvas(x_t, acc, "current latent").astype(np.float64)
-    x_hat /= np.sqrt(alpha_t)
-    ratio = (1.0 - alpha_t) / alpha_t
-    return _fuse_prior(acc, x_hat, x_prior, lam_b, np.sqrt(ratio), ratio)
-
-
-def _fuse_prior(acc, x_hat, x_prior, lam_b, s, s2):
-    """The prior-regularized closed form both variants share, elementwise
-    (s * lam * (x_hat - x_prior) + num) / (s2 * lam + den), computed in the
-    float64 x_hat, which it overwrites."""
-    num = x_hat
+    num = _check_canvas(x_t, acc, "current latent").astype(np.float64)
     num -= _check_canvas(x_prior, acc, "prior latent")
-    num *= s * lam_b
+    num *= sigma_t * lam_b
     num += acc.num
-    den = s2 * lam_b + acc.den[None, None]
-    _check_positive_denominator(den, acc.canvas_shape)
+    den = sigma_t**2 * lam_b + acc.den[None, None]
+    if np.any(den <= 0.0):
+        bad = int(np.count_nonzero(np.broadcast_to(den, acc.canvas_shape) <= 0.0))
+        raise CoverageError(f"{bad} cells have neither tile coverage nor prior weight")
     return _divide_to_float32(num, den)
 
 
@@ -180,14 +151,6 @@ def _check_canvas(x, acc, name):
     if x.shape != acc.canvas_shape:
         raise ShapeError(f"{name} shape {x.shape} does not match canvas {acc.canvas_shape}")
     return x
-
-
-def _check_positive_denominator(den, canvas_shape):
-    if np.any(den <= 0.0):
-        bad = int(np.count_nonzero(np.broadcast_to(den, canvas_shape) <= 0.0))
-        raise CoverageError(
-            f"{bad} cells have neither tile coverage nor prior weight"
-        )
 
 
 def _divide_to_float32(num, den):

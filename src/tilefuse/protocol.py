@@ -11,9 +11,10 @@ request, 5 embed response.
 
 Denoise request payload: step index (u32), t (f32), sigma (f32), window
 rect as 4 x u32 (row, col, height, width), conditioning id (u16 length +
-bytes), then an FLT1-serialized tile. Denoise response payload: one kind
-byte (0 flow, 1 eps) + FLT1 tile. Embed request payload: FLT1 tensor.
-Embed response payload: u32 dimension + that many f32 values.
+bytes), then an FLT1-serialized tile. Denoise response payload: one byte,
+always 0 (the tile is a flow prediction), + FLT1 tile. Embed request
+payload: FLT1 tensor. Embed response payload: u32 dimension + that many
+f32 values.
 
 All integers and floats are little-endian. Reads are select()-based so a
 hung worker trips the timeout instead of blocking forever (POSIX pipes).
@@ -34,10 +35,10 @@ of a contiguous copy, and a worker built on serve() needs no change.
 A client whose stream may be out of step after a failure (a timeout, a
 malformed frame, the pipe closing mid-frame) is poisoned: its child is
 killed and later calls raise WorkerExitError; a WorkerPool stops lending
-it out. A worker that sends garbage (a wrong message type or kind byte, a
-bad tile, a prediction of the wrong shape) is poisoned the same way. An
-error frame from the worker is a complete reply and leaves the client
-usable.
+it out. A worker that sends garbage (a wrong message type, a leading byte
+other than 0, a bad tile, a prediction of the wrong shape) is poisoned the
+same way. An error frame from the worker is a complete reply and leaves
+the client usable.
 
 A worker runs in a session of its own, so a terminal's SIGINT reaches the
 parent alone. It ends on EOF, or by a kill 5 s later (_end), and is in
@@ -82,8 +83,6 @@ MSG_DENOISE_RESPONSE = 2
 MSG_ERROR = 3
 MSG_EMBED_REQUEST = 4
 MSG_EMBED_RESPONSE = 5
-
-KINDS = ("flow", "eps")  # a prediction kind's wire byte is its index
 
 DEFAULT_TIMEOUT = 300.0
 
@@ -160,22 +159,19 @@ def unpack_denoise_request(payload):
     return step, t, sigma, Rect(row, col, height, width), cond, tile
 
 
-def _denoise_response_parts(kind: str, tile):
-    if kind not in KINDS:
-        raise ProtocolError(f"unknown prediction kind {kind!r}")
-    flt_head, data = flt_parts(tile)
-    return bytes([KINDS.index(kind)]) + flt_head, data
+def _denoise_response_parts(tile):
+    head, data = flt_parts(tile)
+    return b"\x00" + head, data
 
 
-def pack_denoise_response(kind: str, tile) -> bytes:
-    return b"".join(_denoise_response_parts(kind, tile))
+def pack_denoise_response(tile) -> bytes:
+    return b"".join(_denoise_response_parts(tile))
 
 
 def unpack_denoise_response(payload):
-    code = payload[0] if payload else None
-    if code not in range(len(KINDS)):
-        raise MalformedFrameError(f"unknown prediction kind byte {code!r}")
-    return KINDS[code], flt_from_bytes(payload[1:], "response tile")
+    if payload[:1] != b"\x00":
+        raise MalformedFrameError(f"unknown prediction kind byte {bytes(payload[:1])!r}")
+    return flt_from_bytes(payload[1:], "response tile")
 
 
 def _aligned_buffer(length: int, msg_type: int) -> memoryview:
@@ -329,20 +325,20 @@ class WorkerClient:
         return msg_type, payload
 
     def denoise(self, step, t, sigma, rect: Rect, conditioning: str, tile):
-        """Returns (kind, prediction). The prediction must match the tile
-        shape bit for bit in layout. It is a writable float32 array whose
-        data starts on an ALIGN-byte boundary. The tile may be any 4-D
-        float32 view: it is sent without a whole-tile copy."""
+        """Returns the prediction, which must match the tile shape bit for
+        bit in layout. It is a writable float32 array whose data starts on
+        an ALIGN-byte boundary. The tile may be any 4-D float32 view: it is
+        sent without a whole-tile copy."""
         prefix, tile = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
         cells = math.prod(tile.shape[1:])
         if self._channel.size < cells:
             self._channel = np.empty(cells, dtype=_WIRE_FLOAT)
 
         def unpack(payload):
-            kind, pred = unpack_denoise_response(payload)
+            pred = unpack_denoise_response(payload)
             if pred.shape != tile.shape:
                 raise ShapeError(f"worker returned shape {pred.shape} for a {tile.shape} tile")
-            return kind, pred
+            return pred
 
         return self._ask(MSG_DENOISE_REQUEST, (prefix, tile), MSG_DENOISE_RESPONSE, unpack)
 
@@ -422,7 +418,7 @@ class WorkerPool:
 def serve(denoise=None, embed=None, stdin=None, stdout=None) -> None:
     """Run a worker loop on raw byte streams (defaults: this process's
     stdin/stdout). denoise(step, t, sigma, rect, conditioning, tile) returns
-    (kind, prediction); embed(tensor) returns a 1-D vector. Returns on EOF.
+    the flow prediction; embed(tensor) returns a 1-D vector. Returns on EOF.
 
     Handler exceptions are reported to the peer as error frames; the loop
     keeps serving.
@@ -453,8 +449,8 @@ def serve(denoise=None, embed=None, stdin=None, stdout=None) -> None:
                 if denoise is None:
                     raise ProtocolError("worker has no denoise handler")
                 step, t, sigma, rect, cond, tile = unpack_denoise_request(payload)
-                kind, pred = denoise(step, t, sigma, rect, cond, tile)
-                _write_frame(out, MSG_DENOISE_RESPONSE, *_denoise_response_parts(kind, pred))
+                pred = denoise(step, t, sigma, rect, cond, tile)
+                _write_frame(out, MSG_DENOISE_RESPONSE, *_denoise_response_parts(pred))
             elif msg_type == MSG_EMBED_REQUEST:
                 if embed is None:
                     raise ProtocolError("worker has no embed handler")

@@ -79,7 +79,7 @@ from .errors import ConfigError, DenoiseError, ShapeError
 from .fusion import accumulate, add_weighted_tile, fuse_fd_flow, fuse_md
 from .planner import TilePlan, plan_tiles
 from .schedules import PriorScheduleConfig, SigmaSchedule
-from .tensor import _axis_indices, _lerp, as_latent, crop, ensure_finite, trilinear_resize
+from .tensor import _axis_indices, _lerp, as_latent, crop, ensure_finite, latent_view, trilinear_resize
 
 # elements per frame group in the band update: a group's passes run over
 # buffers of a few MiB, near a 2 MiB per-core L2 cache, and the groups are
@@ -506,17 +506,11 @@ class TiledSampler:
             rect=rect,
         )
         try:
-            resp = self.denoiser(req)
+            pred = latent_view(self.denoiser(req), "prediction")
         except Exception as exc:
             raise DenoiseError(
                 f"step {i}, tile {k} at ({rect.row},{rect.col}): {exc}"
             ) from exc
-        if resp.kind != "flow":
-            raise DenoiseError(
-                f"step {i}, tile {k}: denoiser returned {resp.kind!r} "
-                f"prediction, the loop integrates 'flow'"
-            )
-        pred = resp.prediction
         if pred.shape != req.tile.shape:
             raise DenoiseError(
                 f"step {i}, tile {k}: prediction shape {pred.shape} does not "

@@ -67,21 +67,6 @@ def fusion_loss_field_flow(y, tiles, x, prior, lam, sigma):
     return field
 
 
-def fusion_loss_field_eps(y, tiles, x, prior, lam, alpha):
-    lam_b = np.broadcast_to(np.asarray(lam, dtype=np.float64), x.shape)
-    x0 = (x - np.sqrt(1.0 - alpha) * y) / np.sqrt(alpha)
-    field = (lam_b * (x0 - prior) ** 2).astype(np.float64)
-    for pred, rect, w in tiles:
-        sl = (
-            slice(None),
-            slice(None),
-            slice(rect.row, rect.row + rect.height),
-            slice(rect.col, rect.col + rect.width),
-        )
-        field[sl] = field[sl] + w[None, None] * (y[sl] - pred) ** 2
-    return field
-
-
 def quadratic_minimizer(loss_field):
     """Per-element vertex of a quadratic from three evaluations.
 
@@ -103,14 +88,6 @@ def minimize_fd_flow(tiles, x, prior, lam, sigma, shape):
     def at(const):
         y = np.full(shape, const, dtype=np.float64)
         return fusion_loss_field_flow(y, tiles, x, prior, lam, sigma)
-
-    return quadratic_minimizer(at)
-
-
-def minimize_fd_eps(tiles, x, prior, lam, alpha, shape):
-    def at(const):
-        y = np.full(shape, const, dtype=np.float64)
-        return fusion_loss_field_eps(y, tiles, x, prior, lam, alpha)
 
     return quadratic_minimizer(at)
 

@@ -18,7 +18,6 @@ from tilefuse import (
     SamplerConfig,
     TargetDriver,
     accumulate,
-    fuse_fd_eps,
     fuse_fd_flow,
     fuse_md,
     lambda_global,
@@ -38,7 +37,6 @@ from tilefuse.protocol import WorkerClient
 
 from _oracles import (
     area_average_loop,
-    minimize_fd_eps,
     minimize_fd_flow,
     sobel_loop,
 )
@@ -94,13 +92,12 @@ def build_acc(shape, tiles):
 
 LAMBDA_SET = (0.0, 0.5, 1.5, 5.0)
 SIGMA_SET = (0.2, 0.5, 1.0)
-ALPHA_SET = (0.2, 0.5, 0.9)  # the eps objective needs alpha strictly inside (0, 1)
 
 
 def test_criterion_01_fusion_oracle_equivalence():
     rng = np.random.default_rng(1001)
     started = time.perf_counter()
-    worst_flow = worst_eps = 0.0
+    worst = 0.0
     n_instances = 1000
     for k in range(n_instances):
         shape, tiles, x, prior = random_covered_instance(rng)
@@ -112,30 +109,18 @@ def test_criterion_01_fusion_oracle_equivalence():
             lam = rng.choice(LAMBDA_SET, size=shape[2:])
             lam_oracle = lam[None, None]
         sigma = float(rng.choice(SIGMA_SET))
-        alpha = float(rng.choice(ALPHA_SET))
         x64 = x.astype(np.float64)
         p64 = prior.astype(np.float64)
 
         got = fuse_fd_flow(acc, x, prior, lam, sigma).astype(np.float64)
         want = minimize_fd_flow(tiles, x64, p64, lam_oracle, sigma, shape)
-        worst_flow = max(
-            worst_flow,
-            float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))),
-        )
-
-        got = fuse_fd_eps(acc, x, prior, lam, alpha).astype(np.float64)
-        want = minimize_fd_eps(tiles, x64, p64, lam_oracle, alpha, shape)
-        worst_eps = max(
-            worst_eps,
-            float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))),
-        )
+        worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))))
     elapsed = time.perf_counter() - started
     report(
         1,
         "fusion-oracle equivalence",
-        worst_flow <= 1e-5 and worst_eps <= 1e-5 and elapsed <= 30.0,
-        f"(n={n_instances}, worst flow {worst_flow:.2e}, worst eps "
-        f"{worst_eps:.2e}, {elapsed:.1f}s)",
+        worst <= 1e-5 and elapsed <= 30.0,
+        f"(n={n_instances}, worst {worst:.2e}, {elapsed:.1f}s)",
     )
 
 
@@ -148,8 +133,7 @@ def test_criterion_02_reduction_to_plain_fusion(tmp_path):
         md = fuse_md(acc).astype(np.float64)
         for zero in (0.0, np.zeros(shape[2:])):
             flow = fuse_fd_flow(acc, x, prior, zero, 0.5).astype(np.float64)
-            eps = fuse_fd_eps(acc, x, prior, zero, 0.5).astype(np.float64)
-            worst = max(worst, float(np.max(np.abs(flow - md))), float(np.max(np.abs(eps - md))))
+            worst = max(worst, float(np.max(np.abs(flow - md))))
 
     shape = (1, 2, 16, 16)
     target = rng.standard_normal(shape).astype(np.float32)
@@ -362,9 +346,7 @@ def test_criterion_09_protocol_round_trip(tmp_path):
                 int(rng.integers(1, 9)),
             )
             tile = rng.standard_normal(shape).astype(np.float32)
-            _, pred = client.denoise(
-                k, 0.1, 0.9, Rect(0, 0, shape[2], shape[3]), "cond", tile
-            )
+            pred = client.denoise(k, 0.1, 0.9, Rect(0, 0, shape[2], shape[3]), "cond", tile)
             exact += pred.tobytes() == tile.tobytes()
 
     bad_magic = tmp_path / "bad_magic.py"
@@ -390,7 +372,7 @@ def test_criterion_09_protocol_round_trip(tmp_path):
     wrong_shape.write_text(
         "import numpy as np\n"
         "from tilefuse.protocol import serve\n"
-        "serve(denoise=lambda s,t,g,r,c,x: ('flow', np.zeros((1,1,1,1), np.float32)))\n"
+        "serve(denoise=lambda s,t,g,r,c,x: np.zeros((1,1,1,1), np.float32))\n"
     )
     shape_ok = False
     with WorkerClient([sys.executable, str(wrong_shape)], timeout=30) as client:

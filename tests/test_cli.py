@@ -249,34 +249,32 @@ class TestSampleCommand:
         assert "blending.ramp" in err and "'abc'" in err
 
     @pytest.mark.parametrize("failing_stage", ["prior", "tiled"])
-    def test_denoisers_closed_when_a_stage_fails(
-        self, monkeypatch, tmp_path, target_file, capsys, failing_stage
-    ):
-        closed = []
+    def test_denoisers_closed_when_a_stage_fails(self, monkeypatch, tmp_path, capsys, failing_stage):
+        """The one worker pool that serves both stages is closed once,
+        whichever stage fails. Built-in denoisers hold no process, so
+        nothing else is closed."""
+        built, closed = [], []
 
-        class Stub:
-            def __init__(self, stage):
-                self.stage = stage
-
+        class Pool:
             def __call__(self, req):
-                if self.stage == failing_stage:
+                # the thumbnail stage of external_config is one 64x96 tile
+                stage = "prior" if req.tile.shape[2:] == (64, 96) else "tiled"
+                if stage == failing_stage:
                     raise RuntimeError("backbone crashed")
                 return GaussianAnalytic(0.0, 1.0)(req)
 
             def close(self):
-                closed.append(self.stage)
+                closed.append(self)
 
         def build(settings, canvas_shape):
-            tiled = tuple(canvas_shape) == settings.canvas_shape()
-            return Stub("tiled" if tiled else "prior")
+            built.append(Pool())
+            return built[-1]
 
         monkeypatch.setattr(cli, "_build_denoiser", build)
-        path, _ = target_file
-        cfg = base_target_config(tmp_path, path)
+        cfg = self.external_config(tmp_path, "unused")
         assert main(["sample", "--config", cfg]) == 5
-        assert "backbone crashed" in capsys.readouterr().err
-        expected = ["prior"] if failing_stage == "prior" else ["prior", "tiled"]
-        assert closed == expected
+        assert "step 0, tile 0 at (0,0): backbone crashed" in capsys.readouterr().err
+        assert len(built) == 1 and closed == built
 
     def test_external_denoiser_pipeline(self, rng, tmp_path, capsys):
         # gaussian echo: velocity = tile means the run is a pure decay to 0
@@ -445,12 +443,31 @@ command = {command}
         script.write_text(
             "import numpy as np\n"
             "from tilefuse.protocol import serve\n"
-            "serve(denoise=lambda s,t,g,r,c,x: ('flow', np.full(x.shape, np.nan, np.float32)))\n"
+            "serve(denoise=lambda s,t,g,r,c,x: np.full(x.shape, np.nan, np.float32))\n"
         )
         cfg = self.external_config(tmp_path, f"{sys.executable} {script}", "timeout = 60")
         assert main(["sample", "--config", cfg]) == 5
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite" in err
+
+    def test_a_reply_of_kind_byte_1_is_a_compute_error_and_leaves_no_worker(self, tmp_path, capsys):
+        """A denoise reply's leading byte is always 0; any other value is a
+        malformed frame, which poisons the worker that sent it."""
+        body = (
+            "from tilefuse import protocol\n"
+            "def parts(tile):\n"
+            "    head, data = protocol.flt_parts(tile)\n"
+            "    return b'\\x01' + head, data\n"
+            "protocol._denoise_response_parts = parts\n"
+            "protocol.serve(denoise=lambda *a: a[-1])\n"
+        )
+        cfg = signal_config(tmp_path, worker_command(tmp_path, body), steps=2)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "out.flt")]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown prediction kind byte b'\\x01'" in err
+        assert len(recorded_pids(tmp_path)) == 2
+        assert not any(alive(pid) for pid in recorded_pids(tmp_path))
+        assert not list(tmp_path.glob("out.flt*"))
 
     def test_manifest_with_retired_keys_reproduces_run(self, tmp_path, target_file, capsys):
         path, _ = target_file
@@ -514,12 +531,23 @@ BAD_EMBEDDER_FLAGS = {
         (["metrics", "--frames", "d", "--prior-frames", "d"], None, 2),
         (["metrics", "--frames", "d", "--seam-overlap", "x"], None, 2),  # a flag metrics ignores
         (["sweep", "--lambda-grid", "0,nan"], None, 2),
+        # a grid axis that the tiled schedule ignores holds one value only
+        (["sweep", "--tau-grid", "0.05,0.9", "--set", "run.mode=fd_regional",
+          "--set", "prior.activity_map=d/f0.pgm", *TINY_RUN], None, 3),
+        (["sweep", "--tau-grid", "0.05,0.9", "--set", "prior.schedule=constant", *TINY_RUN], None, 3),
+        (["sweep", "--tau-grid", "0.05,0.9", "--set", "prior.schedule=cosine", *TINY_RUN], None, 3),
+        (["sweep", "--lambda-grid", "0,1.5", "--set", "run.mode=md", *TINY_RUN], None, 3),
+        (["sweep", "--lambda-grid", "0", "--tau-grid", "0.05,0.9", "--set", "run.mode=md",
+          *TINY_RUN], None, 3),
+        # one source of settings
+        (["sample", "--from-manifest", "m.json", "--config", "/nonexistent.ini"], "{}", 2),
     ],
     ids=["command-quote", "manifest-not-json", "manifest-config-shape", "lambda-grid", "tau-grid",
          "sample-output-dir", "manifest-dir", "sweep-out-dir", "metrics-out-dir",
          *BAD_EMBEDDER_FLAGS, "seam-factor-zero", "plan-missing-canvas", "sample-unknown-flag",
          "no-command", "metrics-timeout-text", "prior-frames-without-embedder",
-         "ignored-seam-overlap", "lambda-grid-nan"],
+         "ignored-seam-overlap", "lambda-grid-nan", "tau-grid-regional", "tau-grid-constant",
+         "tau-grid-cosine", "lambda-grid-md", "tau-grid-md", "config-and-manifest"],
 )
 def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, code):
     monkeypatch.chdir(tmp_path)
@@ -532,6 +560,21 @@ def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, 
     assert err.count("\n") == 1 and "Traceback" not in err
     assert (tmp_path / "d").is_dir()
     assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [["run.mode=md"], ["prior.schedule=constant"], ["prior.schedule=cosine"],
+     ["run.mode=fd_regional", "prior.activity_map=d/f0.pgm"]],
+    ids=["md", "constant", "cosine", "fd_regional"],
+)
+def test_a_sweep_of_one_point_runs_in_every_mode(monkeypatch, tmp_path, capsys, sets):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    write_pgm(tmp_path / "d" / "f0.pgm", np.zeros((8, 8), dtype=np.uint8))
+    argv = ["sweep", "--lambda-grid", "1.5", "--tau-grid", "0.5", *TINY_RUN]
+    assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 @pytest.mark.parametrize(

@@ -22,23 +22,23 @@ class TestGaussianAnalytic:
         den = GaussianAnalytic(mu, 0.0)
         tile = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
         sigma = 0.5
-        resp = den(make_request(tile, sigma))
+        y = den(make_request(tile, sigma))
         expected = (tile - mu) / sigma
-        assert np.allclose(resp.prediction, expected, atol=1e-6)
+        assert np.allclose(y, expected, atol=1e-6)
 
     def test_pure_noise_level(self, rng):
         # at sigma = 1 the posterior mean is exactly mu
         den = GaussianAnalytic(0.3, 0.7)
         tile = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
-        resp = den(make_request(tile, 1.0))
-        assert np.allclose(resp.prediction, tile - 0.3, atol=1e-6)
+        y = den(make_request(tile, 1.0))
+        assert np.allclose(y, tile - 0.3, atol=1e-6)
 
     def test_small_sigma_estimate_tracks_observation(self, rng):
         x = np.full((1, 1, 1, 1), 0.4, dtype=np.float32)
         for sigma in (0.05, 0.01):
             x0 = gaussian_posterior_mean(x, sigma, 0.0, 0.5)
             assert abs(x0.item() - 0.4) < 0.1
-            y = GaussianAnalytic(0.0, 0.5)(make_request(x, sigma)).prediction
+            y = GaussianAnalytic(0.0, 0.5)(make_request(x, sigma))
             assert np.isfinite(y).all()
 
     def test_strided_view_allocates_its_output_and_one_channel(self, rng):
@@ -52,7 +52,7 @@ class TestGaussianAnalytic:
         req = make_request(tile, sigma)
         tracemalloc.start()
         try:
-            y = GaussianAnalytic(mu, s)(req).prediction
+            y = GaussianAnalytic(mu, s)(req)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -87,8 +87,8 @@ class TestGaussianAnalytic:
     def test_pure_function_of_request(self, rng):
         den = GaussianAnalytic(0.2, 0.4)
         tile = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
-        a = den(make_request(tile, 0.6)).prediction
-        b = den(make_request(tile, 0.6)).prediction
+        a = den(make_request(tile, 0.6))
+        b = den(make_request(tile, 0.6))
         assert np.array_equal(a, b)
 
 
@@ -97,15 +97,15 @@ class TestTargetDriver:
         target = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
         den = TargetDriver(target)
         r = Rect(1, 2, 3, 3)
-        resp = den(make_request(crop(target, r), 0.5, rect=r))
-        assert np.allclose(resp.prediction, 0.0, atol=1e-7)
+        y = den(make_request(crop(target, r), 0.5, rect=r))
+        assert np.allclose(y, 0.0, atol=1e-7)
 
     def test_single_step_reaches_target(self, rng):
         target = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
         den = TargetDriver(target)
         x = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
         r = Rect(0, 0, 4, 4)
-        y = den(make_request(x, 1.0, rect=r)).prediction
+        y = den(make_request(x, 1.0, rect=r))
         # Euler from sigma 1 to 0 with constant velocity
         x_final = x + (0.0 - 1.0) * y
         assert np.allclose(x_final, target, atol=1e-6)
@@ -116,7 +116,7 @@ class TestTargetDriver:
         r = Rect(2, 3, 4, 4)
         x = rng.standard_normal((2, 1, 4, 4)).astype(np.float32)
         sigma = 0.4
-        y = den(make_request(x, sigma, rect=r)).prediction
+        y = den(make_request(x, sigma, rect=r))
         assert np.allclose(x - sigma * y, crop(target, r), atol=1e-5)
 
     def test_overlapping_tiles_agree_pointwise(self, rng):
@@ -127,8 +127,8 @@ class TestTargetDriver:
         sigma = 0.5
         r1 = Rect(0, 0, 4, 6)
         r2 = Rect(2, 0, 4, 6)
-        y1 = den(make_request(crop(canvas, r1), sigma, rect=r1)).prediction
-        y2 = den(make_request(crop(canvas, r2), sigma, rect=r2)).prediction
+        y1 = den(make_request(crop(canvas, r1), sigma, rect=r1))
+        y2 = den(make_request(crop(canvas, r2), sigma, rect=r2))
         assert np.allclose(y1[:, :, 2:4], y2[:, :, 0:2], atol=1e-7)
 
     def test_requires_rect(self, rng):

@@ -5,19 +5,13 @@ from tilefuse import (
     FusionAccumulator,
     Rect,
     accumulate,
-    fuse_fd_eps,
     fuse_fd_flow,
     fuse_md,
     plan_tiles,
 )
 from tilefuse.errors import CoverageError, DomainError, ShapeError
 
-from _oracles import (
-    fusion_loss_field_eps,
-    fusion_loss_field_flow,
-    minimize_fd_eps,
-    minimize_fd_flow,
-)
+from _oracles import fusion_loss_field_flow, minimize_fd_flow
 
 
 def random_instance(rng, covered=True, max_extra=4):
@@ -247,57 +241,3 @@ class TestFuseFdFlow:
         for _ in range(100):
             noise = 0.05 * rng.standard_normal(shape).astype(np.float32)
             assert flow_loss(y + noise, tiles, x, prior, lam, sigma) >= base - 1e-9
-
-
-class TestFuseFdEps:
-    def test_reduces_to_md_at_zero_strength(self, rng):
-        for _ in range(25):
-            shape, tiles, x, prior = random_instance(rng)
-            acc = accumulate_tiles(shape, tiles)
-            md = fuse_md(acc)
-            got = fuse_fd_eps(acc, x, prior, 0.0, 0.5)
-            assert np.array_equal(got, md)
-
-    def test_prior_only_cell_recovers_prior(self, rng):
-        shape = (1, 1, 2, 2)
-        acc = FusionAccumulator.zeros(shape)
-        x = rng.standard_normal(shape).astype(np.float32)
-        prior = rng.standard_normal(shape).astype(np.float32)
-        alpha = 0.4
-        y = fuse_fd_eps(acc, x, prior, 3.0, alpha)
-        x0 = (x - np.sqrt(1 - alpha) * y) / np.sqrt(alpha)
-        assert np.allclose(x0, prior, atol=1e-5)
-
-    def test_matches_quadratic_oracle(self, rng):
-        for _ in range(60):
-            shape, tiles, x, prior = random_instance(rng)
-            acc = accumulate_tiles(shape, tiles)
-            lam = float(rng.choice([0.0, 0.5, 1.5, 5.0]))
-            alpha = float(rng.choice([0.2, 0.5, 0.9]))
-            got = fuse_fd_eps(acc, x, prior, lam, alpha)
-            want = minimize_fd_eps(
-                tiles, x.astype(np.float64), prior.astype(np.float64), lam, alpha, shape
-            )
-            assert rel_err(got, want) <= 1e-5
-
-    def test_alpha_domain(self, rng):
-        shape, tiles, x, prior = random_instance(rng)
-        acc = accumulate_tiles(shape, tiles)
-        for alpha in (0.0, 1.0, -0.3, 1.7):
-            with pytest.raises(DomainError):
-                fuse_fd_eps(acc, x, prior, 1.0, alpha)
-
-
-class TestLosses:
-    def test_eps_field_consistent_with_closed_form_identity(self, rng):
-        # at alpha -> sigma mapping the two objectives differ; sanity-check the
-        # eps field is minimized by the eps fusion and not by the flow one
-        shape, tiles, x, prior = random_instance(rng)
-        acc = accumulate_tiles(shape, tiles)
-        lam, alpha = 1.5, 0.5
-        y_eps = fuse_fd_eps(acc, x, prior, lam, alpha).astype(np.float64)
-        y_flow = fuse_fd_flow(acc, x, prior, lam, np.sqrt(1 - alpha)).astype(np.float64)
-        f_at = lambda y: fusion_loss_field_eps(
-            y, tiles, x.astype(np.float64), prior.astype(np.float64), lam, alpha
-        ).sum()
-        assert f_at(y_eps) <= f_at(y_flow) + 1e-9

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tilefuse import FusionAccumulator, accumulate, fuse_fd_eps, fuse_fd_flow, fuse_md, plan_tiles
+from tilefuse import FusionAccumulator, accumulate, fuse_fd_flow, fuse_md, plan_tiles
 from tilefuse.blending import ramp_weight_map
 from tilefuse.errors import CoverageError
 
-from _oracles import minimize_fd_eps, minimize_fd_flow
+from _oracles import minimize_fd_flow
 
 TOLERANCE = 1e-5  # rel_err of test_fusion.py's oracle tests
 STRENGTHS = [0.0, 0.5, 1.5, 5.0]
@@ -100,21 +100,6 @@ def test_fuse_fd_flow_is_the_prior_regularized_minimizer(case, sigma):
         lambda: fuse_fd_flow(acc, x, prior, lam, sigma),
         lambda: minimize_fd_flow(
             tiles, x.astype(np.float64), prior.astype(np.float64), oracle_strength(lam), sigma, shape
-        ),
-        acc.den,
-        lam,
-    )
-
-
-@PROPERTY
-@given(fusion_cases(), st.floats(0.1, 0.9))
-def test_fuse_fd_eps_is_the_prior_regularized_minimizer(case, alpha):
-    shape, tiles, x, prior, lam = case
-    acc = accumulated(shape, tiles)
-    check_against_oracle(
-        lambda: fuse_fd_eps(acc, x, prior, lam, alpha),
-        lambda: minimize_fd_eps(
-            tiles, x.astype(np.float64), prior.astype(np.float64), oracle_strength(lam), alpha, shape
         ),
         acc.den,
         lam,

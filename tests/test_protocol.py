@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tilefuse import ExternalDenoiser, PriorScheduleConfig, Rect, SamplerConfig, protocol, run
-from tilefuse.denoisers import DenoiserRequest, DenoiserResponse
+from tilefuse.denoisers import DenoiserRequest
 from tilefuse.errors import (
     FileFormatError,
     MalformedFrameError,
@@ -103,15 +103,16 @@ class TestFraming:
 
     def test_denoise_response_round_trip(self, rng):
         tile = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-        kind, back = unpack_denoise_response(pack_denoise_response("eps", tile))
-        assert kind == "eps"
-        assert np.array_equal(back, tile)
+        payload = pack_denoise_response(tile)
+        assert payload == b"\x00" + b"".join(flt_parts(tile))  # the leading byte is always 0
+        assert np.array_equal(unpack_denoise_response(payload), tile)
 
     def test_bad_kind_byte(self, rng):
         tile = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-        payload = bytes([9]) + pack_denoise_response("flow", tile)[1:]
-        with pytest.raises(MalformedFrameError):
-            unpack_denoise_response(payload)
+        data = pack_denoise_response(tile)[1:]
+        for payload in (b"\x01" + data, b"\x09" + data, b""):  # only 0 is a reply
+            with pytest.raises(MalformedFrameError, match="unknown prediction kind byte"):
+                unpack_denoise_response(payload)
 
     def test_embedding_round_trip(self):
         vec = np.array([1.5, -2.25, 0.125], dtype=np.float32)
@@ -152,10 +153,9 @@ class TestWireProperties:
         finite32,
         finite32,
         st.tuples(*[st.integers(0, 2**31)] * 2, *[st.integers(1, 2**31)] * 2),
-        st.sampled_from(["flow", "eps"]),
     )
     def test_denoise_round_trip_through_the_worker_loop(
-        self, tile, conditioning, step, t, sigma, corner_and_size, kind
+        self, tile, conditioning, step, t, sigma, corner_and_size
     ):
         rect = Rect(*corner_and_size)
         frames = pack_frame(
@@ -167,7 +167,7 @@ class TestWireProperties:
             seen.append(request)
             x = request[-1]
             assert x.dtype == np.float32 and x.flags.writeable and x.flags.aligned
-            return kind, x
+            return x
 
         out = io.BytesIO()
         serve(denoise=denoise, stdin=io.BytesIO(frames), stdout=out)
@@ -180,8 +180,7 @@ class TestWireProperties:
         reply = out.getvalue()
         assert reply[4] == MSG_DENOISE_RESPONSE
         assert struct.unpack("<Q", reply[5:13])[0] == len(reply) - 13
-        got_kind, pred = unpack_denoise_response(reply[13:])
-        assert got_kind == kind and pred.tobytes() == tile.tobytes()
+        assert unpack_denoise_response(reply[13:]).tobytes() == tile.tobytes()
 
 
 class TestServeLoop:
@@ -199,10 +198,9 @@ class TestServeLoop:
         frames = pack_frame(
             MSG_DENOISE_REQUEST, pack_denoise_request(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
         )
-        out = self.run_loop(frames, denoise=lambda *a: ("flow", a[-1]))
+        out = self.run_loop(frames, denoise=lambda *a: a[-1])
         assert out[4] == MSG_DENOISE_RESPONSE
-        kind, back = unpack_denoise_response(out[13:])
-        assert kind == "flow" and np.array_equal(back, tile)
+        assert np.array_equal(unpack_denoise_response(out[13:]), tile)
 
     def test_handler_error_reported(self, rng):
         tile = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
@@ -230,13 +228,12 @@ class TestServeLoop:
         def denoise(step, t, sigma, rect, cond, x):
             seen.append((step, rect, cond))
             assert x.dtype == np.float32 and x.flags.writeable and x.flags.aligned
-            return "eps", x
+            return x
 
         out = self.run_loop(frames, denoise=denoise)
         assert seen == [(4, Rect(1, 2, 5, 7), "c")]
         assert out[4] == MSG_DENOISE_RESPONSE
-        kind, back = unpack_denoise_response(out[13:])
-        assert kind == "eps" and back.tobytes() == tile.tobytes()
+        assert unpack_denoise_response(out[13:]).tobytes() == tile.tobytes()
 
 
     @pytest.mark.parametrize(
@@ -262,8 +259,7 @@ class TestWorkerClient:
         with WorkerClient(ECHO_CMD, timeout=30) as client:
             for _ in range(10):
                 tile = rng.standard_normal((2, 1, 4, 5)).astype(np.float32)
-                kind, pred = client.denoise(0, 0.0, 1.0, Rect(0, 0, 4, 5), "", tile)
-                assert kind == "flow"
+                pred = client.denoise(0, 0.0, 1.0, Rect(0, 0, 4, 5), "", tile)
                 assert np.array_equal(pred.view(np.uint32), tile.view(np.uint32))
 
     def test_hundred_random_tiles_bit_exact(self, rng):
@@ -276,7 +272,7 @@ class TestWorkerClient:
                     int(rng.integers(1, 8)),
                 )
                 tile = rng.standard_normal(shape).astype(np.float32)
-                _, pred = client.denoise(k, 0.5, 0.5, Rect(0, 0, shape[2], shape[3]), "c", tile)
+                pred = client.denoise(k, 0.5, 0.5, Rect(0, 0, shape[2], shape[3]), "c", tile)
                 assert pred.tobytes() == tile.tobytes()
 
     def test_embed_round_trip(self, rng):
@@ -291,7 +287,7 @@ class TestWorkerClient:
             tmp_path,
             "import numpy as np\n"
             "from tilefuse.protocol import serve\n"
-            "serve(denoise=lambda s,t,g,r,c,x: ('flow', np.zeros((1,1,2,2), np.float32)))\n",
+            "serve(denoise=lambda s,t,g,r,c,x: np.zeros((1,1,2,2), np.float32))\n",
         )
         with WorkerClient(cmd, timeout=30) as client:
             tile = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
@@ -355,7 +351,7 @@ class TestWorkerClient:
     def test_timeout_beyond_the_platform_time_range(self, rng):
         with WorkerClient(ECHO_CMD, timeout=1e10) as client:
             tile = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
-            _, pred = client.denoise(0, 0.0, 1.0, Rect(0, 0, 3, 3), "", tile)
+            pred = client.denoise(0, 0.0, 1.0, Rect(0, 0, 3, 3), "", tile)
             assert pred.tobytes() == tile.tobytes()
 
     def test_non_finite_reply_poisons(self, tmp_path):
@@ -363,7 +359,7 @@ class TestWorkerClient:
             tmp_path,
             "import numpy as np\n"
             "from tilefuse.protocol import serve\n"
-            "serve(denoise=lambda s,t,g,r,c,x: ('flow', np.full(x.shape, np.nan, np.float32)))\n",
+            "serve(denoise=lambda s,t,g,r,c,x: np.full(x.shape, np.nan, np.float32))\n",
         )
         with WorkerClient(cmd, timeout=30) as client:
             tile = np.zeros((1, 1, 2, 2), np.float32)
@@ -400,7 +396,7 @@ class TestWorkerPool:
             ]
 
             def roundtrip(tile):
-                _, pred = pool.denoise(0, 0.0, 1.0, Rect(0, 0, 4, 4), "", tile)
+                pred = pool.denoise(0, 0.0, 1.0, Rect(0, 0, 4, 4), "", tile)
                 return np.array_equal(pred, tile)
 
             with ThreadPoolExecutor(max_workers=3) as ex:
@@ -415,7 +411,7 @@ class TestWorkerPool:
             RECORD_PID
             + "import time\n"
             "from tilefuse.protocol import serve\n"
-            "serve(denoise=lambda *a: ('flow', a[-1]))\n"
+            "serve(denoise=lambda *a: a[-1])\n"
             "time.sleep(1.0)\n",
         )
         pool = WorkerPool(cmd + [str(pids)], size=3, timeout=30)
@@ -464,20 +460,17 @@ class TestExternalDenoiser:
             req = DenoiserRequest(
                 tile=tile, step_index=0, t=0.0, sigma=1.0, rect=Rect(0, 0, 3, 3)
             )
-            resp = den(req)
-            assert resp.kind == "flow"
-            assert np.array_equal(resp.prediction, tile)
+            assert np.array_equal(den(req), tile)
 
     def test_worker_flags_respected(self, rng):
-        cmd = ECHO_CMD + ["--kind", "eps", "--scale", "2.0"]
+        cmd = ECHO_CMD + ["--scale", "2.0"]
         with ExternalDenoiser(cmd, timeout=30) as den:
             tile = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-            resp = den(
+            pred = den(
                 DenoiserRequest(tile=tile, step_index=0, t=0.0, sigma=1.0,
                                 rect=Rect(0, 0, 2, 2))
             )
-            assert resp.kind == "eps"
-            assert np.allclose(resp.prediction, 2.0 * tile)
+            assert np.allclose(pred, 2.0 * tile)
 
     def test_default_size_is_safe_to_share_between_tile_threads(self):
         # one worker serves four tile threads; replies must not interleave
@@ -499,7 +492,7 @@ class TestExternalDenoiser:
 
         def echo(req):
             assert not req.tile.flags.writeable
-            return DenoiserResponse(prediction=np.array(req.tile), kind="flow")
+            return np.array(req.tile)
 
         def latent(workers, denoiser=None):
             cfg = SamplerConfig(
@@ -555,14 +548,14 @@ class TestCopyFreeWire:
             "            out.write(pack_frame(0, b''))\n"
             "        else:\n"
             "            tile = unpack_denoise_request(payload)[-1]\n"
-            "            out.write(pack_frame(2, pack_denoise_response('flow', tile)))\n"
+            "            out.write(pack_frame(2, pack_denoise_response(tile)))\n"
             "        out.flush()\n",
         ) + [str(dump)]
         expected = pack_frame(MSG_HELLO, b"")
         with WorkerClient(cmd, timeout=30) as client:
             for tile in tiles:
                 args = (12, 0.375, 0.625, Rect(4, 6, 5, 9), "prompt-β", tile)
-                _, pred = client.denoise(*args)
+                pred = client.denoise(*args)
                 contiguous = np.ascontiguousarray(tile)
                 assert pred.tobytes() == contiguous.tobytes()
                 expected += pack_frame(
@@ -577,7 +570,7 @@ class TestCopyFreeWire:
         with WorkerClient(ECHO_CMD, timeout=30) as client:
             for rows in (slice(0, 12), slice(2, 9), slice(5, 6)):  # channels grow and shrink
                 tile = strided_view(latent[:, :, rows], view)
-                _, pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, *tile.shape[2:]), "", tile)
+                pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, *tile.shape[2:]), "", tile)
                 assert_decoded_tile(pred, np.ascontiguousarray(tile))
                 shapes.append(tile.shape)
         assert len(set(shapes)) == 3
@@ -600,9 +593,9 @@ class TestCopyFreeWire:
                 tracemalloc.start()
                 try:
                     if through == "client":
-                        _, pred = client.denoise(0, 0.5, 0.5, req.rect, "", tile)
+                        pred = client.denoise(0, 0.5, 0.5, req.rect, "", tile)
                     else:
-                        pred = den(req).prediction
+                        pred = den(req)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -618,7 +611,7 @@ class TestCopyFreeWire:
         def roundtrip(k):
             tiles = np.random.default_rng(k).standard_normal((2,) + shape)
             for j, tile in enumerate(tiles.astype(np.float32)):
-                _, pred = pool.denoise(k, 0.5, 0.5, Rect(0, 0, 60, 104), f"t{j}", tile)
+                pred = pool.denoise(k, 0.5, 0.5, Rect(0, 0, 60, 104), f"t{j}", tile)
                 assert_decoded_tile(pred, tile)
             return True
 
@@ -645,14 +638,13 @@ class TestCopyFreeWire:
             "            time.sleep(0.002)\n"
             "    def flush(self):\n"
             "        self.raw.flush()\n"
-            "serve(denoise=lambda s, t, g, r, c, x: ('eps', x),\n"
+            "serve(denoise=lambda s, t, g, r, c, x: x,\n"
             "      stdout=Trickle(sys.stdout.buffer))\n",
         )
         with WorkerClient(cmd, timeout=30) as client:
             for shape in [(1, 1, 1, 1), (2, 3, 17, 29), (4, 5, 40, 48)]:
                 tile = rng.standard_normal(shape).astype(np.float32)
-                kind, pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, *shape[2:]), "", tile)
-                assert kind == "eps"
+                pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, *shape[2:]), "", tile)
                 assert_decoded_tile(pred, tile)
 
     def test_decoded_predictions_are_owned_aligned_float32(self, rng):
@@ -662,7 +654,7 @@ class TestCopyFreeWire:
                 pred = den(
                     DenoiserRequest(tile=tile, step_index=0, t=0.5, sigma=0.5,
                                     rect=Rect(0, 0, *shape[2:]))
-                ).prediction
+                )
                 assert_decoded_tile(pred, tile)
                 pred += 1.0  # the caller may update it in place
 
@@ -683,7 +675,7 @@ SLOW_FIRST_REQUEST = (
     "    calls.append(step)\n"
     "    if len(calls) == 1:\n"
     "        time.sleep(1.5)\n"
-    "    return 'flow', tile\n"
+    "    return tile\n"
     "serve(denoise=denoise)\n"
 )
 
@@ -736,7 +728,7 @@ class TestPoisonedClient:
             "def denoise(step, t, sigma, rect, cond, tile):\n"
             "    if step == 0:\n"
             "        raise ValueError('not this step')\n"
-            "    return 'flow', tile\n"
+            "    return tile\n"
             "serve(denoise=denoise)\n",
         )
         tile = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
@@ -744,7 +736,7 @@ class TestPoisonedClient:
             with pytest.raises(ProtocolError, match="not this step"):
                 client.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
             assert client.poisoned is None
-            _, pred = client.denoise(1, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+            pred = client.denoise(1, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
             assert pred.tobytes() == tile.tobytes()
 
     def test_pool_never_lends_a_poisoned_client(self, rng, tmp_path):
@@ -755,7 +747,7 @@ class TestPoisonedClient:
             "def denoise(step, t, sigma, rect, cond, tile):\n"
             "    if step == 1:\n"
             "        time.sleep(1.5)\n"
-            "    return 'flow', tile\n"
+            "    return tile\n"
             "serve(denoise=denoise)\n",
         )
         tile = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
@@ -765,7 +757,7 @@ class TestPoisonedClient:
                 pool.denoise(1, 0.0, 1.0, rect, "", tile)
             time.sleep(0.7)  # the late reply is due: a lent-out client would see it
             for _ in range(4):
-                _, pred = pool.denoise(0, 0.0, 1.0, rect, "", tile)
+                pred = pool.denoise(0, 0.0, 1.0, rect, "", tile)
                 assert pred.tobytes() == tile.tobytes()
             with pytest.raises(ProtocolTimeoutError):
                 pool.denoise(1, 0.0, 1.0, rect, "", tile)
@@ -821,7 +813,7 @@ class TestFailedStart:
             + "import time\n"
             "from tilefuse.protocol import serve\n"
             "if open(sys.argv[1]).read().split()[0] == str(os.getpid()):\n"
-            "    serve(denoise=lambda *a: ('flow', a[-1]))\n"
+            "    serve(denoise=lambda *a: a[-1])\n"
             "else:\n"
             "    time.sleep(600)\n",
         )
@@ -838,13 +830,13 @@ class TestFailedStart:
             "import time\n"
             f"time.sleep({delay})\n"
             "from tilefuse.protocol import serve\n"
-            "serve(denoise=lambda *a: ('flow', a[-1]))\n",
+            "serve(denoise=lambda *a: a[-1])\n",
         )
         start = time.monotonic()
         with WorkerPool(cmd, size=3, timeout=30) as pool:
             elapsed = time.monotonic() - start
             tile = np.ones((1, 1, 2, 2), np.float32)
-            _, pred = pool.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
+            pred = pool.denoise(0, 0.0, 1.0, Rect(0, 0, 2, 2), "", tile)
             assert pred.tobytes() == tile.tobytes()
         assert elapsed < 2 * delay  # one after another takes over 3 x delay
 
@@ -856,7 +848,7 @@ class TestFailedStart:
             + "from tilefuse.protocol import serve\n"
             "if open(sys.argv[1]).read().split()[0] == str(os.getpid()):\n"
             "    sys.exit(0)\n"
-            "serve(denoise=lambda *a: ('flow', a[-1]))\n",
+            "serve(denoise=lambda *a: a[-1])\n",
         )
         start = time.monotonic()
         with pytest.raises(WorkerExitError):

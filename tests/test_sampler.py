@@ -18,7 +18,7 @@ from tilefuse import (
     trace_prior_mse,
 )
 from tilefuse.blending import ramp_weight_map
-from tilefuse.denoisers import DenoiserRequest, DenoiserResponse
+from tilefuse.denoisers import DenoiserRequest
 from tilefuse.errors import ConfigError, DenoiseError, ShapeError
 from tilefuse.fusion import FusionAccumulator, accumulate, fuse_fd_flow, fuse_md
 from tilefuse.sampler import expand_prior, fill_noise
@@ -158,7 +158,7 @@ class TestStepMechanics:
             tile=x, step_index=0, t=sched.times[0], sigma=sched.sigmas[0],
             rect=cfg.plan().tiles[0],
         )
-        y = den(req).prediction
+        y = den(req)
         x_bare = euler_update(x, y, sched.sigmas[1] - sched.sigmas[0])
         assert np.allclose(x_tiled, x_bare, atol=1e-6)
 
@@ -184,7 +184,7 @@ class TestStepMechanics:
         def broken(req):
             if req.rect.row > 0:
                 raise RuntimeError("backbone crashed")
-            return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+            return np.zeros_like(req.tile)
 
         cfg = md_config(shape, steps=2, window_h=4, window_w=4)
         sampler = TiledSampler(cfg, broken)
@@ -192,16 +192,29 @@ class TestStepMechanics:
         with pytest.raises(DenoiseError, match=r"step 0, tile"):
             sampler.step(x, 0)
 
-    def test_kind_mismatch_rejected(self, rng):
-        shape = (1, 1, 4, 4)
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (lambda tile: None, "step 0, tile 1 at (0,4): prediction must be 4-D"),
+            (lambda tile: ("flow", tile), "step 0, tile 1 at (0,4): "),
+            (lambda tile: tile[0], "step 0, tile 1 at (0,4): prediction must be 4-D"),
+            (lambda tile: tile[:, :, :2], "step 0, tile 1: prediction shape (1, 1, 2, 4)"),
+        ],
+        ids=["none", "kind-and-array", "3-d", "wrong-shape"],
+    )
+    def test_a_prediction_that_is_no_tile_names_the_step_and_tile(self, reply, error):
+        """A denoiser returns its prediction, an array of the tile's shape;
+        anything else fails as a DenoiseError that names the tile."""
+        shape = (1, 1, 4, 8)
 
-        def eps_denoiser(req):
-            return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="eps")
+        def denoiser(req):
+            tile = np.zeros_like(req.tile)
+            return reply(tile) if req.rect.col > 0 else tile
 
-        cfg = md_config(shape, steps=2, window_h=4, window_w=4)
-        sampler = TiledSampler(cfg, eps_denoiser)
-        with pytest.raises(DenoiseError, match="eps"):
-            sampler.step(np.zeros(shape, np.float32), 0)
+        cfg = md_config(shape, steps=2, window_h=4, window_w=4, overlap=0.0)
+        with pytest.raises(DenoiseError) as info:
+            TiledSampler(cfg, denoiser).step(np.zeros(shape, np.float32), 0)
+        assert str(info.value).startswith(error)
 
 
 class TestRuns:
@@ -472,7 +485,7 @@ def reference_step(sampler, x, i):
     acc = FusionAccumulator.zeros(cfg.canvas_shape)
     for rect in cfg.plan().tiles:
         req = DenoiserRequest(tile=crop(x, rect), step_index=i, t=t, sigma=sigma, rect=rect)
-        pred = sampler.denoiser(req).prediction
+        pred = sampler.denoiser(req)
         accumulate(acc, pred, rect, ramp_weight_map(rect.height, rect.width, cfg.ramp, cfg.min_weight))
     if np.ndim(lam) == 0 and float(lam) == 0.0:
         y = fuse_md(acc)
@@ -563,7 +576,7 @@ class TestTilePool:
                 time.sleep(0.3)
                 with lock:
                     counts["while_blocked"] = counts["started"]
-            return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+            return np.zeros_like(req.tile)
 
         monkeypatch.setattr(sampler_module, "add_weighted_tile", counting_add)
         run(cfg, denoiser)
@@ -585,7 +598,7 @@ class TestTilePool:
                 raise RuntimeError("backbone crashed")
             if k > bad:
                 time.sleep(0.2)  # keeps every worker busy past the failure
-            return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+            return np.zeros_like(req.tile)
 
         threads = threading.active_count()
         rect = plan.tiles[bad]

@@ -31,7 +31,6 @@ from tilefuse import (
     fuse_fd_flow,
     fuse_md,
 )
-from tilefuse.denoisers import DenoiserResponse
 from tilefuse.errors import DenoiseError
 from tilefuse.sampler import euler_update, expand_prior, make_noise, trace_prior_mse
 
@@ -201,7 +200,7 @@ def test_failure_after_bands_were_handed_out_stops_every_task(monkeypatch):
     def denoiser(req):
         if plan.tiles.index(req.rect) == bad:
             raise RuntimeError("backbone crashed")
-        return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+        return np.zeros_like(req.tile)
 
     monkeypatch.setattr(sampler_module, "_band_update", slow_kernel)
     threads = threading.active_count()
@@ -291,7 +290,7 @@ def test_run_memory_holds_one_tile_row_of_numerator():
     rng = np.random.default_rng(8)
     pred = rng.standard_normal((4, 8, window_h, 256)).astype(np.float32)
     thumbnail = rng.standard_normal((4, 2, 6, 512)).astype(np.float32)
-    sampler = TiledSampler(cfg, lambda req: DenoiserResponse(prediction=pred), thumbnail)
+    sampler = TiledSampler(cfg, lambda req: pred, thumbnail)
     noise = make_noise(shape, 3)
     n, cells, src, wide = sampler._scratch_sizes()
     fixed = 44 * n + 16 * cells + 8 * src + 20 * wide + 8 * shape[1] * window_h * 256
@@ -419,7 +418,7 @@ def test_steady_step_allocates_less_than_a_tile_channel(mode, shape, window, pri
         overlap=0.5, workers=1, prior=prior,
     )
     thumbnail = rng.standard_normal((c, prior_frames, 12, 16)).astype(np.float32)
-    sampler = TiledSampler(cfg, lambda req: DenoiserResponse(prediction=pred), thumbnail)
+    sampler = TiledSampler(cfg, lambda req: pred, thumbnail)
     assert (sampler.prior is thumbnail) == (prior_frames == t)
     step, peaks = sampler.step, []
 
@@ -684,7 +683,7 @@ def test_denoiser_cannot_write_the_latent_through_its_tile():
     def denoiser(req):
         tiles.append(req.tile)
         req.tile[...] = 0.0
-        return DenoiserResponse(prediction=np.zeros_like(req.tile), kind="flow")
+        return np.zeros_like(req.tile)
 
     sampler = TiledSampler(cfg, denoiser)
     x = make_noise(cfg.canvas_shape, seed=3)
