@@ -65,8 +65,6 @@ from .sampler import (
 from .schedules import (
     PriorScheduleConfig,
     SigmaSchedule,
-    lambda_global,
-    lambda_regional,
     load_activity_map,
 )
 from .tensor import Rect, crop, read_flt, trilinear_resize, write_flt

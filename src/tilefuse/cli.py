@@ -330,22 +330,22 @@ def _grid_point(settings, lam, tau):
 def cmd_sweep(args) -> int:
     """One run per (lambda, tau) point; the prior pass, which depends on
     neither, runs once. The settings, with their INI file and activity map,
-    are read once, and every point is derived from them before any runs. An
-    axis that the tiled schedule does not read may hold one value only: tau
-    is read by gated_cosine alone, and md reads neither axis."""
+    are read once, and every point is derived from them before any runs.
+    Two values of an axis whose points take the same strength_at at every
+    step, at each value of the other axis, would rerun the same passes."""
     settings = _load_settings(args)
-    md, schedule = settings.run.mode == "md", settings.tiled.prior.mode
-    for flag, values, read in (
-        ("--lambda-grid", args.lambda_grid, not md),
-        ("--tau-grid", args.tau_grid, not md and schedule == "gated_cosine"),
-    ):
-        if not read and len(set(values)) > 1:  # every value would rerun the same point
-            ignores = "an md run" if md else f"the {schedule} schedule"
-            raise ConfigError(f"{flag} holds {len(set(values))} values, but {ignores} ignores it")
-    points = [
-        (lam, tau, _grid_point(settings, lam, tau))
-        for lam, tau in itertools.product(args.lambda_grid, args.tau_grid)
-    ]
+    lambdas, taus = args.lambda_grid, args.tau_grid
+    grid = [[_grid_point(settings, lam, tau) for tau in taus] for lam in lambdas]
+    times = settings.tiled.schedule().times
+    for flag, values, lines in (("--lambda-grid", lambdas, grid), ("--tau-grid", taus, [*zip(*grid)])):
+        for (i, a), (j, b) in itertools.combinations(enumerate(lines), 2):
+            # lazily, so no strength plane outlives its comparison
+            if all(np.array_equal(p.tiled.prior.strength_at(t), q.tiled.prior.strength_at(t))
+                   for p, q in zip(a, b) for t in times):
+                raise ConfigError(
+                    f"{flag} values {values[i]:g} and {values[j]:g} give every point "
+                    "the same prior strength at every step"
+                )
     header = "lambda_base\ttau\tprior_l2\tsharpness\ttemporal_consistency"
     embedder = WorkerClient(args.embedder, timeout=args.timeout) if args.embedder else None
     if embedder is not None:
@@ -353,7 +353,7 @@ def cmd_sweep(args) -> int:
     rows = [header]
     prior = None
     with embedder or contextlib.nullcontext():
-        for lam, tau, settings in points:
+        for (lam, tau), settings in zip(itertools.product(lambdas, taus), itertools.chain(*grid)):
             x_final, _, prior, _ = run_pipeline(settings, prior)
             dist = _distance(x_final, prior)
             frames = _latent_frames(x_final, *x_final.shape[2:])
@@ -470,6 +470,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except TileFuseError as exc:
         print(f"compute error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        print(f"compute error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_COMPUTE
     finally:
         for signum, handler in previous.items():

@@ -255,17 +255,19 @@ def _build_stages(s: Settings) -> None:
 
 def _prior_schedule(s: Settings, h: int, w: int) -> PriorScheduleConfig:
     """The tiled stage's prior schedule, which alone decides its merge: md
-    is strength 0, fd prior.schedule, fd_regional the regional schedule."""
+    is strength 0, fd prior.schedule, fd_regional the regional schedule.
+    An activity map, if given, is read in every mode: it splits the trace."""
+    p = s.prior
+    activity = load_activity_map(p.activity_map, h, w) if p.activity_map else None
     if s.run.mode == "md":
-        return PriorScheduleConfig()
-    p, regional = s.prior, s.run.mode == "fd_regional"
+        return PriorScheduleConfig(activity_map=activity)
     return PriorScheduleConfig(
         lambda_base=p.lambda_base,
-        mode="regional" if regional else p.schedule,
+        mode="regional" if s.run.mode == "fd_regional" else p.schedule,
         tau=p.tau,
         tau_active=p.tau_active,
         tau_background=p.tau_background,
-        activity_map=load_activity_map(p.activity_map, h, w) if regional else None,
+        activity_map=activity,
     )
 
 

@@ -69,15 +69,6 @@ class SigmaSchedule:
         return cls(tuple(float(s) for s in sampled) + (0.0,))
 
 
-def lambda_global(t: float, tau: float, lambda_base: float) -> float:
-    """Cosine-decayed prior strength with a hard gate at t > tau."""
-    if lambda_base < 0:
-        raise ArgumentError(f"base strength must be nonnegative, got {lambda_base}")
-    if t > tau:
-        return 0.0
-    return lambda_base * math.cos(t * math.pi / 2.0)
-
-
 @dataclass(frozen=True)
 class PriorScheduleConfig:
     """Prior-strength configuration.
@@ -117,26 +108,20 @@ class PriorScheduleConfig:
             object.__setattr__(self, "activity_map", a.astype(bool))
 
     def strength_at(self, t: float):
-        """Prior strength at normalized step t: scalar, or an (H, W) plane in
-        regional mode."""
+        """Prior strength at normalized step t: lambda_base, times
+        cos(t*pi/2) in every mode but constant, and 0 past the gate (tau; in
+        regional mode tau_active where the map is 1, tau_background where it
+        is 0). Scalar, or an (H, W) float32 plane in regional mode."""
         if self.mode == "constant":
             return self.lambda_base
+        strength = self.lambda_base * math.cos(t * math.pi / 2.0)
         if self.mode == "cosine":
-            return self.lambda_base * math.cos(t * math.pi / 2.0)
+            return strength
         if self.mode == "gated_cosine":
-            return lambda_global(t, self.tau, self.lambda_base)
-        return lambda_regional(t, self, self.activity_map)
-
-
-def lambda_regional(t: float, cfg: PriorScheduleConfig, activity: np.ndarray) -> np.ndarray:
-    """Per-cell gated strength: the active-region cutoff where the map is 1,
-    the background cutoff where it is 0. Returns an (H, W) float32 plane."""
-    if activity is None:
-        raise ConfigError("regional strength requires an activity map")
-    a = np.asarray(activity, dtype=bool)  # a bool map is not copied
-    fg = lambda_global(t, cfg.tau_active, cfg.lambda_base)
-    bg = lambda_global(t, cfg.tau_background, cfg.lambda_base)
-    return np.where(a, np.float32(fg), np.float32(bg))  # float32 already
+            return 0.0 if t > self.tau else strength
+        fg = 0.0 if t > self.tau_active else strength
+        bg = 0.0 if t > self.tau_background else strength
+        return np.where(self.activity_map, np.float32(fg), np.float32(bg))
 
 
 def load_activity_map(path, target_h: int, target_w: int) -> np.ndarray:

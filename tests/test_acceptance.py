@@ -20,7 +20,6 @@ from tilefuse import (
     accumulate,
     fuse_fd_flow,
     fuse_md,
-    lambda_global,
     plan_tiles,
     plan_tiles_pixels,
     prior_alignment,
@@ -175,7 +174,8 @@ def test_criterion_03_reference_tile_geometry():
 
 def test_criterion_04_schedule_gating():
     times = [i / 5 for i in range(6)]
-    global_vals = [lambda_global(t, 0.1, 1.5) for t in times]
+    gated = PriorScheduleConfig(lambda_base=1.5, tau=0.1)
+    global_vals = [gated.strength_at(t) for t in times]
     global_ok = global_vals[0] == 1.5 and all(v == 0.0 for v in global_vals[1:])
 
     activity = np.array([[1, 0]])

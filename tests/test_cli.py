@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import tilefuse
-from tilefuse import GaussianAnalytic, cli, config, protocol, read_flt, write_flt
+from tilefuse import GaussianAnalytic, cli, config, planner, protocol, read_flt, sampler, write_flt
 from tilefuse.cli import main
 from tilefuse.config import apply_overrides, default_config, load_config_file, resolve_settings
 from tilefuse.errors import DenoiseError
@@ -213,6 +214,36 @@ class TestSampleCommand:
                    "--set", "run.mode=fd_regional",
                    "--set", f"prior.activity_map={map_path}"])
         assert rc == 0
+
+    @pytest.mark.parametrize("mode", ["md", "fd"])
+    def test_an_activity_map_splits_the_trace_in_every_mode(self, tmp_path, target_file, mode):
+        path, _ = target_file
+        board = ((np.indices((16, 16)).sum(axis=0) % 2) * 255).astype(np.uint8)
+        write_pgm(tmp_path / "act.pgm", board)
+        cfg = base_target_config(tmp_path, path)
+        trace = tmp_path / "out.flt.trace.tsv"
+
+        def fg_bg(*sets):
+            argv = ["sample", "--config", cfg, "--set", f"run.mode={mode}"]
+            assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 0
+            header, *rows = trace.read_text().splitlines()
+            assert header.split("\t")[5:] == ["fg_mse", "bg_mse"]
+            return [row.split("\t")[5:] for row in rows]
+
+        assert all(bg == "-" for _, bg in fg_bg())  # no map: one part
+        split = fg_bg(f"prior.activity_map={tmp_path / 'act.pgm'}")
+        assert len(split) == 4
+        assert all(math.isfinite(float(fg)) and math.isfinite(float(bg)) for fg, bg in split)
+
+    @pytest.mark.parametrize("mode", ["md", "fd"])  # fd_regional: test_bad_value_fails_before_any_work
+    def test_an_unreadable_activity_map_is_an_io_error_in_every_mode(self, tmp_path, target_file, capsys, mode):
+        path, _ = target_file
+        cfg = base_target_config(tmp_path, path)
+        argv = ["sample", "--config", cfg, "--set", f"run.mode={mode}"]
+        assert main(argv + ["--set", f"prior.activity_map={tmp_path / 'absent.pgm'}"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("out.flt*"))
 
     def test_missing_output_is_config_error(self, tmp_path, target_file, capsys):
         path, _ = target_file
@@ -469,6 +500,44 @@ command = {command}
         assert not any(alive(pid) for pid in recorded_pids(tmp_path))
         assert not list(tmp_path.glob("out.flt*"))
 
+    @pytest.mark.parametrize(
+        "where, owner, name, workers",
+        [
+            pytest.param("noise draw", cli, "fill_noise", 2, id="noise-draw"),
+            pytest.param("band task", sampler, "_band_update", 2, id="band-task"),
+            # the plan is built before any worker starts
+            pytest.param("tile plan", planner.TilePlan, "__post_init__", 0, id="tile-plan"),
+        ],
+    )
+    def test_out_of_memory_is_one_line_and_exit_5(
+        self, monkeypatch, tmp_path, capsys, where, owner, name, workers
+    ):
+        """An allocation that fails ends the run like a compute error: one
+        line, exit 5, no worker left and no partial file. The MemoryError
+        is raised by a stand-in, as numpy raises it; nothing large is
+        allocated."""
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(f"Unable to allocate 5.00 GiB in the {where}")
+
+        monkeypatch.setattr(owner, name, out_of_memory)
+        echo = "from tilefuse import protocol\nprotocol.serve(denoise=lambda *a: a[-1])\n"
+        cfg = signal_config(tmp_path, worker_command(tmp_path, echo), steps=2)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "out.flt")]) == 5
+        err = capsys.readouterr().err
+        assert err == f"compute error: out of memory: Unable to allocate 5.00 GiB in the {where}\n"
+        assert len(recorded_pids(tmp_path)) == workers
+        assert not any(alive(pid) for pid in recorded_pids(tmp_path))
+        assert not list(tmp_path.rglob("*.tmp.*")) and not list(tmp_path.glob("out.flt*"))
+
+    def test_out_of_memory_without_a_message_still_says_so(self, monkeypatch, capsys):
+        def out_of_memory(self):
+            raise MemoryError  # as Python raises it, with no text
+
+        monkeypatch.setattr(planner.TilePlan, "__post_init__", out_of_memory)
+        assert main(PLAN_ARGS) == 5
+        assert capsys.readouterr().err == "compute error: out of memory: allocation failed\n"
+
     def test_manifest_with_retired_keys_reproduces_run(self, tmp_path, target_file, capsys):
         path, _ = target_file
         cfg = base_target_config(tmp_path, path)
@@ -539,6 +608,11 @@ BAD_EMBEDDER_FLAGS = {
         (["sweep", "--lambda-grid", "0,1.5", "--set", "run.mode=md", *TINY_RUN], None, 3),
         (["sweep", "--lambda-grid", "0", "--tau-grid", "0.05,0.9", "--set", "run.mode=md",
           *TINY_RUN], None, 3),
+        # two values of one axis that give every point the same strength
+        (["sweep", "--lambda-grid", "0,0", *TINY_RUN], None, 3),
+        (["sweep", "--lambda-grid", "1.5,1.5", "--set", "run.mode=fd_regional",
+          "--set", "prior.activity_map=d/f0.pgm", *TINY_RUN], None, 3),
+        (["sweep", "--tau-grid", "0.05,0.1", *TINY_RUN, "--set", "run.steps=6"], None, 3),
         # one source of settings
         (["sample", "--from-manifest", "m.json", "--config", "/nonexistent.ini"], "{}", 2),
     ],
@@ -547,7 +621,8 @@ BAD_EMBEDDER_FLAGS = {
          *BAD_EMBEDDER_FLAGS, "seam-factor-zero", "plan-missing-canvas", "sample-unknown-flag",
          "no-command", "metrics-timeout-text", "prior-frames-without-embedder",
          "ignored-seam-overlap", "lambda-grid-nan", "tau-grid-regional", "tau-grid-constant",
-         "tau-grid-cosine", "lambda-grid-md", "tau-grid-md", "config-and-manifest"],
+         "tau-grid-cosine", "lambda-grid-md", "tau-grid-md", "lambda-grid-repeat",
+         "lambda-grid-repeat-regional", "tau-grid-same-gate", "config-and-manifest"],
 )
 def test_input_error_is_one_line(monkeypatch, tmp_path, capsys, argv, manifest, code):
     monkeypatch.chdir(tmp_path)
@@ -575,6 +650,65 @@ def test_a_sweep_of_one_point_runs_in_every_mode(monkeypatch, tmp_path, capsys, 
     argv = ["sweep", "--lambda-grid", "1.5", "--tau-grid", "0.5", *TINY_RUN]
     assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+# Two values of one grid axis that give every point the same prior strength
+# at every step of a 6-step run: the flag, the two values, the settings.
+REGIONAL = ["run.mode=fd_regional", "prior.activity_map=board.pgm"]
+SAME_STRENGTH = {
+    "lambda-grid-repeat": ("--lambda-grid", "0", "0", []),
+    "lambda-grid-repeat-regional": ("--lambda-grid", "1.5", "1.5", REGIONAL),
+    "tau-grid-same-gate": ("--tau-grid", "0.05", "0.1", []),  # both gate steps 1 to 5
+    "tau-grid-regional": ("--tau-grid", "0.05", "0.9", REGIONAL),
+    "tau-grid-constant": ("--tau-grid", "0.05", "0.9", ["prior.schedule=constant"]),
+    "tau-grid-cosine": ("--tau-grid", "0.05", "0.9", ["prior.schedule=cosine"]),
+    "lambda-grid-md": ("--lambda-grid", "0", "1.5", ["run.mode=md"]),
+    "tau-grid-md": ("--tau-grid", "0.05", "0.9", ["run.mode=md"]),
+}
+
+
+@pytest.mark.parametrize("flag, a, b, sets", SAME_STRENGTH.values(), ids=SAME_STRENGTH.keys())
+def test_values_of_the_same_strength_would_rerun_the_same_point(
+    monkeypatch, tmp_path, capsys, flag, a, b, sets
+):
+    """The premise of the sweep's one rule: such two values, each swept
+    alone at one value of the other axis, write the same row past the two
+    grid columns; swept together, they exit 3 before any run."""
+    monkeypatch.chdir(tmp_path)
+    write_pgm(tmp_path / "board.pgm", ((np.indices((8, 8)).sum(axis=0) % 2) * 255).astype(np.uint8))
+    other = ["--tau-grid", "0.5"] if flag == "--lambda-grid" else ["--lambda-grid", "1.5"]
+
+    def sweep(values):
+        argv = ["sweep", flag, values, *other, *TINY_RUN, "--set", "run.steps=6"]
+        return main(argv + [arg for item in sets for arg in ("--set", item)])
+
+    rows = []
+    for value in (a, b):
+        assert sweep(value) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1].split("\t"))
+    assert rows[0][2:] == rows[1][2:]
+
+    def no_run(*args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_run)
+    assert sweep(f"{a},{b}") == 3
+    assert capsys.readouterr().err == (
+        f"config error: {flag} values {a} and {b} give every point "
+        "the same prior strength at every step\n"
+    )
+
+
+def test_points_at_strength_0_may_repeat_across_taus(monkeypatch, tmp_path, capsys):
+    """At lambda 1.5, taus 0.1 and 0.5 gate different steps, so the grid
+    runs all four points, though both lambda-0 rows are the plain merge."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--lambda-grid", "0,1.5", "--tau-grid", "0.1,0.5", *TINY_RUN]
+    assert main([*argv, "--set", "run.steps=6"]) == 0
+    rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["0", "0.1"], ["0", "0.5"], ["1.5", "0.1"], ["1.5", "0.5"]]
+    assert rows[0][2:] == rows[1][2:]
+    assert rows[2][2:] != rows[3][2:]
 
 
 @pytest.mark.parametrize(
@@ -852,7 +986,7 @@ activity_map = {tmp_path / "act.pgm"}
         )
         sweep = ["sweep", "--config", cfg, "--lambda-grid", lambdas, "--tau-grid", taus, "--out"]
         assert main([*sweep, str(tmp_path / "once.tsv")]) == 0
-        assert reads == [cfg] + ([str(tmp_path / "act.pgm")] if mode == "fd_regional" else [])
+        assert reads == [cfg, str(tmp_path / "act.pgm")]
 
         def alone(settings, lam, tau):
             overrides = [f"prior.lambda_base={lam}", f"prior.tau={tau}"]

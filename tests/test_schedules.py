@@ -6,8 +6,6 @@ import pytest
 from tilefuse import (
     PriorScheduleConfig,
     SigmaSchedule,
-    lambda_global,
-    lambda_regional,
     load_activity_map,
     write_flt,
 )
@@ -15,6 +13,11 @@ from tilefuse.errors import ArgumentError, ConfigError, FileFormatError
 from tilefuse.netpbm import write_pgm
 
 from _oracles import trilinear_loop
+
+
+def gated(t, tau, lambda_base):
+    """The gated_cosine strength at t: the global schedule's rule."""
+    return PriorScheduleConfig(lambda_base=lambda_base, tau=tau).strength_at(t)
 
 
 class TestSigmaSchedule:
@@ -53,25 +56,25 @@ class TestSigmaSchedule:
 
 class TestLambdaGlobal:
     def test_full_strength_at_start(self):
-        assert lambda_global(0.0, 0.1, 1.5) == 1.5
+        assert gated(0.0, 0.1, 1.5) == 1.5
 
     def test_gate_closes(self):
-        assert lambda_global(0.2, 0.1, 7.0) == 0.0
+        assert gated(0.2, 0.1, 7.0) == 0.0
 
     def test_cosine_endpoint(self):
-        assert abs(lambda_global(1.0, 1.0, 3.0)) < 1e-12
+        assert abs(gated(1.0, 1.0, 3.0)) < 1e-12
 
     def test_cosine_value(self):
         # evaluated numerically: 1.5 * cos(0.1*pi)
-        assert math.isclose(lambda_global(0.2, 0.35, 1.5), 1.4265848, rel_tol=1e-6)
+        assert math.isclose(gated(0.2, 0.35, 1.5), 1.4265848, rel_tol=1e-6)
 
     def test_nonincreasing_inside_gate(self):
-        vals = [lambda_global(t, 1.0, 2.0) for t in np.linspace(0, 1, 21)]
+        vals = [gated(t, 1.0, 2.0) for t in np.linspace(0, 1, 21)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_zero_base_kills_schedule(self):
         assert all(
-            lambda_global(t, 1.0, 0.0) == 0.0 for t in np.linspace(0, 1, 11)
+            gated(t, 1.0, 0.0) == 0.0 for t in np.linspace(0, 1, 11)
         )
 
 
@@ -99,8 +102,8 @@ class TestLambdaRegional:
             tau_background=0.8, activity_map=ones,
         )
         for t in (0.0, 0.25, 0.5):
-            plane = lambda_regional(t, cfg, ones)
-            assert np.allclose(plane, lambda_global(t, 0.3, 2.0), atol=1e-6)
+            plane = cfg.strength_at(t)
+            assert np.allclose(plane, gated(t, 0.3, 2.0), atol=1e-6)
 
     def test_background_gate_dominates(self):
         a = np.zeros((2, 2))
@@ -109,8 +112,8 @@ class TestLambdaRegional:
             tau_background=0.9, activity_map=a,
         )
         for t in (0.0, 0.2, 0.5, 0.85):
-            plane = lambda_regional(t, cfg, a)
-            assert (plane >= lambda_global(t, 0.1, 1.0) - 1e-7).all()
+            plane = cfg.strength_at(t)
+            assert (plane >= gated(t, 0.1, 1.0) - 1e-7).all()
 
     def test_requires_map(self):
         with pytest.raises(ConfigError):
