@@ -319,11 +319,13 @@ def _distance(x, prior) -> float:
 def _grid_point(settings, lam, tau):
     """settings with the tiled stage's prior strength and gate set to one
     sweep point. An md run has no prior term, so its schedule stays as
-    resolve_settings built it."""
+    resolve_settings built it. Every point shares the settings' plan,
+    weight map and activity map."""
     point = copy.copy(settings)
     if settings.run.mode != "md":
-        prior = replace(settings.tiled.prior, lambda_base=lam, tau=tau)
-        point.tiled = replace(settings.tiled, prior=prior)
+        point.tiled = settings.tiled.with_prior(
+            replace(settings.tiled.prior, lambda_base=lam, tau=tau)
+        )
     return point
 
 

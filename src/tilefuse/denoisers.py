@@ -99,10 +99,13 @@ class ExternalDenoiser(WorkerPool):
     WorkerPool that takes DenoiserRequests, closed like any pool.
 
     The call is thread-safe at any size: requests fan out across the pool,
-    one in flight per child, and a pool of one serialises them. The tile is
-    sent where it lies, with no whole-tile copy: a strided view goes on the
-    wire one channel at a time through the worker client's one-channel
-    buffer (see WorkerClient.denoise), as the bytes of its contiguous copy.
+    one in flight per child, and a pool of one serialises them. The tile,
+    strided or not, is copied once, into a slot of the shared memory that
+    the pool's workers map, and the prediction is returned where the worker
+    wrote it, in the same slot, which is leased again only once the
+    prediction and its views are gone (see protocol._Slab). A worker that
+    does not take shared memory gets the tile over its pipe with no
+    whole-tile copy (see WorkerClient.denoise).
     """
 
     def __call__(self, req: DenoiserRequest) -> np.ndarray:

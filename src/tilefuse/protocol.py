@@ -5,9 +5,9 @@ message is one frame:
 
     [4-byte magic "FDP1"][1-byte type][8-byte LE payload length][payload]
 
-Types: 0 hello (empty payload, exchanged once at startup, client first),
-1 denoise request, 2 denoise response, 3 error (UTF-8 text), 4 embed
-request, 5 embed response.
+Types: 0 hello (exchanged once at startup, client first), 1 denoise
+request, 2 denoise response, 3 error (UTF-8 text), 4 embed request, 5 embed
+response, 6 denoise request in shared memory.
 
 Denoise request payload: step index (u32), t (f32), sigma (f32), window
 rect as 4 x u32 (row, col, height, width), conditioning id (u16 length +
@@ -19,7 +19,25 @@ f32 values.
 All integers and floats are little-endian. Reads are select()-based so a
 hung worker trips the timeout instead of blocking forever (POSIX pipes).
 
-Tiles cross the pipe without a whole-tile copy. A sender writes a small
+Tiles cross shared memory where the platform has os.memfd_create. Each
+WorkerPool, and each WorkerClient that starts its own worker, makes one
+anonymous memfd, the slab. _spawn passes its fd to the worker and names
+it, with its inode, in the worker's SLAB_ENV variable. A worker built on
+serve() that finds that fd answers the hello with the payload b"slab"
+(the ack); every other hello reply is empty. To an acking worker a denoise
+request is type 6: the fixed fields and conditioning id of type 1, the
+u64 byte offset of a slot of the slab, and the FLT1 header of the tile.
+The client copies the tile, strided or not, into a leased slot; the worker
+denoises the slot where it lies and writes its prediction back into it,
+with no copy when the handler returns the request view. The reply is type
+2 with the kind byte and FLT1 header alone. The prediction is the slot's
+array, and the slot is leased again only when it and every view of it are
+gone, so a caller may keep a prediction across later calls. Slots come
+from one free list per slab, which grows only when no free slot fits. A
+worker that does not ack, or a platform without memfd_create, gets the
+pipe frames below, byte for byte.
+
+Over the pipe, tiles go without a whole-tile copy. A sender writes a small
 prefix (frame header, fixed fields, FLT1 header) and then the tile data. A
 client writes a C-contiguous request tile from its own memory and any
 other one, such as a strided view of a latent, one channel at a time
@@ -32,13 +50,17 @@ float32 alignment costs the worker one copy. These are implementation
 choices: the bytes on the wire are the same as with whole-frame packing
 of a contiguous copy, and a worker built on serve() needs no change.
 
+Every check runs whichever way a tile travels: the FLT1 header, the
+shape of the prediction, and that both tiles are finite.
+
 A client whose stream may be out of step after a failure (a timeout, a
 malformed frame, the pipe closing mid-frame) is poisoned: its child is
 killed and later calls raise WorkerExitError; a WorkerPool stops lending
 it out. A worker that sends garbage (a wrong message type, a leading byte
 other than 0, a bad tile, a prediction of the wrong shape) is poisoned the
-same way. An error frame from the worker is a complete reply and leaves
-the client usable.
+same way. The slot of a failed request is leased again only after its
+worker is reaped. An error frame from the worker is a complete reply and
+leaves the client usable.
 
 A worker runs in a session of its own, so a terminal's SIGINT reaches the
 parent alone. It ends on EOF, or by a kill 5 s later (_end), and is in
@@ -49,13 +71,16 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import queue
 import select
 import struct
 import subprocess
 import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -67,7 +92,16 @@ from .errors import (
     WorkerExitError,
     WorkerReportedError,
 )
-from .tensor import FLT_HEAD_LEN, Rect, flt_from_bytes, flt_head, flt_parts, latent_view
+from .tensor import (
+    FLT_HEAD_LEN,
+    Rect,
+    flt_finite,
+    flt_from_bytes,
+    flt_head,
+    flt_parts,
+    flt_shape,
+    latent_view,
+)
 
 MAGIC = b"FDP1"
 _HEADER = struct.Struct("<4sBQ")
@@ -75,6 +109,7 @@ HEADER_LEN = _HEADER.size  # 13
 MAX_PAYLOAD = 1 << 31  # sanity cap against corrupt length fields
 ALIGN = 64  # received tile data starts on this byte boundary
 _REQUEST_HEAD = struct.Struct("<Iff4IH")
+_OFFSET = struct.Struct("<Q")
 _WIRE_FLOAT = np.dtype("<f4")
 
 MSG_HELLO = 0
@@ -83,6 +118,10 @@ MSG_DENOISE_RESPONSE = 2
 MSG_ERROR = 3
 MSG_EMBED_REQUEST = 4
 MSG_EMBED_RESPONSE = 5
+MSG_SLAB_DENOISE_REQUEST = 6
+
+SLAB_ENV = "TILEFUSE_FDP1_SLAB"  # "<fd>:<inode>" of the slab a worker inherits
+_SLAB_ACK = b"slab"
 
 DEFAULT_TIMEOUT = 300.0
 
@@ -130,16 +169,23 @@ def _write_tile(out, tile: np.ndarray, channel: np.ndarray) -> None:
         out.write(plane.reshape(-1).view(np.uint8))
 
 
-def _denoise_request_parts(step, t, sigma, rect: Rect, conditioning: str, tile):
-    """A denoise request payload as (prefix, tile): the fixed fields, the
-    conditioning id and the FLT1 header, then the tile as a float32 latent
-    view, uncopied, for _write_frame."""
-    tile = latent_view(tile, "tile")
+def _request_prefix(step, t, sigma, rect: Rect, conditioning: str, shape, offset=None) -> bytes:
+    """A denoise request payload up to its tile data: the fixed fields, the
+    conditioning id, the slot offset of a type 6 request, and the FLT1
+    header of a tile of shape."""
     cond = conditioning.encode("utf-8")
     head = _REQUEST_HEAD.pack(
         step, t, sigma, rect.row, rect.col, rect.height, rect.width, len(cond)
     )
-    return head + cond + flt_head(tile.shape), tile
+    slot = b"" if offset is None else _OFFSET.pack(offset)
+    return head + cond + slot + flt_head(shape)
+
+
+def _denoise_request_parts(step, t, sigma, rect: Rect, conditioning: str, tile):
+    """A denoise request payload as (prefix, tile): the prefix, then the
+    tile as a float32 latent view, uncopied, for _write_frame."""
+    tile = latent_view(tile, "tile")
+    return _request_prefix(step, t, sigma, rect, conditioning, tile.shape), tile
 
 
 def pack_denoise_request(step, t, sigma, rect: Rect, conditioning: str, tile) -> bytes:
@@ -147,7 +193,10 @@ def pack_denoise_request(step, t, sigma, rect: Rect, conditioning: str, tile) ->
     return b"".join((prefix, flt_parts(tile)[1]))
 
 
-def unpack_denoise_request(payload):
+def unpack_denoise_request(payload, slab=None):
+    """(step, t, sigma, rect, conditioning, tile) of a denoise request. With
+    slab, the worker's _SlabMap, the payload is a type 6 one: the tile is
+    the slot it names, where it lies."""
     fixed = _REQUEST_HEAD.size
     if len(payload) < fixed:
         raise MalformedFrameError(f"denoise request truncated at {len(payload)} bytes")
@@ -155,7 +204,11 @@ def unpack_denoise_request(payload):
         payload[:fixed]
     )
     cond = bytes(payload[fixed : fixed + cond_len]).decode("utf-8")
-    tile = flt_from_bytes(payload[fixed + cond_len :], "request tile")
+    rest = payload[fixed + cond_len :]
+    if slab is None:
+        tile = flt_from_bytes(rest, "request tile")
+    else:
+        tile = flt_finite(slab.tile(rest), "request tile")
     return step, t, sigma, Rect(row, col, height, width), cond, tile
 
 
@@ -168,10 +221,21 @@ def pack_denoise_response(tile) -> bytes:
     return b"".join(_denoise_response_parts(tile))
 
 
-def unpack_denoise_response(payload):
+def unpack_denoise_response(payload, slot=None):
+    """The prediction of a denoise reply. A reply to a request in shared
+    memory (slot, the array of its leased slot) holds the kind byte and the
+    FLT1 header alone: the prediction is the slot, which the worker wrote,
+    and the header must give the slot's shape."""
     if payload[:1] != b"\x00":
         raise MalformedFrameError(f"unknown prediction kind byte {bytes(payload[:1])!r}")
-    return flt_from_bytes(payload[1:], "response tile")
+    if slot is None:
+        return flt_from_bytes(payload[1:], "response tile")
+    shape = flt_shape(payload[1:], "response tile")
+    if shape != slot.shape:
+        raise ShapeError(f"worker returned shape {shape} for a {slot.shape} tile")
+    if len(payload) != 1 + FLT_HEAD_LEN:
+        raise MalformedFrameError(f"a reply in shared memory holds {len(payload)} bytes")
+    return flt_finite(slot, "response tile")
 
 
 def _aligned_buffer(length: int, msg_type: int) -> memoryview:
@@ -214,17 +278,134 @@ def unpack_embedding(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4", count=dim, offset=4).astype(np.float32)
 
 
+class _Slab:
+    """The shared memory of a pool's tiles: one anonymous memfd, cut into
+    page-aligned slots that lie end to end. Thread-safe.
+
+    lease() hands out a free slot that fits, the smallest, as a float32
+    array; the slot is free again once that array and every view of it are
+    gone. Only when no free slot fits does the slab grow, after it gives up
+    one free slot, if any, and returns that slot's memory. So it never
+    holds more slots than arrays alive at once. Where memfd_create is
+    missing or fails, fd is None and no worker is offered the slab.
+    """
+
+    def __init__(self):
+        try:
+            self.fd = os.memfd_create("tilefuse-fdp1")  # close-on-exec
+        except (AttributeError, OSError):
+            self.fd = None
+        self.size = 0  # bytes; a slot given up leaves a hole that holds no memory
+        self.slots = 0
+        self._free = []  # (offset, mmap) of every slot not leased
+        self._lock = threading.RLock()  # a lease's finalizer may run inside lease()
+        self._closed = False
+
+    def lease(self, shape) -> tuple[int, np.ndarray]:
+        """(offset, array): a float32 array of shape in a slot of its own."""
+        nbytes = 4 * math.prod(shape)
+        with self._lock:
+            if self._closed:
+                raise WorkerExitError("the worker pool was closed")
+            fits = [slot for slot in self._free if len(slot[1]) >= nbytes]
+            if fits:
+                slot = min(fits, key=lambda s: len(s[1]))
+                self._free.remove(slot)
+            else:
+                if self._free:  # none fits: give one up, and its memory
+                    self._free.pop()[1].madvise(mmap.MADV_REMOVE)
+                    self.slots -= 1
+                size = max(1, -(-nbytes // mmap.ALLOCATIONGRANULARITY)) * mmap.ALLOCATIONGRANULARITY
+                os.ftruncate(self.fd, self.size + size)
+                slot = self.size, mmap.mmap(self.fd, size, offset=self.size)
+                self.size += size
+                self.slots += 1
+        # views of this array keep it alive: numpy collapses their base to it
+        array = np.ndarray(shape, np.float32, buffer=slot[1])
+        weakref.finalize(array, self._release, slot).atexit = False
+        return slot[0], array
+
+    def _release(self, slot) -> None:
+        with self._lock:
+            if not self._closed:
+                self._free.append(slot)
+
+    def close(self) -> None:
+        """Close the fd. A slot's mmap, which unmaps it, goes with the last
+        reference: a free one's now, a leased one's with its array. Safe to
+        call more than once."""
+        with self._lock:
+            if self._closed or self.fd is None:
+                return
+            self._closed = True
+            self._free.clear()
+            os.close(self.fd)
+
+
+class _SlabMap:
+    """A worker's map of the slab _spawn handed it, remapped as it grows."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.map = None
+
+    @classmethod
+    def inherited(cls):
+        """The slab named in SLAB_ENV, or None: no name, or an fd that is
+        not open on the inode named."""
+        fd, _, inode = os.environ.get(SLAB_ENV, "").partition(":")
+        try:
+            if os.fstat(int(fd)).st_ino == int(inode):
+                return cls(int(fd))
+        except (ValueError, OSError):
+            pass
+        return None
+
+    def tile(self, blob) -> np.ndarray:
+        """The slot that blob (a u64 offset and an FLT1 header) names, as a
+        writable float32 array of the header's shape."""
+        if len(blob) != _OFFSET.size + FLT_HEAD_LEN:
+            raise MalformedFrameError(f"a slot reference holds {len(blob)} bytes")
+        (offset,) = _OFFSET.unpack(blob[: _OFFSET.size])
+        shape = flt_shape(blob[_OFFSET.size :], "request tile")
+        end = offset + 4 * math.prod(shape)
+        if self.map is None or end > len(self.map):
+            size = os.fstat(self.fd).st_size
+            if end > size:
+                raise MalformedFrameError(f"slot [{offset}, {end}) lies past the slab's {size} bytes")
+            self.map = mmap.mmap(self.fd, size)
+        return np.ndarray(shape, np.float32, buffer=self.map, offset=offset)
+
+
+def _write_back(slot: np.ndarray, head: bytes, data) -> None:
+    """Put a prediction, as _denoise_response_parts gave it, into the slot
+    of its request, unless it is there already. One of another shape is
+    left out: the header tells the client."""
+    if head[1:] != flt_head(slot.shape):
+        return
+    dst, src = slot.reshape(-1).view(np.uint8), np.frombuffer(data, np.uint8)
+    if src.ctypes.data != dst.ctypes.data:
+        np.copyto(dst, src)
+
+
 children = set()  # every worker child started and not yet reaped by _end
 
 
-def _spawn(command) -> subprocess.Popen:
-    """Start one worker child, piped to stdin and stdout, in its own session."""
+def _spawn(command, slab: _Slab) -> subprocess.Popen:
+    """Start one worker child, piped to stdin and stdout, in its own
+    session, with the slab's fd and no other beyond stdio and stderr."""
+    env, fds = None, ()
+    if slab.fd is not None:
+        env = {**os.environ, SLAB_ENV: f"{slab.fd}:{os.fstat(slab.fd).st_ino}"}
+        fds = (slab.fd,)
     proc = subprocess.Popen(
         list(command),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=None,
         start_new_session=True,
+        env=env,
+        pass_fds=fds,
     )
     children.add(proc)
     return proc
@@ -259,26 +440,40 @@ class WorkerClient:
     client usable; one in place of the hello does not.
     """
 
-    def __init__(self, command, timeout: float = DEFAULT_TIMEOUT, process=None):
-        """Start the child, or take `process`, one already started from
-        command, and exchange hellos with it."""
+    def __init__(self, command, timeout: float = DEFAULT_TIMEOUT, process=None, slab=None):
+        """Start the child with a slab of its own, or take `process`, one
+        already started from command with `slab`, and exchange hellos with
+        it. Tiles go through the slab if the worker acks it."""
         self.command = list(command)
         self.timeout = float(timeout)
         self.poisoned = None  # why the child was killed, once it has been
         self._channel = np.empty(0, dtype=_WIRE_FLOAT)  # see _write_tile
-        self._proc = process if process is not None else _spawn(self.command)
-        self._ask(MSG_HELLO, (), MSG_HELLO, bytes)
+        self._own_slab = None
+        if process is None:
+            slab = self._own_slab = _Slab()
+            try:
+                process = _spawn(self.command, slab)
+            except BaseException:
+                slab.close()
+                raise
+        self._proc = process
+        self._slab = None
+        if self._ask(MSG_HELLO, (), MSG_HELLO, bytes) == _SLAB_ACK:
+            self._slab = slab
 
     def _poison(self, exc: BaseException) -> None:
         self.poisoned = f"{type(exc).__name__}: {exc}"
         self._proc.kill()
         self.close()
 
+    def _check_alive(self) -> None:
+        if self.poisoned is not None:
+            raise WorkerExitError(f"worker was stopped after a failure ({self.poisoned})")
+
     def _ask(self, msg_type: int, parts, reply_type: int, unpack):
         """Send one request, read its reply and return unpack(payload);
         see the class docstring for what a failure does to the client."""
-        if self.poisoned is not None:
-            raise WorkerExitError(f"worker was stopped after a failure ({self.poisoned})")
+        self._check_alive()
         try:
             self._send(msg_type, *parts)
             got, payload = self._recv()
@@ -327,8 +522,20 @@ class WorkerClient:
     def denoise(self, step, t, sigma, rect: Rect, conditioning: str, tile):
         """Returns the prediction, which must match the tile shape bit for
         bit in layout. It is a writable float32 array whose data starts on
-        an ALIGN-byte boundary. The tile may be any 4-D float32 view: it is
-        sent without a whole-tile copy."""
+        an ALIGN-byte boundary. The tile may be any 4-D float32 view. To a
+        worker that acked the slab, it is copied once, into a leased slot,
+        and the prediction is that slot's array; else it is sent without a
+        whole-tile copy."""
+        if self._slab is not None:
+            tile = latent_view(tile, "tile")
+            self._check_alive()
+            offset, slot = self._slab.lease(tile.shape)
+            np.copyto(slot, tile)
+            prefix = _request_prefix(step, t, sigma, rect, conditioning, tile.shape, offset)
+            return self._ask(
+                MSG_SLAB_DENOISE_REQUEST, (prefix,), MSG_DENOISE_RESPONSE,
+                lambda payload: unpack_denoise_response(payload, slot),
+            )
         prefix, tile = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
         cells = math.prod(tile.shape[1:])
         if self._channel.size < cells:
@@ -348,8 +555,11 @@ class WorkerClient:
 
     def close(self) -> None:
         """End the child: EOF on its stdin, and a kill if it has not exited
-        within 5 s. Safe to call more than once."""
+        within 5 s; then close the slab it started with, if any. Safe to
+        call more than once."""
         _end(self._proc)
+        if self._own_slab is not None:
+            self._own_slab.close()
 
     def __enter__(self):
         return self
@@ -366,21 +576,24 @@ class WorkerPool:
 
     Every child is started before the first hello is awaited, so the
     children boot in parallel; each hello then has the pool's timeout. A
-    start that fails kills every child it started."""
+    start that fails kills every child it started. The children share one
+    slab, so predictions of all of them draw on one free list of slots."""
 
     def __init__(self, command, size: int = 1, timeout: float = DEFAULT_TIMEOUT):
         if size < 1:
             raise ProtocolError(f"pool size must be >= 1, got {size}")
+        self._slab = _Slab()
         procs, self._clients = [], []
         try:
             for _ in range(size):
-                procs.append(_spawn(command))
+                procs.append(_spawn(command, self._slab))
             for proc in procs:
-                self._clients.append(WorkerClient(command, timeout, proc))
+                self._clients.append(WorkerClient(command, timeout, proc, self._slab))
         except BaseException:
             for proc in procs:
                 proc.kill()
             _end(*procs)
+            self._slab.close()
             raise
         self._idle = queue.Queue()
         for c in self._clients:
@@ -405,8 +618,10 @@ class WorkerPool:
             return client.denoise(*args, **kwargs)
 
     def close(self) -> None:
-        """End every child: EOF to all, a kill 5 s later for any still running."""
+        """End every child: EOF to all, a kill 5 s later for any still
+        running; then close the slab."""
         _end(*(c._proc for c in self._clients))
+        self._slab.close()
 
     def __enter__(self):
         return self
@@ -421,10 +636,13 @@ def serve(denoise=None, embed=None, stdin=None, stdout=None) -> None:
     the flow prediction; embed(tensor) returns a 1-D vector. Returns on EOF.
 
     Handler exceptions are reported to the peer as error frames; the loop
-    keeps serving.
+    keeps serving. A worker that inherited a slab (_spawn) acks it in its
+    hello reply and takes type 6 requests: the tile is its slot, and the
+    prediction goes back into it (see _write_back).
     """
     inp = stdin if stdin is not None else sys.stdin.buffer
     out = stdout if stdout is not None else sys.stdout.buffer
+    slab = _SlabMap.inherited()
 
     def read_into(view):
         got = 0
@@ -444,13 +662,19 @@ def serve(denoise=None, embed=None, stdin=None, stdout=None) -> None:
             return
         try:
             if msg_type == MSG_HELLO:
-                _write_frame(out, MSG_HELLO)
-            elif msg_type == MSG_DENOISE_REQUEST:
+                _write_frame(out, MSG_HELLO, b"" if slab is None else _SLAB_ACK)
+            elif msg_type == MSG_DENOISE_REQUEST or (
+                msg_type == MSG_SLAB_DENOISE_REQUEST and slab is not None
+            ):
                 if denoise is None:
                     raise ProtocolError("worker has no denoise handler")
-                step, t, sigma, rect, cond, tile = unpack_denoise_request(payload)
-                pred = denoise(step, t, sigma, rect, cond, tile)
-                _write_frame(out, MSG_DENOISE_RESPONSE, *_denoise_response_parts(pred))
+                shared = slab if msg_type == MSG_SLAB_DENOISE_REQUEST else None
+                step, t, sigma, rect, cond, tile = unpack_denoise_request(payload, shared)
+                parts = _denoise_response_parts(denoise(step, t, sigma, rect, cond, tile))
+                if shared is not None:
+                    _write_back(tile, *parts)
+                    parts = parts[:1]
+                _write_frame(out, MSG_DENOISE_RESPONSE, *parts)
             elif msg_type == MSG_EMBED_REQUEST:
                 if embed is None:
                     raise ProtocolError("worker has no embed handler")

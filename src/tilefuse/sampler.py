@@ -62,6 +62,7 @@ Each run keeps its pool, ring, scratch and latent on its calling thread.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import threading
 from collections import deque
@@ -120,11 +121,7 @@ class SamplerConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit value, got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        a = self.prior.activity_map
-        if a is not None and a.shape != self.canvas_shape[2:]:
-            raise ConfigError(
-                f"activity map {a.shape} does not match canvas {self.canvas_shape[2:]}"
-            )
+        _check_map(self.canvas_shape, self.prior)
 
         if self.sigmas is None:
             schedule = SigmaSchedule.linear(self.steps)
@@ -159,6 +156,21 @@ class SamplerConfig:
     def weight_map(self) -> np.ndarray:
         """The float64 weight map of the plan's window, the size of every tile."""
         return self._weight
+
+    def with_prior(self, prior: PriorScheduleConfig) -> SamplerConfig:
+        """This config with another prior schedule, whose map is checked as
+        at construction. The plan, the sigma schedule and the weight map do
+        not depend on the prior, so the two configs share them."""
+        _check_map(self.canvas_shape, prior)
+        config = copy.copy(self)
+        config.__dict__["prior"] = prior
+        return config
+
+
+def _check_map(canvas_shape, prior: PriorScheduleConfig) -> None:
+    a = prior.activity_map
+    if a is not None and a.shape != canvas_shape[2:]:
+        raise ConfigError(f"activity map {a.shape} does not match canvas {canvas_shape[2:]}")
 
 
 @dataclass(frozen=True)

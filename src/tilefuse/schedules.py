@@ -105,7 +105,7 @@ class PriorScheduleConfig:
                 raise ConfigError(f"activity map must be 2-D, got {a.ndim}-D")
             if not np.isin(a, (0, 1)).all():
                 raise ConfigError("activity map must be binary")
-            object.__setattr__(self, "activity_map", a.astype(bool))
+            object.__setattr__(self, "activity_map", a.astype(bool, copy=False))
 
     def strength_at(self, t: float):
         """Prior strength at normalized step t: lambda_base, times

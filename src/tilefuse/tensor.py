@@ -9,6 +9,7 @@ may share memory with its argument; nothing here mutates its inputs.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -215,14 +216,10 @@ def flt_head(shape) -> bytes:
     return FLT_MAGIC + struct.pack("<5I", FLT_VERSION, *shape)
 
 
-def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:
-    """Decode an FLT1 container from any bytes-like object.
-
-    A writable buffer whose data is aligned little-endian float32 is used in
-    place: the result shares its memory. Anything else, immutable bytes
-    included, is copied, so the result is always a writable array. A
-    malformed container or non-finite data raises FileFormatError.
-    """
+def flt_shape(blob, name: str = "payload") -> tuple[int, int, int, int]:
+    """The shape that the FLT1 header at the start of blob declares. A
+    truncated or malformed header, or a zero-sized shape, raises
+    FileFormatError."""
     head = FLT_HEAD_LEN
     if len(blob) < head:
         raise FileFormatError(f"{name}: truncated FLT1 header ({len(blob)} bytes)")
@@ -231,20 +228,38 @@ def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:
     version, c, t, h, w = struct.unpack("<5I", blob[4:head])
     if version != FLT_VERSION:
         raise FileFormatError(f"{name}: unsupported FLT version {version}")
-    count = c * t * h * w
-    if count == 0:
+    if c * t * h * w == 0:
         raise FileFormatError(f"{name}: zero-sized tensor {c}x{t}x{h}x{w}")
-    if len(blob) != head + 4 * count:
-        raise FileFormatError(
-            f"{name}: payload holds {len(blob) - head} bytes, header promises "
-            f"{4 * count}"
-        )
-    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=head).reshape(c, t, h, w)
-    if not (arr.flags.writeable and arr.flags.aligned and arr.dtype == np.float32):
-        arr = arr.astype(np.float32)
+    return c, t, h, w
+
+
+def flt_finite(arr: np.ndarray, name: str = "payload") -> np.ndarray:
+    """arr, the data of an FLT1 container, if it holds no inf or NaN; else
+    FileFormatError."""
     if _count_nonfinite(arr):
         raise FileFormatError(f"{name} contains non-finite values")
     return arr
+
+
+def flt_from_bytes(blob, name: str = "payload") -> np.ndarray:
+    """Decode an FLT1 container from any bytes-like object.
+
+    A writable buffer whose data is aligned little-endian float32 is used in
+    place: the result shares its memory. Anything else, immutable bytes
+    included, is copied, so the result is always a writable array. A
+    malformed container or non-finite data raises FileFormatError.
+    """
+    shape = flt_shape(blob, name)
+    count = math.prod(shape)
+    if len(blob) != FLT_HEAD_LEN + 4 * count:
+        raise FileFormatError(
+            f"{name}: payload holds {len(blob) - FLT_HEAD_LEN} bytes, header promises "
+            f"{4 * count}"
+        )
+    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=FLT_HEAD_LEN).reshape(shape)
+    if not (arr.flags.writeable and arr.flags.aligned and arr.dtype == np.float32):
+        arr = arr.astype(np.float32)
+    return flt_finite(arr, name)
 
 
 def read_flt(path) -> np.ndarray:

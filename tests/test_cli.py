@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import dataclasses
 import gc
 import hashlib
 import json
@@ -500,6 +503,24 @@ command = {command}
         assert not any(alive(pid) for pid in recorded_pids(tmp_path))
         assert not list(tmp_path.glob("out.flt*"))
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_a_sample_through_two_echo_workers_gives_back_every_fd(self, tmp_path):
+        """The workers' pipes, their slab and every slot's mapping are
+        closed when the run ends."""
+        cfg = noise_config(tmp_path, 2, f"kind = external\ncommand = {ECHO_EMBEDDER}")
+
+        def open_fds():  # fd: what it is open on; the fd that listdir used is gone
+            links = {}
+            for fd in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(FileNotFoundError):
+                    links[fd] = os.readlink(f"/proc/self/fd/{fd}")
+            return links
+
+        gc.collect()  # a failed run's slot may wait in a traceback cycle
+        start = open_fds()
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "out.flt")]) == 0
+        assert open_fds() == start
+
     @pytest.mark.parametrize(
         "where, owner, name, workers",
         [
@@ -997,6 +1018,68 @@ activity_map = {tmp_path / "act.pgm"}
         table = (tmp_path / "once.tsv").read_bytes()
         assert table.count(b"\n") == 5
         assert table == (tmp_path / "alone.tsv").read_bytes()
+
+
+    def test_points_share_the_plan_and_the_activity_map(self, monkeypatch, tmp_path):
+        """Every grid point holds the settings' plan, weight map and
+        activity map, not copies, and the table is byte-identical to the
+        one of points rebuilt by dataclasses.replace."""
+        board = ((np.indices((16, 24)).sum(axis=0) % 3 == 0) * 255).astype(np.uint8)
+        write_pgm(tmp_path / "act.pgm", board)
+        cfg = write_config(
+            tmp_path / "sweep.ini",
+            f"""
+[run]
+seed = 17
+mode = fd_regional
+steps = 3
+
+[canvas]
+channels = 2
+frames = 2
+height = 16
+width = 24
+
+[tiles]
+window_height = 8
+window_width = 8
+
+[prior]
+activity_map = {tmp_path / "act.pgm"}
+""",
+        )
+        settings = resolve_settings(load_config_file(cfg))
+        tiled = settings.tiled
+        points = [cli._grid_point(settings, lam, tau) for lam in (0.5, 1.5) for tau in (0.2, 1.0)]
+        for point in points:
+            assert point.tiled.plan() is tiled.plan()
+            assert point.tiled.weight_map() is tiled.weight_map()
+            assert point.tiled.prior.activity_map is tiled.prior.activity_map
+        assert [(p.tiled.prior.lambda_base, p.tiled.prior.tau) for p in points] == [
+            (0.5, 0.2), (0.5, 1.0), (1.5, 0.2), (1.5, 1.0)
+        ]
+
+        sweep = ["sweep", "--config", cfg, "--lambda-grid", "0,0.5,1.5,5", "--tau-grid", "1", "--out"]
+        assert main([*sweep, str(tmp_path / "shared.tsv")]) == 0
+
+        def rebuilt(settings, lam, tau):
+            point = copy.copy(settings)
+            prior = dataclasses.replace(settings.tiled.prior, lambda_base=lam, tau=tau)
+            point.tiled = dataclasses.replace(settings.tiled, prior=prior)
+            assert point.tiled.plan() is not settings.tiled.plan()
+            return point
+
+        monkeypatch.setattr(cli, "_grid_point", rebuilt)
+        assert main([*sweep, str(tmp_path / "rebuilt.tsv")]) == 0
+        table = (tmp_path / "shared.tsv").read_bytes()
+        assert table.count(b"\n") == 5
+        assert table == (tmp_path / "rebuilt.tsv").read_bytes()
+
+    def test_a_config_with_another_prior_checks_its_map(self, tmp_path):
+        cfg = sampler.SamplerConfig(canvas_shape=(1, 1, 16, 24), window_h=8, window_w=8)
+        wrong = tilefuse.PriorScheduleConfig(mode="regional", activity_map=np.ones((16, 23), bool))
+        with pytest.raises(tilefuse.errors.ConfigError, match=r"activity map \(16, 23\) does not match"):
+            cfg.with_prior(wrong)
 
 
 def noise_config(tmp_path, workers, denoiser="kind = gaussian"):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import os
@@ -857,3 +858,227 @@ class TestFailedStart:
         started = recorded_pids(pids)
         assert len(started) == 3
         assert not any(alive(pid) for pid in started)
+
+
+needs_memfd = pytest.mark.skipif(
+    not (hasattr(os, "memfd_create") and os.path.isdir("/proc/self/fd")),
+    reason="the slab needs os.memfd_create and /proc",
+)
+
+# Sleeps on every other request it gets, so that of two such workers the
+# later request often finishes first.
+SLOW_EVERY_OTHER = (
+    "import time\n"
+    "from tilefuse.protocol import serve\n"
+    "calls = []\n"
+    "def denoise(step, t, sigma, rect, cond, tile):\n"
+    "    calls.append(step)\n"
+    "    if len(calls) % 2:\n"
+    "        time.sleep(0.05)\n"
+    "    return tile\n"
+    "serve(denoise=denoise)\n"
+)
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@needs_memfd
+class TestSharedMemory:
+    def test_predictions_outlive_later_calls(self, tmp_path):
+        """Six predictions from two workers, replies finishing out of order,
+        each still holds its own tile after the others came back; six more
+        calls reuse their slots, and the slab never holds more slots than
+        the six predictions alive at once."""
+        cmd = worker_script(tmp_path, SLOW_EVERY_OTHER)
+        latent = np.random.default_rng(8).standard_normal((12, 3, 2, 9, 20)).astype(np.float32)
+        tiles = [latent[k] if k % 2 else latent[k, :, :, :, 2:18] for k in range(12)]
+        with ExternalDenoiser(cmd, size=2, timeout=30) as den:
+            assert all(client._slab is den._slab for client in den._clients)
+
+            def call(k):
+                rect = Rect(0, 0, *tiles[k].shape[2:])
+                return den(DenoiserRequest(tile=tiles[k], step_index=k, t=0.5, sigma=0.5, rect=rect))
+
+            with ThreadPoolExecutor(max_workers=6) as ex:
+                preds = list(ex.map(call, range(6)))
+                for k, pred in enumerate(preds):
+                    assert_decoded_tile(pred, np.ascontiguousarray(tiles[k]))
+                slots, size = den._slab.slots, den._slab.size
+                assert slots <= 6
+                del preds, pred
+                later = list(ex.map(call, range(6, 12)))
+            for k, pred in enumerate(later, 6):
+                assert_decoded_tile(pred, np.ascontiguousarray(tiles[k]))
+            assert (den._slab.slots, den._slab.size) == (slots, size)
+
+    def test_slots_stay_distinct_under_thread_churn(self):
+        """Eight threads share three workers and one free list, each keeping
+        its last two predictions, with the interpreter switching threads
+        often: a slot leased twice, or freed early, would show in a kept
+        prediction that no longer holds its own tile."""
+        def churn(k):
+            rng = np.random.default_rng(k)
+            kept = []
+            for j in range(40):
+                rows = int(rng.integers(1, 9))
+                tile = rng.standard_normal((2, 2, rows, 16)).astype(np.float32)
+                pred = pool.denoise(j, 0.5, 0.5, Rect(0, 0, rows, 16), "", tile)
+                kept = [*kept[-1:], (pred, tile)]
+                for p, t in kept:
+                    if p.tobytes() != t.tobytes():
+                        return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(ECHO_CMD, size=3, timeout=60) as pool:
+                with ThreadPoolExecutor(max_workers=8) as ex:
+                    assert all(ex.map(churn, range(8), timeout=120))
+                # a thread holds at most three: two kept and the newest
+                # until the oldest is dropped
+                assert pool._slab.slots <= 3 * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_view_keeps_its_prediction_slot(self):
+        with WorkerClient(ECHO_CMD, timeout=30) as client:
+            tile = np.full((2, 1, 4, 6), 1.0, np.float32)
+            view = client.denoise(0, 0.5, 0.5, Rect(0, 0, 4, 6), "", tile)[:, :, 1:, ::2]
+            for value in (2.0, 3.0):  # a freed slot would be leased to these
+                client.denoise(0, 0.5, 0.5, Rect(0, 0, 4, 6), "", np.full_like(tile, value))
+            assert (view == 1.0).all()
+            assert client._slab.slots == 2
+
+    def test_a_free_slot_too_small_is_given_up_with_its_memory(self, rng):
+        with WorkerClient(ECHO_CMD, timeout=30) as client:
+            slab = client._slab
+            for rows in (8, 64, 64, 32):  # the slot for 64 rows serves 32 as well
+                tile = rng.standard_normal((4, 2, rows, 128)).astype(np.float32)
+                pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, rows, 128), "", tile)
+                assert pred.tobytes() == tile.tobytes()
+                del pred
+                assert slab.slots == 1
+            row = 4 * 2 * 128 * 4  # bytes of a tile row, a whole number of pages
+            assert slab.size == 8 * row + 64 * row  # the 8-row slot's hole stays
+            assert os.fstat(slab.fd).st_blocks * 512 <= 64 * row  # but holds no memory
+
+    @pytest.mark.parametrize("handoff", ["no-variable", "fd-closed"])
+    def test_a_serve_worker_without_the_handoff_gets_the_pipe(self, rng, tmp_path, handoff):
+        drop = {
+            "no-variable": "del os.environ[protocol.SLAB_ENV]\n",
+            "fd-closed": "os.close(int(os.environ[protocol.SLAB_ENV].split(':')[0]))\n",
+        }[handoff]
+        cmd = worker_script(
+            tmp_path,
+            "import os\n"
+            "from tilefuse import protocol\n"
+            + drop
+            + "protocol.serve(denoise=lambda *a: a[-1])\n",
+        )
+        latent = rng.standard_normal((3, 2, 7, 16)).astype(np.float32)
+        with WorkerClient(cmd, timeout=30) as client:
+            assert client._slab is None
+            for tile in (latent, latent[:, :, :, 3:12]):
+                pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, *tile.shape[2:]), "", tile)
+                assert_decoded_tile(pred, np.ascontiguousarray(tile))
+
+    def test_without_memfd_every_worker_gets_the_pipe_with_the_same_bits(self, monkeypatch):
+        cfg = SamplerConfig(
+            canvas_shape=(2, 3, 24, 40), steps=3, window_h=12, window_w=16, overlap=0.5,
+            seed=5, workers=2, prior=PriorScheduleConfig(lambda_base=1.5, mode="constant"),
+        )
+        prior = np.random.default_rng(11).standard_normal(cfg.canvas_shape).astype(np.float32)
+
+        def latent(shared):
+            with ExternalDenoiser(ECHO_CMD, size=2, timeout=30) as den:
+                assert [c._slab is not None for c in den._clients] == [shared] * 2
+                x, _ = run(cfg, den, prior)
+            return x.tobytes()
+
+        through_slab = latent(True)
+        monkeypatch.delattr(os, "memfd_create")
+        assert latent(False) == through_slab
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (1, 1, 5, 4)], ids=["smaller", "larger"])
+    def test_a_prediction_of_another_shape_is_a_shape_error(self, tmp_path, shape):
+        cmd = worker_script(
+            tmp_path,
+            "import numpy as np\n"
+            "from tilefuse.protocol import serve\n"
+            f"serve(denoise=lambda *a: np.zeros({shape}, np.float32))\n",
+        )
+        with WorkerClient(cmd, timeout=30) as client:
+            assert client._slab is not None
+            with pytest.raises(ShapeError, match=rf"shape \(1, 1, {shape[2]}, {shape[3]}\)"):
+                client.denoise(0, 0.0, 1.0, Rect(0, 0, 4, 4), "", np.ones((1, 1, 4, 4), np.float32))
+            assert client.poisoned is not None
+
+    @pytest.mark.parametrize("through", ["slab", "pipe"])
+    def test_a_non_finite_request_tile_is_a_worker_error(self, tmp_path, through):
+        cmd = worker_script(
+            tmp_path,
+            "import os\n"
+            "from tilefuse import protocol\n"
+            + ("del os.environ[protocol.SLAB_ENV]\n" if through == "pipe" else "")
+            + "protocol.serve(denoise=lambda *a: a[-1])\n",
+        )
+        tile = np.ones((1, 1, 2, 3), np.float32)
+        tile[0, 0, 1, 2] = np.inf
+        with WorkerClient(cmd, timeout=30) as client:
+            assert (client._slab is not None) == (through == "slab")
+            with pytest.raises(ProtocolError, match="request tile contains non-finite values"):
+                client.denoise(0, 0.5, 0.5, Rect(0, 0, 2, 3), "", tile)
+            assert client.poisoned is None
+            tile[0, 0, 1, 2] = 2.0
+            pred = client.denoise(0, 0.5, 0.5, Rect(0, 0, 2, 3), "", tile)
+            assert pred.tobytes() == tile.tobytes()
+
+    def test_the_slot_of_a_failed_request_is_freed_after_its_worker_is_reaped(self, tmp_path):
+        cmd = worker_script(tmp_path, SLOW_FIRST_REQUEST)
+        tile = np.ones((1, 1, 3, 3), np.float32)
+        with WorkerPool(cmd, size=1, timeout=1.0) as pool:
+            (client,) = pool._clients
+            release = pool._slab._release
+            seen = []
+
+            def note(slot):
+                seen.append(client._proc.returncode)
+                release(slot)
+
+            pool._slab._release = note
+            with pytest.raises(ProtocolTimeoutError):
+                pool.denoise(1, 0.0, 1.0, Rect(0, 0, 3, 3), "", tile)
+            assert seen == [-signal.SIGKILL]
+
+    def test_a_worker_inherits_its_pool_slab_and_no_other(self):
+        with WorkerPool(ECHO_CMD, size=1, timeout=30) as other, \
+                WorkerPool(ECHO_CMD, size=2, timeout=30) as pool:
+            inode = os.fstat(pool._slab.fd).st_ino
+            assert inode != os.fstat(other._slab.fd).st_ino
+            for client in pool._clients:
+                pid = client._proc.pid
+                fds = sorted(map(int, os.listdir(f"/proc/{pid}/fd")))
+                assert fds == [0, 1, 2, pool._slab.fd]
+                assert os.stat(f"/proc/{pid}/fd/{pool._slab.fd}").st_ino == inode
+                with open(f"/proc/{pid}/environ", "rb") as fh:
+                    env = fh.read().split(b"\0")
+                assert f"{protocol.SLAB_ENV}={pool._slab.fd}:{inode}".encode() in env
+
+    def test_close_gives_back_every_fd(self, rng):
+        gc.collect()  # an earlier failed request's slot may wait in a traceback cycle
+        start = open_fds()
+        pool = WorkerPool(ECHO_CMD, size=2, timeout=30)
+        tile = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        kept = pool.denoise(0, 0.5, 0.5, Rect(0, 0, 8, 8), "", tile)
+        for _ in range(3):
+            pool.denoise(0, 0.5, 0.5, Rect(0, 0, 8, 8), "", tile)
+        pool.close()
+        assert open_fds() == start + 1  # the kept prediction's mapping
+        assert kept.tobytes() == tile.tobytes()
+        del kept
+        assert open_fds() == start
+        with pytest.raises(WorkerExitError):
+            pool.denoise(0, 0.5, 0.5, Rect(0, 0, 8, 8), "", tile)
