@@ -122,14 +122,16 @@ def _build_denoiser(settings, canvas_shape):
     )
 
 
-def run_pipeline(settings, prior=None):
+def run_pipeline(settings, prior=None, trace=True):
     """Prior pass, upsample, tiled pass. Returns (x_final, trace,
-    prior_rows, timings). prior_rows is build_prior's source, which the
-    tiled pass used (expand_prior gives its canvas cells): the thumbnail
-    itself when it is no larger than the canvas, else a resized copy, and
-    then the thumbnail is dropped once that is made. A prior from an
-    earlier run of the same settings, bar prior strength and gates, skips
-    the prior pass.
+    prior_rows, timings). trace is the tiled pass's RunTrace, or None with
+    trace False, when the tiled pass skips the trace's passes; the prior
+    pass, whose trace nothing reads, always runs untraced. prior_rows is
+    build_prior's source, which the tiled pass used (expand_prior gives its
+    canvas cells): the thumbnail itself when it is no larger than the
+    canvas, else a resized copy, and then the thumbnail is dropped once
+    that is made. A prior from an earlier run of the same settings, bar
+    prior strength and gates, skips the prior pass.
 
     The tiled pass's noise depends on nothing the prior pass makes, so one
     background thread draws it (stream 1 of run.seed, make_noise's bits)
@@ -159,7 +161,8 @@ def run_pipeline(settings, prior=None):
             stack.callback(shared.close)
         if prior is None:  # the thumbnail pass
             cfg = settings.prior_stage
-            sampler = TiledSampler(cfg, shared or _build_denoiser(settings, cfg.canvas_shape))
+            den = shared or _build_denoiser(settings, cfg.canvas_shape)
+            sampler = TiledSampler(cfg, den, trace=False)
             prior, _ = sampler.run(make_noise(cfg.canvas_shape, settings.run.seed, stream=0))
         timings["prior"] = time.perf_counter() - t0
 
@@ -170,7 +173,7 @@ def run_pipeline(settings, prior=None):
 
         t0 = time.perf_counter()
         den = shared or _build_denoiser(settings, canvas_shape)
-        sampler = TiledSampler(settings.tiled, den, prior_rows)
+        sampler = TiledSampler(settings.tiled, den, prior_rows, trace=trace)
         drawn.result()  # a failed draw is raised here, on this thread
         # run adopts the canvas and overwrites it in place, so it is handed
         # the only reference: no alias here sees the noise turn into x_final
@@ -334,7 +337,9 @@ def cmd_sweep(args) -> int:
     neither, runs once. The settings, with their INI file and activity map,
     are read once, and every point is derived from them before any runs.
     Two values of an axis whose points take the same strength_at at every
-    step, at each value of the other axis, would rerun the same passes."""
+    step, at each value of the other axis, would rerun the same passes.
+    A point's table row reads its latent alone, so every point runs
+    untraced; the table has the same bytes as from traced runs."""
     settings = _load_settings(args)
     lambdas, taus = args.lambda_grid, args.tau_grid
     grid = [[_grid_point(settings, lam, tau) for tau in taus] for lam in lambdas]
@@ -356,7 +361,7 @@ def cmd_sweep(args) -> int:
     prior = None
     with embedder or contextlib.nullcontext():
         for (lam, tau), settings in zip(itertools.product(lambdas, taus), itertools.chain(*grid)):
-            x_final, _, prior, _ = run_pipeline(settings, prior)
+            x_final, _, prior, _ = run_pipeline(settings, prior, trace=False)
             dist = _distance(x_final, prior)
             frames = _latent_frames(x_final, *x_final.shape[2:])
             sharp = video_tenengrad(frames)

@@ -58,8 +58,9 @@ malformed frame, the pipe closing mid-frame) is poisoned: its child is
 killed and later calls raise WorkerExitError; a WorkerPool stops lending
 it out. A worker that sends garbage (a wrong message type, a leading byte
 other than 0, a bad tile, a prediction of the wrong shape) is poisoned the
-same way. The slot of a failed request is leased again only after its
-worker is reaped. An error frame from the worker is a complete reply and
+same way. The slot of a failed request is freed, and leased again, only
+after its worker is reaped, and then at once: the exception does not hold
+it. An error frame from the worker is a complete reply and
 leaves the client usable.
 
 A worker runs in a session of its own, so a terminal's SIGINT reaches the
@@ -80,6 +81,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 import weakref
 
 import numpy as np
@@ -532,10 +534,19 @@ class WorkerClient:
             offset, slot = self._slab.lease(tile.shape)
             np.copyto(slot, tile)
             prefix = _request_prefix(step, t, sigma, rect, conditioning, tile.shape, offset)
-            return self._ask(
-                MSG_SLAB_DENOISE_REQUEST, (prefix,), MSG_DENOISE_RESPONSE,
-                lambda payload: unpack_denoise_response(payload, slot),
-            )
+            try:
+                return self._ask(
+                    MSG_SLAB_DENOISE_REQUEST, (prefix,), MSG_DENOISE_RESPONSE,
+                    lambda payload: unpack_denoise_response(payload, slot),
+                )
+            except BaseException as exc:
+                # _ask has reaped a poisoned worker by now. The traceback's
+                # frames, which a caller may keep in a reference cycle (a
+                # pool's Future stores the exception), would hold the slot
+                # until the garbage collector ran: the slot is freed here.
+                traceback.clear_frames(exc.__traceback__)
+                del slot
+                raise
         prefix, tile = _denoise_request_parts(step, t, sigma, rect, conditioning, tile)
         cells = math.prod(tile.shape[1:])
         if self._channel.size < cells:

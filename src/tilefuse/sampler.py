@@ -51,7 +51,12 @@ float64 ones. It applies the elementwise operations of fuse_md or
 fuse_fd_flow, trace_prior_mse and euler_update in their order, so the
 latent gets the same bits as their composition on the expanded prior.
 The trace means are float64 sums and cell counts over the bands; only
-these sums run in another order than trace_prior_mse's.
+these sums run in another order than trace_prior_mse's. A sampler built
+with trace=False, such as the CLI's thumbnail pass and sweep points,
+skips the trace's passes, and in a plain step (strength 0 at every cell)
+also the prior's column pass and row blend, which only the trace reads
+there; a step with a nonzero strength still blends the prior for its
+merge. The latent's bits are the same either way.
 
 Every cell sees the same additions in the same order and the same
 elementwise closed form whatever the worker count, so runs are bitwise
@@ -337,7 +342,7 @@ class _KernelScratch(threading.local):
 
 def _band_update(
     x, source, blend, columns, num, den, slam, sigma, dsigma, masks, scratch,
-    budget=GROUP_BUDGET,
+    budget=GROUP_BUDGET, trace=True,
 ):
     """Merge, trace and Euler-update one band channel; x is updated in place.
 
@@ -354,6 +359,12 @@ def _band_update(
     float64 (rows, W) foreground and background indicator planes. Returns
     the squared residual's sums over the two partitions; with no masks all
     of it is foreground.
+
+    With trace False the trace passes are skipped (the clean estimate, its
+    residual against the prior, the square and the sum or regional plane),
+    and so, where slam is None, are the prior's float64 column pass and
+    float32 row blend, which only the trace reads then; the sums returned
+    are 0. x gets the same bits either way.
 
     Frames go in groups of at most `budget` elements (one frame if a frame
     is larger) through the calling thread's _KernelScratch buffers. The
@@ -378,19 +389,20 @@ def _band_update(
         xg = x[frames]
         x64, p64, y64, r, y32 = (b[: xg.size].reshape(xg.shape) for b in flat)
         np.copyto(x64, xg)
-        src = source[frames]  # trilinear_resize's column pass, then its rounding
-        g, k, w0 = src.shape
-        s64, near, far, src32 = (
-            b[: g * k * n].reshape(g, k, n) for b, n in zip(wide, (w0, w, w, w))
-        )
-        np.copyto(s64, src)
-        np.copyto(src32, _lerp(s64, -1, *columns, near, far))
-        both = pairs[: 2 * xg.size].reshape(len(xg), 2, rows, w)
-        np.take(src32, index, axis=1, out=both, mode="clip")
-        both *= weight
-        near = both[:, 0]
-        np.add(near, both[:, 1], out=near)  # in float32, then cast: cheaper
-        np.copyto(p64, near)  # than numpy casting the sum's output itself
+        if trace or slam is not None:  # the prior's cells, which only these read
+            src = source[frames]  # trilinear_resize's column pass, then its rounding
+            g, k, w0 = src.shape
+            s64, near, far, src32 = (
+                b[: g * k * n].reshape(g, k, n) for b, n in zip(wide, (w0, w, w, w))
+            )
+            np.copyto(s64, src)
+            np.copyto(src32, _lerp(s64, -1, *columns, near, far))
+            both = pairs[: 2 * xg.size].reshape(len(xg), 2, rows, w)
+            np.take(src32, index, axis=1, out=both, mode="clip")
+            both *= weight
+            near = both[:, 0]
+            np.add(near, both[:, 1], out=near)  # in float32, then cast: cheaper
+            np.copyto(p64, near)  # than numpy casting the sum's output itself
         if slam is None:
             np.divide(num[frames], den, out=y32, casting="same_kind")
         else:
@@ -400,15 +412,16 @@ def _band_update(
             np.divide(r, den, out=y32, casting="same_kind")
         num[frames] = 0.0  # read: zeroed for the next rows that reuse it
         np.copyto(y64, y32)
-        np.multiply(y64, sigma, out=r)
-        np.subtract(x64, r, out=r)  # the clean estimate x - sigma * y
-        r -= p64
-        np.square(r, out=r)
-        if masks is None:
-            total += r.sum()
-        else:
-            np.add.reduce(r, axis=0, out=part)
-            plane += part
+        if trace:
+            np.multiply(y64, sigma, out=r)
+            np.subtract(x64, r, out=r)  # the clean estimate x - sigma * y
+            r -= p64
+            np.square(r, out=r)
+            if masks is None:
+                total += r.sum()
+            else:
+                np.add.reduce(r, axis=0, out=part)
+                plane += part
         np.multiply(y64, dsigma, out=r)
         np.add(r, x64, out=xg, casting="same_kind")
     if masks is None:
@@ -433,10 +446,14 @@ class _RunState:
 
 
 class TiledSampler:
-    """Bound sampling state: plan, schedule, weight map, prior, denoiser."""
+    """Bound sampling state: plan, schedule, weight map, prior, denoiser.
+    An untraced sampler (trace=False) computes no prior-distance trace: its
+    run and step give None in place of the RunTrace and StepRecord, and
+    its latent has the same bits as a traced one's."""
 
-    def __init__(self, cfg: SamplerConfig, denoiser, prior=None):
+    def __init__(self, cfg: SamplerConfig, denoiser, prior=None, trace=True):
         self.cfg = cfg
+        self.trace = trace
         self.denoiser = denoiser
         self.plan = cfg.plan()
         self.schedule = cfg.schedule()
@@ -461,7 +478,7 @@ class TiledSampler:
         # so are the trace's float64 partition masks; a band reads its rows
         activity = cfg.prior.activity_map
         self._masks = None
-        if activity is not None:
+        if activity is not None and trace:
             self._masks = (activity.astype(np.float64), (~activity).astype(np.float64))
         self._local = threading.local()  # .run: the calling thread's _RunState
 
@@ -586,9 +603,10 @@ class TiledSampler:
             wait(futures)
 
     def step(self, x: np.ndarray, i: int):
-        """One sampler step; returns (x_next, StepRecord). The latent the
-        running run owns is updated in place and returned; any other x is
-        copied first and left as it is."""
+        """One sampler step; returns (x_next, StepRecord), or (x_next, None)
+        if the sampler is untraced. The latent the running run owns is
+        updated in place and returned; any other x is copied first and left
+        as it is."""
         t = self.schedule.times[i]
         sigma = self.schedule.sigmas[i]
         dsigma = self.schedule.sigmas[i + 1] - sigma
@@ -639,12 +657,15 @@ class TiledSampler:
                     fg, bg = _band_update(
                         x[c, :, rows], self.prior[c, :, top:bottom], blend, self._columns,
                         ring[c, :, ring_rows], den, slam, sigma, dsigma, masks, scratch,
+                        trace=self.trace,
                     )
                     return c, fg, n_fg, bg, cells - n_fg
 
                 return update
 
             self._stream(state, x, i, t, sigma, band, collect)
+        if not self.trace:
+            return x, None
         record = StepRecord(
             step=i,
             t=t,
@@ -657,10 +678,10 @@ class TiledSampler:
         return x, record
 
     def run(self, initial_noise=None):
-        """Returns (x_final, RunTrace). A writable C-contiguous float32
-        initial_noise is the run's latent, overwritten in place and
-        returned; any other array is copied once and left as it is. None
-        draws make_noise(canvas, cfg.seed)."""
+        """Returns (x_final, RunTrace), or (x_final, None) if the sampler is
+        untraced. A writable C-contiguous float32 initial_noise is the run's
+        latent, overwritten in place and returned; any other array is copied
+        once and left as it is. None draws make_noise(canvas, cfg.seed)."""
         if initial_noise is None:
             x = make_noise(self.cfg.canvas_shape, self.cfg.seed)
         else:
@@ -673,11 +694,12 @@ class TiledSampler:
                     f"{self.cfg.canvas_shape}"
                 )
         ensure_finite(x, "initial noise")
-        trace = RunTrace()
+        trace = RunTrace() if self.trace else None
         with self._executor(x):  # unnamed, so the ring is freed before ensure_finite
             for i in range(self.schedule.steps):
                 x, record = self.step(x, i)
-                trace.records.append(record)
+                if trace is not None:
+                    trace.records.append(record)
         ensure_finite(x, "final latent")
         return x, trace
 

@@ -1082,6 +1082,55 @@ activity_map = {tmp_path / "act.pgm"}
             cfg.with_prior(wrong)
 
 
+def record_sampler_traces(monkeypatch):
+    """Patch the CLI's TiledSampler to note (canvas shape, trace) of every
+    sampler built. Returns the notes."""
+    built = []
+
+    class Recording(TiledSampler):
+        def __init__(self, cfg, denoiser, prior=None, trace=True):
+            built.append((cfg.canvas_shape, trace))
+            super().__init__(cfg, denoiser, prior, trace=trace)
+
+    monkeypatch.setattr(cli, "TiledSampler", Recording)
+    return built
+
+
+class TestUntracedPasses:
+    """Only the trace that a command writes is computed: sample's tiled
+    pass is traced, its thumbnail pass and every sweep point are not."""
+
+    def test_sample_traces_the_tiled_pass_alone(self, monkeypatch, tmp_path):
+        built = record_sampler_traces(monkeypatch)
+        settings = noise_settings(tmp_path, 2)
+        out = tmp_path / "out.flt"
+        assert main(["sample", "--config", noise_config(tmp_path, 2), "--output", str(out)]) == 0
+        assert built == [(settings.prior_stage.canvas_shape, False), (NOISE_CANVAS, True)]
+        assert (tmp_path / "out.flt.trace.tsv").read_text().count("\n") == 1 + 3
+
+    def test_sweep_points_are_untraced_with_the_traced_table(self, monkeypatch, tmp_path):
+        board = ((np.indices((24, 32)).sum(axis=0) % 3 == 0) * 255).astype(np.uint8)
+        write_pgm(tmp_path / "act.pgm", board)
+        regional = ["--set", "run.mode=fd_regional", "--set", f"prior.activity_map={tmp_path / 'act.pgm'}"]
+        built = record_sampler_traces(monkeypatch)
+
+        def sweep(name):
+            out = tmp_path / name
+            assert main(["sweep", "--config", noise_config(tmp_path, 2), *regional,
+                         "--lambda-grid", "0,0.5,5", "--tau-grid", "1.0", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        untraced = sweep("untraced.tsv")
+        assert [trace for _, trace in built] == [False] * 4
+        built.clear()
+        pipeline = cli.run_pipeline
+        monkeypatch.setattr(
+            cli, "run_pipeline", lambda settings, prior=None, trace=True: pipeline(settings, prior)
+        )
+        assert sweep("traced.tsv") == untraced
+        assert [trace for _, trace in built] == [False, True, True, True]
+
+
 def noise_config(tmp_path, workers, denoiser="kind = gaussian"):
     return write_config(
         tmp_path / f"noise-{workers}.ini",

@@ -1053,6 +1053,41 @@ class TestSharedMemory:
                 pool.denoise(1, 0.0, 1.0, Rect(0, 0, 3, 3), "", tile)
             assert seen == [-signal.SIGKILL]
 
+    def test_a_failed_request_kept_in_a_future_holds_no_slot(self, tmp_path):
+        """The exception of a non-finite slab reply, kept by the Future of
+        the thread that asked (a reference cycle), holds neither the slot
+        nor its mapping: with the garbage collector off, the slot is free
+        at once and closing the pool gives back every slab fd."""
+        def memfds():
+            return sum(
+                os.readlink(f"/proc/self/fd/{fd}").startswith("/memfd:tilefuse-fdp1")
+                for fd in os.listdir("/proc/self/fd")
+                if os.path.exists(f"/proc/self/fd/{fd}")
+            )
+
+        cmd = worker_script(
+            tmp_path,
+            "import numpy as np\n"
+            "from tilefuse.protocol import serve\n"
+            "serve(denoise=lambda *a: np.full(a[-1].shape, np.nan, np.float32))\n",
+        )
+        tile = np.ones((2, 1, 3, 4), np.float32)
+        gc.disable()
+        try:
+            start = memfds()
+            pool = WorkerPool(cmd, size=1, timeout=30)
+            assert pool._clients[0]._slab is pool._slab
+            with ThreadPoolExecutor(max_workers=1) as ex:
+                future = ex.submit(pool.denoise, 0, 0.5, 0.5, Rect(0, 0, 3, 4), "", tile)
+                kept = future.exception(timeout=60)
+            assert "non-finite" in str(kept)
+            assert pool._clients[0].poisoned is not None
+            assert pool._slab.slots == len(pool._slab._free) == 1
+            pool.close()
+            assert memfds() == start
+        finally:
+            gc.enable()
+
     def test_a_worker_inherits_its_pool_slab_and_no_other(self):
         with WorkerPool(ECHO_CMD, size=1, timeout=30) as other, \
                 WorkerPool(ECHO_CMD, size=2, timeout=30) as pool:

@@ -692,3 +692,60 @@ def test_denoiser_cannot_write_the_latent_through_its_tile():
         sampler.run(initial_noise=x)  # adopted: the run's latent is x
     assert tiles and all(np.shares_memory(tile, x) for tile in tiles)
     assert x.tobytes() == kept.tobytes()
+
+
+@st.composite
+def gated_cases(draw):
+    """A streamed case whose md, fd or fd_regional schedule has gates: a
+    step past a gate takes strength 0 there, so a gate below t = 1 leaves
+    some steps plain (at every cell, for both regional gates)."""
+    case = draw(streamed_cases())
+    case["taus"] = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    return case
+
+
+def gated(case, trace):
+    """(sampler, initial noise) of a gated case, traced or not."""
+    sampler, noise = build(case)
+    prior = sampler.cfg.prior
+    low, high = case["taus"]
+    if case["mode"] == "fd":
+        prior = PriorScheduleConfig(lambda_base=1.5, tau=high)
+    elif case["mode"] == "fd_regional":
+        prior = PriorScheduleConfig(
+            lambda_base=1.5, mode="regional", tau_active=low, tau_background=high,
+            activity_map=prior.activity_map,
+        )
+    cfg = sampler.cfg.with_prior(prior)
+    return TiledSampler(cfg, sampler.denoiser, sampler.prior, trace=trace), noise
+
+
+@FAST
+@given(gated_cases())
+def test_untraced_run_gives_the_traced_bits_and_skips_the_plain_blend(case):
+    """An untraced run has the latent bytes of a traced one and returns no
+    trace. Its plain steps never run the prior's column pass, which only
+    the trace reads there, while a step with a nonzero strength does."""
+    traced, noise = gated(case, trace=True)
+    untraced, _ = gated(case, trace=False)
+    x, trace = traced.run(noise.copy())
+    y, none = untraced.run(noise.copy())
+    assert none is None and len(trace.records) == 3
+    assert y.tobytes() == x.tobytes()
+
+    calls = []
+    lerp = sampler_module._lerp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lerp(*args, **kwargs)
+
+    x = noise
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler_module, "_lerp", counting)
+        for i in range(untraced.schedule.steps):
+            calls.clear()
+            x, record = untraced.step(x, i)
+            assert record is None
+            plain = not np.any(untraced.cfg.prior.strength_at(untraced.schedule.times[i]))
+            assert bool(calls) != plain
