@@ -64,7 +64,7 @@ M_ARENA_MAX = -8  # glibc's mallopt parameter for the malloc arena count
 def _one_malloc_arena() -> None:
     """Pin this process to glibc's main malloc arena, before any thread
     starts. Tile-pool threads allocate predictions and FDP1 reply buffers
-    that the calling thread frees; with an arena per thread, freed
+    that other threads free; with an arena per thread, freed
     tile-sized blocks stay held in the pool threads' arenas, so peak RSS
     follows the allocator instead of the program's arrays. Where the C
     library has no mallopt, nothing happens."""

@@ -106,7 +106,13 @@ class ExternalDenoiser(WorkerPool):
     prediction and its views are gone (see protocol._Slab). A worker that
     does not take shared memory gets the tile over its pipe with no
     whole-tile copy (see WorkerClient.denoise).
+
+    Each prediction has been scanned for inf and NaN as it was unpacked
+    (protocol.unpack_denoise_response), so checks_finite tells the sampler
+    not to scan it again.
     """
+
+    checks_finite = True
 
     def __call__(self, req: DenoiserRequest) -> np.ndarray:
         tile = latent_view(req.tile, "tile")

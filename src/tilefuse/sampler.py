@@ -7,27 +7,32 @@ The state convention is x = clean + sigma * (noise - clean), so the model
 output approximates noise - clean, the one-step clean estimate is
 x - sigma * y, and integration follows x' = x + (sigma' - sigma) * y.
 
-A thread pool of the configured worker count lives for the whole run. It
-predicts tiles while the calling thread adds each finished prediction to
-the float64 numerator, through one reused float64 channel buffer.
-Predictions may finish in any order, but they are added strictly in plan
-order, and at most 2 x workers are in flight (submitted but not yet
-added). The weight denominator is the same every step and is built once.
+A run keeps two kinds of threads. A tile pool of the configured worker
+count only predicts tiles. min(workers, C) channel lanes, each one thread
+that owns a contiguous slice of the channels, add the predictions to the
+float64 numerator and merge those channels, each through a float64 tile
+channel buffer and kernel scratch of its own. The calling thread waits for
+each prediction in plan order, whatever order they finish in, and hands
+every lane the add of its channels; it submits a new prediction only once
+every lane has added the oldest one handed out, so at most 2 x workers
+predictions are alive (submitted but not yet added). The weight
+denominator is the same every step and is built once.
 
 A step streams over row bands. The plan is row-major and tile tops never
-decrease, so once the last tile of a tile row has been added, the rows
-above the next tile row's top are final: no later tile adds to them or
-reads them. That band goes to the pool at once, where the merge, the trace
-statistic and the Euler update run per (band, channel) and write the new
-values straight into the latent, while later tiles are still predicted.
-The same invariant lets an in-process denoiser read its tile as a
-read-only view of the latent, uncopied: no band update writes the rows of
-a tile still in flight. The numerator is a ring of window_h rows, one
+decrease, so once the last tile of a tile row has been handed out, the
+rows above the next tile row's top are final: no later tile adds to them
+or reads them. That band goes to every lane at once, where the merge, the
+trace statistic and the Euler update run per (band, channel) and write
+the new values straight into the latent, while later tiles are still
+predicted. The same invariant lets an in-process denoiser read its tile as
+a read-only view of the latent, uncopied: no band update writes the rows
+of a tile still in flight. The numerator is a ring of window_h rows, one
 tile row, reused across the run's steps. It starts zeroed, and each band
 update zeroes the ring rows it has read, so rows are zero when the next
-tiles reach them. A band's ring rows are reused only after its update has
-finished, so the first tile of a tile row waits for the band of the tile
-row above.
+tiles reach them. A lane runs its tasks in the order they were handed out,
+and it alone adds and merges its channels, so a band's update reads and
+zeroes its ring rows before the same lane adds the next tile row into
+them: nothing waits for a band before ring rows are reused.
 
 The prior is held at thumbnail size: build_prior keeps a prior with the
 canvas's frames and at most its rows and columns as it is (the thumbnail
@@ -43,8 +48,8 @@ blends a zero source of one row and one column.
 
 One band kernel does a band channel's prior cells, merge, trace and Euler
 update in frame groups of about GROUP_BUDGET elements, through scratch
-buffers that each pool thread makes once per run, in one allocation at
-the sizes the run's largest band piece needs, and keeps, so the passes
+buffers that each lane makes once per run, in one allocation at the
+sizes the run's largest band piece needs, and keeps, so the passes
 over a group reuse buffers that are already cached. Each float32 operand
 of a group is cast to float64 once, so the passes after it are pure
 float64 ones. It applies the elementwise operations of fuse_md or
@@ -62,7 +67,7 @@ Every cell sees the same additions in the same order and the same
 elementwise closed form whatever the worker count, so runs are bitwise
 reproducible. run adopts the noise canvas it is handed as its latent,
 which each step overwrites in place; step on any other array copies it.
-Each run keeps its pool, ring, scratch and latent on its calling thread.
+Each run keeps its pool, lanes, ring and latent on its calling thread.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ import itertools
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -325,11 +330,11 @@ def _kernel_buffers(n, cells, src, wide):
     return (*flat, y32), pairs, planes, (s64, near, far, src32)
 
 
-class _KernelScratch(threading.local):
-    """Per-thread band-kernel buffers of fixed sizes, the most any band
-    piece of the run needs (_kernel_buffers(*sizes)): a thread makes them
-    on its first use and keeps them, so what is allocated does not depend
-    on which thread takes which band."""
+class _KernelScratch:
+    """One lane's band-kernel buffers of fixed sizes, the most any band
+    piece of the run needs (_kernel_buffers(*sizes)): the lane makes them
+    on its first band and keeps them, so what is allocated does not depend
+    on which bands a step has."""
 
     def __init__(self, sizes):
         self.sizes, self.held = sizes, None
@@ -367,7 +372,7 @@ def _band_update(
     are 0. x gets the same bits either way.
 
     Frames go in groups of at most `budget` elements (one frame if a frame
-    is larger) through the calling thread's _KernelScratch buffers. The
+    is larger) through the calling lane's _KernelScratch buffers. The
     latent, prior and fused velocity of a group are each cast to float64
     once, so every later pass is a pure float64 one (a ufunc that casts
     float32 operands as it goes costs about twice as much). The operations are
@@ -431,17 +436,28 @@ def _band_update(
 
 
 @dataclass
+class _Lane:
+    """A channel lane: one thread that adds the predictions of channels cs
+    to the numerator ring and updates their bands, in the order its tasks
+    are handed out, through a float64 tile channel buffer and kernel
+    scratch of its own."""
+
+    executor: ThreadPoolExecutor
+    cs: slice
+    buf: np.ndarray
+    scratch: _KernelScratch
+
+
+@dataclass
 class _RunState:
-    """One run's tile pool, most tiles in flight, float64 (C, T, rows, W)
-    numerator ring of one tile row (the plan's window_h rows), float64
-    buffer of one tile channel for the ring add, kernel scratch, and the
-    latent its steps update."""
+    """One run's tile pool, which only predicts, most predictions alive,
+    float64 (C, T, rows, W) numerator ring of one tile row (the plan's
+    window_h rows), channel lanes, and the latent its steps update."""
 
     pool: ThreadPoolExecutor
     depth: int
     ring: np.ndarray
-    tile_buf: np.ndarray
-    scratch: _KernelScratch
+    lanes: list[_Lane]
     latent: np.ndarray | None = None
 
 
@@ -449,12 +465,16 @@ class TiledSampler:
     """Bound sampling state: plan, schedule, weight map, prior, denoiser.
     An untraced sampler (trace=False) computes no prior-distance trace: its
     run and step give None in place of the RunTrace and StepRecord, and
-    its latent has the same bits as a traced one's."""
+    its latent has the same bits as a traced one's. A denoiser whose
+    checks_finite attribute is true, such as an ExternalDenoiser, has
+    scanned each prediction for inf and NaN itself, so the sampler does
+    not scan it again."""
 
     def __init__(self, cfg: SamplerConfig, denoiser, prior=None, trace=True):
         self.cfg = cfg
         self.trace = trace
         self.denoiser = denoiser
+        self._scan = not getattr(denoiser, "checks_finite", False)
         self.plan = cfg.plan()
         self.schedule = cfg.schedule()
         self._weight = cfg.weight_map()
@@ -485,7 +505,8 @@ class TiledSampler:
     @contextmanager
     def _executor(self, latent=None):
         """The _RunState of the run the calling thread is in, or a new one
-        that owns `latent`, for run or for a step called outside run."""
+        that owns `latent`, for run or for a step called outside run. Its
+        min(workers, C) lanes split the channels into contiguous slices."""
         state = getattr(self._local, "run", None)
         if state is not None:
             yield state
@@ -493,11 +514,24 @@ class TiledSampler:
         workers = self.cfg.workers
         c, t, _, w = self.cfg.canvas_shape
         rows = self.plan.window_h  # one tile row: the plan's window, at most H
-        with ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile") as pool:
+        n, sizes = min(workers, c), self._scratch_sizes()
+        with ExitStack() as stack:
+            pool = stack.enter_context(
+                ThreadPoolExecutor(workers, thread_name_prefix="tilefuse-tile")
+            )
+            lanes = [
+                _Lane(
+                    stack.enter_context(
+                        ThreadPoolExecutor(1, thread_name_prefix=f"tilefuse-lane-{k}")
+                    ),
+                    slice(k * c // n, (k + 1) * c // n),
+                    np.empty(t * rows * self.plan.window_w, dtype=np.float64),
+                    _KernelScratch(sizes),
+                )
+                for k in range(n)
+            ]
             self._local.run = _RunState(
-                pool, 2 * workers, np.zeros((c, t, rows, w), dtype=np.float64),
-                np.empty(t * rows * self.plan.window_w, dtype=np.float64),
-                _KernelScratch(self._scratch_sizes()), latent,
+                pool, 2 * workers, np.zeros((c, t, rows, w), dtype=np.float64), lanes, latent
             )
             try:
                 yield self._local.run
@@ -545,59 +579,95 @@ class TiledSampler:
                 f"step {i}, tile {k}: prediction shape {pred.shape} does not "
                 f"match tile {req.tile.shape}"
             )
-        ensure_finite(pred, f"step {i} tile {k} prediction")
+        if self._scan:
+            ensure_finite(pred, f"step {i} tile {k} prediction")
         return pred
 
     def _stream(self, state, x, i, t, sigma, band, collect):
-        """Add every tile's weighted prediction to the numerator ring in
-        plan order while the pool predicts the next ones, and as soon as a
-        band is final submit band(rows, ring_rows)(c) for each of its
-        channels. Each update's result goes to collect, in band order.
-        On failure the queued tasks are cancelled and the running ones
-        awaited before the error leaves."""
-        pool, ring, tiles = state.pool, state.ring, self.plan.tiles
+        """Hand every tile's prediction to the lanes in plan order while the
+        pool predicts the next ones, and as soon as a band is final hand
+        each lane band(rows, ring_rows)(c, scratch) for its channels c.
+        At most state.depth predictions are alive (submitted and not yet
+        added by every lane): a new one is submitted only once every lane
+        has added the oldest handed out. Up to half of them are handed out
+        at once, so a lane has its next add queued while the calling thread
+        waits, and the pool still has a tile per worker. The calling thread
+        neither adds nor merges, and it never waits for a band before its
+        ring rows are reused: a lane adds and merges its channels alone, in
+        the order they were handed out. Each update's result goes to
+        collect, per channel in band order, as the hand-outs are waited for
+        in order. On failure the queued tasks are cancelled and the running
+        ones awaited before the error leaves."""
+        pool, ring, lanes, tiles = state.pool, state.ring, state.lanes, self.plan.tiles
         size = ring.shape[2]
-        pending, bands = deque(), deque()
+        pending = deque()  # (k, rect, future) of predictions not handed out yet
+        handed = deque()  # (lane futures, whether an add) of each add or band, in order
+        adds = 0  # the adds in handed: predictions handed out and still alive
 
-        def retire_oldest_band():
-            for future in bands[0][1]:
-                collect(*future.result())
-            bands.popleft()
+        def add(lane, pred, pieces):
+            for part, at in pieces:
+                add_weighted_tile(
+                    ring[lane.cs], pred[lane.cs, :, part], at, self._weight[part], lane.buf
+                )
+            return ()  # no band results
 
-        def add_oldest():
+        def merge(lane, updates):
+            cs = range(lane.cs.start, lane.cs.stop)
+            return [update(c, lane.scratch) for update in updates for c in cs]
+
+        def to_lanes(is_add, task, *args):
+            """Queue task(lane, *args) on every lane, behind its earlier tasks."""
+            handed.append(([lane.executor.submit(task, lane, *args) for lane in lanes], is_add))
+
+        def settle(through_add=True):
+            """Wait for the hand-outs in order, up to the oldest add or all
+            of them, and collect the band results."""
+            nonlocal adds
+            while handed:
+                futures, is_add = handed[0]
+                for future in futures:
+                    for result in future.result():
+                        collect(*result)
+                handed.popleft()
+                if is_add:
+                    adds -= 1
+                    if through_add:
+                        return
+
+        def hand_out_oldest():
+            nonlocal adds
             k, rect, future = pending.popleft()
             pred = future.result()
-            stop = rect.row + rect.height
-            # the tile's rows reuse the ring rows of the rows `size` above,
-            # which their band's update zeroes once it has read them
-            while bands and bands[0][0] < stop - size:
-                retire_oldest_band()
-            for rows, ring_rows in _ring_slices(rect.row, stop, size):
-                part = slice(rows.start - rect.row, rows.stop - rect.row)
-                at = replace(rect, row=ring_rows.start, height=ring_rows.stop - ring_rows.start)
-                add_weighted_tile(ring, pred[:, :, part], at, self._weight[part], state.tile_buf)
+            pieces = [
+                (
+                    slice(rows.start - rect.row, rows.stop - rect.row),
+                    replace(rect, row=ring_rows.start, height=ring_rows.stop - ring_rows.start),
+                )
+                for rows, ring_rows in _ring_slices(rect.row, rect.row + rect.height, size)
+            ]
+            to_lanes(True, add, pred, pieces)
+            adds += 1
             below = tiles[k + 1].row if k + 1 < len(tiles) else x.shape[2]
             if below != rect.row:  # the rows above `below` are final
-                bands.append((rect.row, [
-                    pool.submit(update, c)
-                    for update in itertools.starmap(band, _ring_slices(rect.row, below, size))
-                    for c in range(x.shape[0])
-                ]))
+                updates = list(itertools.starmap(band, _ring_slices(rect.row, below, size)))
+                to_lanes(False, merge, updates)
 
         try:
             for k, rect in enumerate(tiles):
+                while len(pending) + adds == state.depth:  # make room for one
+                    if pending and adds < state.depth // 2:
+                        hand_out_oldest()
+                    else:
+                        settle()
                 pending.append(
                     (k, rect, pool.submit(self._predict_tile, x, i, t, sigma, k, rect))
                 )
-                if len(pending) == state.depth:
-                    add_oldest()
             while pending:
-                add_oldest()
-            while bands:
-                retire_oldest_band()
+                hand_out_oldest()
+            settle(through_add=False)
         finally:
             futures = [future for *_, future in pending]
-            futures += [future for _, band in bands for future in band]
+            futures += [future for lane_futures, _ in handed for future in lane_futures]
             for future in futures:
                 future.cancel()
             wait(futures)
@@ -631,7 +701,7 @@ class TiledSampler:
             sums[c] += values
 
         with self._executor() as state:
-            ring, scratch = state.ring, state.scratch  # for the pool threads
+            ring = state.ring  # for the lanes
 
             def band(rows, ring_rows):
                 """The update of canvas rows `rows` as a function of the
@@ -651,9 +721,10 @@ class TiledSampler:
                     masks = tuple(m[rows] for m in self._masks)
                     n_fg = np.count_nonzero(masks[0]) * x.shape[1]
 
-                def update(c):
+                def update(c, scratch):
                     """Merge, trace and Euler-update channel c of the band in
-                    place; returns c and the trace's (sum, cells) per part."""
+                    place, through the lane's scratch; returns c and the
+                    trace's (sum, cells) per part."""
                     fg, bg = _band_update(
                         x[c, :, rows], self.prior[c, :, top:bottom], blend, self._columns,
                         ring[c, :, ring_rows], den, slam, sigma, dsigma, masks, scratch,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tilefuse import ExternalDenoiser, PriorScheduleConfig, Rect, SamplerConfig, protocol, run
+from tilefuse import ExternalDenoiser, PriorScheduleConfig, Rect, SamplerConfig, protocol, run, tensor
 from tilefuse.denoisers import DenoiserRequest
 from tilefuse.errors import (
     FileFormatError,
@@ -509,6 +509,34 @@ class TestExternalDenoiser:
             return hashlib.sha256(x.tobytes()).hexdigest()
 
         assert latent(1) == latent(2) == latent(2, echo)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_prediction_is_scanned_for_non_finite_values_once(self, monkeypatch, workers):
+        """A worker's prediction is scanned for inf and NaN as it is
+        unpacked, and the sampler does not scan it again; an in-process
+        denoiser's prediction is scanned by the sampler alone."""
+        shape, window = (2, 3, 24, 40), (12, 16)
+        scanned = []
+        count = tensor._count_nonfinite
+
+        def counting(x):
+            if x.shape == (*shape[:2], *window):
+                scanned.append(1)
+            return count(x)
+
+        monkeypatch.setattr(tensor, "_count_nonfinite", counting)
+        cfg = SamplerConfig(
+            canvas_shape=shape, steps=3, window_h=window[0], window_w=window[1],
+            overlap=0.5, seed=5, workers=workers,
+        )
+        predictions = cfg.steps * len(cfg.plan().tiles)
+        with ExternalDenoiser(ECHO_CMD, size=workers, timeout=30) as den:
+            x, _ = run(cfg, den)
+        assert len(scanned) == predictions
+        scanned.clear()
+        y, _ = run(cfg, lambda req: np.array(req.tile))
+        assert len(scanned) == predictions
+        assert x.tobytes() == y.tobytes()
 
 
 def strided_view(latent, view):

@@ -160,9 +160,9 @@ def test_step_never_writes_to_its_argument(case, i):
 
 
 def test_more_threads_than_cores_match_one_thread():
-    """Bands are updated on pool threads while the calling thread adds later
-    tiles to the ring; with frequent thread switches and more threads than
-    cores, the latent must still equal a one-thread run byte for byte."""
+    """Bands are updated on channel lanes while the pool predicts later
+    tiles; with frequent thread switches and more threads than cores, the
+    latent must still equal a one-thread run byte for byte."""
     case = dict(
         shape=(3, 2, 64, 20), window=(6, 8), overlap=0.5, ramp=2,
         mode="fd_regional", seed=3,
@@ -215,8 +215,8 @@ def test_failure_after_bands_were_handed_out_stops_every_task(monkeypatch):
 
 def test_each_pool_thread_makes_its_kernel_buffers_once_per_run(monkeypatch):
     """Band pieces differ in height (the last band, pieces where the ring
-    wraps), but a pool thread makes its kernel buffers once per run, at the
-    sizes that cover every piece, whichever bands it takes."""
+    wraps), but each lane makes its kernel buffers once per run, at the
+    sizes that cover every piece."""
     cfg = SamplerConfig(
         canvas_shape=(2, 3, 50, 24), steps=3, window_h=8,
         window_w=8, overlap=0.3, workers=2,
@@ -749,3 +749,59 @@ def test_untraced_run_gives_the_traced_bits_and_skips_the_plain_blend(case):
             assert record is None
             plain = not np.any(untraced.cfg.prior.strength_at(untraced.schedule.times[i]))
             assert bool(calls) != plain
+
+
+@st.composite
+def lane_cases(draw):
+    """A gated case of 1 to 5 channels: workers 1 to 3 make 1 to 3 lanes,
+    and the channel slices they split the canvas into may be uneven."""
+    case = draw(gated_cases())
+    case["shape"] = (draw(st.integers(1, 5)), *case["shape"][1:])
+    return case
+
+
+@FAST
+@given(lane_cases())
+def test_lanes_give_the_one_worker_bits(case):
+    """Whatever the worker count, and so the number of channel lanes that
+    add and merge, a run gives the latent bytes and the trace TSV of a run
+    with one worker, over plans whose bands wrap the ring and whose last
+    tile row or column is flush with the canvas edge."""
+    sampler, noise = gated(case, trace=True)
+    one, _ = gated(dict(case, workers=1), trace=True)
+    x, trace = sampler.run(noise.copy())
+    y, ref = one.run(noise.copy())
+    assert x.tobytes() == y.tobytes()
+    assert trace.to_tsv() == ref.to_tsv()
+
+
+def test_lanes_alone_add_and_merge_their_channel_slices(monkeypatch):
+    """The calling thread neither adds nor merges: min(workers, C) lanes
+    do, each for a contiguous channel slice of its own, and every run
+    gives the one-worker bits."""
+    case = dict(shape=(5, 2, 40, 16), window=(8, 8), overlap=0.3, ramp=2, mode="fd", seed=7)
+    seen = {"add": [], "merge": []}
+    add, kernel = sampler_module.add_weighted_tile, sampler_module._band_update
+
+    def recording_add(num, *args):
+        seen["add"].append((threading.current_thread().name, num.shape[0]))
+        return add(num, *args)
+
+    def recording_kernel(*args, **kwargs):
+        seen["merge"].append(threading.current_thread().name)
+        return kernel(*args, **kwargs)
+
+    one, noise = build(dict(case, workers=1))
+    expected, _ = one.run(noise.copy())
+    monkeypatch.setattr(sampler_module, "add_weighted_tile", recording_add)
+    monkeypatch.setattr(sampler_module, "_band_update", recording_kernel)
+    for workers, slices in ((2, [2, 3]), (3, [1, 2, 2]), (6, [1, 1, 1, 1, 1])):
+        for calls in seen.values():
+            calls.clear()
+        many, _ = build(dict(case, workers=workers))
+        x, _ = many.run(noise.copy())
+        assert x.tobytes() == expected.tobytes()
+        lanes = [f"tilefuse-lane-{k}_0" for k in range(len(slices))]
+        assert dict(seen["add"]) == dict(zip(lanes, slices))
+        assert set(seen["merge"]) == set(lanes)
+        assert all(seen["merge"].count(lane) % n == 0 for lane, n in zip(lanes, slices))
