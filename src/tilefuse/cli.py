@@ -49,7 +49,7 @@ from .metrics import (
 from .netpbm import read_frame
 from .planner import plan_tiles, plan_tiles_pixels
 from .protocol import WorkerClient
-from .sampler import TiledSampler, build_prior, expand_prior, fill_noise, make_noise
+from .sampler import TiledSampler, _prior_tables, build_prior, expand_prior, fill_noise, make_noise
 from .tensor import atomic_write, read_flt, trilinear_resize, write_flt
 
 EXIT_OK = 0
@@ -81,15 +81,18 @@ def cmd_plan(args) -> int:
         plan = plan_tiles(h, w, wh, ww, args.overlap)
     else:
         plan = plan_tiles_pixels(h, w, wh, ww, args.overlap, args.factor)
-    cov = plan.coverage_counts()
+    # a cell's count is its row's times its column's: the mean is the
+    # exact integer sum over H*W, the figure a whole count array's mean gives
+    rows, cols = plan.axis_counts()
+    low, high = int(rows.min()) * int(cols.min()), int(rows.max()) * int(cols.max())
+    mean = int(rows.sum()) * int(cols.sum()) / (plan.canvas_h * plan.canvas_w)
     print(
         f"canvas {plan.canvas_h}x{plan.canvas_w} latent, window "
         f"{plan.window_h}x{plan.window_w}, stride {plan.stride_h}x{plan.stride_w}, "
         f"{len(plan.tiles)} tiles"
     )
     print(
-        f"coverage min {cov.min()} max {cov.max()} "
-        f"mean {cov.mean():.3f}"
+        f"coverage min {low} max {high} mean {mean:.3f}"
     )
     if args.machine:
         for r in plan.tiles:
@@ -309,13 +312,20 @@ def _latent_frames(latent, height, width):
 
 def _distance(x, prior) -> float:
     """Euclidean distance between a latent and the prior of a source,
-    summed in float64 and expanded one channel at a time, so no
-    whole-canvas copy is made."""
+    summed in float64 one channel at a time. Each channel is cast to
+    float64 once; the prior's frames, expanded one at a time by tables
+    built once, are subtracted from it in place, and it is squared and
+    summed where it lies. So one float64 channel and one frame's expansion
+    are the only canvas-sized temporaries."""
     height, width = x.shape[2:]
-    total = sum(
-        np.square(ch.astype(np.float64) - expand_prior(src, height, width)).sum()
-        for ch, src in zip(x, prior)
-    )
+    tables = _prior_tables(*prior.shape[2:], height, width)
+    total = 0.0
+    for ch, src in zip(x, prior):
+        diff = ch.astype(np.float64)
+        for t in range(len(src)):
+            diff[t] -= expand_prior(src[t], height, width, tables)
+        total += np.square(diff, out=diff).sum()
+        del diff  # freed before the next channel's cast
     return math.sqrt(total)
 
 

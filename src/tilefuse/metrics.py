@@ -83,19 +83,33 @@ def area_average_matrix(n_in: int, n_out: int) -> np.ndarray:
     return mat
 
 
+def _area_operators(shape, out_h: int = CONSISTENCY_SIZE, out_w: int = CONSISTENCY_SIZE):
+    """The row operator and the transposed column operator that area-average
+    a plane of `shape` to out_h by out_w."""
+    return area_average_matrix(shape[0], out_h), area_average_matrix(shape[1], out_w).T
+
+
 def area_downsample(lum: np.ndarray, out_h: int = CONSISTENCY_SIZE, out_w: int = CONSISTENCY_SIZE) -> np.ndarray:
-    a_h = area_average_matrix(lum.shape[0], out_h)
-    a_w = area_average_matrix(lum.shape[1], out_w)
-    return a_h @ lum.astype(np.float64) @ a_w.T
+    a_h, a_wt = _area_operators(lum.shape, out_h, out_w)
+    return a_h @ lum.astype(np.float64) @ a_wt
 
 
 def temporal_consistency(frames, divisor: float = CONSISTENCY_DIVISOR) -> float:
     """Mean squared difference between consecutive downscaled grayscale
-    frames, divided by the fixed normalizer."""
+    frames, divided by the fixed normalizer. The area operators are built
+    once per frame shape, not once per frame; each frame is downscaled as
+    area_downsample does."""
     frames = list(frames)
     if len(frames) < 2:
         raise ArgumentError("temporal consistency needs at least two frames")
-    small = [area_downsample(luminance(f)) for f in frames]
+    operators = {}
+    small = []
+    for f in frames:
+        lum = luminance(f)
+        if lum.shape not in operators:
+            operators[lum.shape] = _area_operators(lum.shape)
+        a_h, a_wt = operators[lum.shape]
+        small.append(a_h @ lum @ a_wt)
     total = 0.0
     for prev, cur in zip(small, small[1:]):
         diff = cur - prev

@@ -9,7 +9,7 @@ latent cells by one rule, _latent_dims, for `plan` and `sample` alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,12 @@ def prior_resolution(h: int, w: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TilePlan:
-    """Distinct tile rectangles in row-major order, covering a latent canvas."""
+    """Distinct tile rectangles in row-major order, covering a latent canvas.
+
+    The tiles are the product grid of their distinct tops and lefts, each
+    window_h by window_w, so a cell's coverage count is its row's count
+    times its column's: the counts are made per axis, on demand, and no
+    canvas-sized array is held."""
 
     tiles: tuple[Rect, ...]
     canvas_h: int
@@ -51,22 +56,40 @@ class TilePlan:
     window_w: int
     stride_h: int
     stride_w: int
-    _coverage: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        counts = np.zeros((self.canvas_h, self.canvas_w), dtype=np.int32)
+        tops = sorted({r.row for r in self.tiles})
+        lefts = sorted({r.col for r in self.tiles})
+        grid = tuple(Rect(row, col, self.window_h, self.window_w) for row in tops for col in lefts)
+        if self.tiles != grid:
+            raise ArgumentError("tiles must be the row-major grid of their tops and lefts")
         for r in self.tiles:
             r.validate_within(self.canvas_h, self.canvas_w)
-            counts[r.row_slice, r.col_slice] += 1
-        object.__setattr__(self, "_coverage", counts)
+
+    def axis_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row and per-column tile membership counts, shapes (H,) and
+        (W,): the number of tile rows over each canvas row and of tile
+        columns over each canvas column."""
+        counts = []
+        for size, window, starts in (
+            (self.canvas_h, self.window_h, {r.row for r in self.tiles}),
+            (self.canvas_w, self.window_w, {r.col for r in self.tiles}),
+        ):
+            axis = np.zeros(size, dtype=np.int32)
+            for start in starts:
+                axis[start : start + window] += 1
+            counts.append(axis)
+        return counts[0], counts[1]
 
     def coverage_counts(self) -> np.ndarray:
-        """Per-cell tile membership count, shape (H, W)."""
-        return self._coverage.copy()
+        """Per-cell tile membership count, shape (H, W): the outer product
+        of the axis counts."""
+        return np.multiply.outer(*self.axis_counts())
 
     @property
     def min_coverage(self) -> int:
-        return int(self._coverage.min())
+        rows, cols = self.axis_counts()
+        return int(rows.min()) * int(cols.min())
 
 
 def _axis_positions(canvas: int, window: int, stride: int) -> list[int]:

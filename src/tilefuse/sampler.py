@@ -271,18 +271,24 @@ def _column_tables(src_w: int, width: int):
     return lo, hi, 1.0 - frac, frac
 
 
-def expand_prior(source: np.ndarray, height: int, width: int) -> np.ndarray:
+def _prior_tables(src_h: int, src_w: int, height: int, width: int):
+    """The _column_tables and _row_tables that expand a source of src_h
+    rows and src_w columns to `height` rows and `width` columns."""
+    return _column_tables(src_w, width), _row_tables(src_h, height, width)
+
+
+def expand_prior(source: np.ndarray, height: int, width: int, tables=None) -> np.ndarray:
     """The prior of a float32 source (..., h0, w0) on a canvas `height` rows
     by `width` columns, the cells the band kernel builds. The columns come
     first, in float64 and rounded to float32 as trilinear_resize makes
     them; the rows are then blended in float32 as a * source[lo] +
-    b * source[hi] by _row_tables. A source of that shape is returned as
-    is."""
+    b * source[hi] by _row_tables. tables, the source's _prior_tables, are
+    built here when not given; a caller that expands many sources of one
+    shape builds them once. A source of that shape is returned as is."""
     if source.shape[-2:] == (height, width):
         return source
-    columns = _column_tables(source.shape[-1], width)
+    columns, (index, weight) = tables or _prior_tables(*source.shape[-2:], height, width)
     source = _lerp(source.astype(np.float64), -1, *columns).astype(np.float32)
-    index, weight = _row_tables(source.shape[-2], height, width)
     rows = np.take(source, index.ravel(), axis=-2, mode="clip")
     rows *= weight.reshape(2 * height, -1)
     return np.add(rows[..., :height, :], rows[..., height:, :])
@@ -488,8 +494,7 @@ class TiledSampler:
             self.prior = np.zeros((c, t, 1, 1), dtype=np.float32)
         else:  # named before any tile runs
             self.prior = ensure_finite(build_prior(prior, cfg.canvas_shape), "prior")
-        self._blend = _row_tables(self.prior.shape[2], h, w)
-        self._columns = _column_tables(self.prior.shape[3], w)
+        self._columns, self._blend = _prior_tables(*self.prior.shape[2:], h, w)
 
         # the weight sum is the same every step: add it up once, in plan order
         self._den = np.zeros(cfg.canvas_shape[2:], dtype=np.float64)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +24,8 @@ from tilefuse.config import apply_overrides, default_config, load_config_file, r
 from tilefuse.errors import DenoiseError
 from tilefuse.sampler import TiledSampler, fill_noise, make_noise
 from tilefuse.netpbm import write_pgm
+
+from conftest import random_latent
 
 ECHO_EMBEDDER = f"{sys.executable} -m tilefuse.echo_worker"
 
@@ -100,6 +103,7 @@ class TestPlanCommand:
     @pytest.mark.parametrize("canvas, window, overlap", [
         ((1080, 1920), (480, 832), 0.3),  # 1080 is not a multiple of 16
         ((256, 256), (36, 36), 0.3),  # pixel and latent strides disagree
+        ((128, 200), (256, 256), 0.3),  # one clipped tile
     ])
     def test_prints_the_plan_sample_runs(self, capsys, canvas, window, overlap):
         settings = resolve_settings(apply_overrides(default_config(), [
@@ -117,6 +121,8 @@ class TestPlanCommand:
             f"{plan.window_h}x{plan.window_w}, stride {plan.stride_h}x{plan.stride_w}, "
             f"{len(plan.tiles)} tiles"
         )
+        cov = plan.coverage_counts()  # the per-axis counts' figures are the array's
+        assert lines[1] == f"coverage min {cov.min()} max {cov.max()} mean {cov.mean():.3f}"
         assert lines[2:] == [f"{r.row} {r.col} {r.height} {r.width}" for r in plan.tiles]
 
 
@@ -862,6 +868,29 @@ class TestMetricsCommand:
 
 
 class TestSweepCommand:
+    def test_prior_distance_holds_one_float64_channel(self, rng):
+        """_distance's temporaries are one float64 channel and one frame's
+        expansion, and its sum is the per-channel whole-expansion form's."""
+        c, t, h, w = 2, 8, 40, 64
+        x = random_latent(rng, (c, t, h, w))
+        prior = random_latent(rng, (c, t, 5, 8))
+        tracemalloc.start()
+        try:
+            sampler.expand_prior(prior[0, 0], h, w)  # builds its tables too
+            frame = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            got = cli._distance(x, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 16 << 10  # ufunc buffers and Python objects
+        assert peak < t * h * w * 8 + frame + slack
+        want = math.sqrt(sum(
+            np.square(ch.astype(np.float64) - sampler.expand_prior(src, h, w)).sum()
+            for ch, src in zip(x, prior)
+        ))
+        assert got == want
+
     def test_prior_distance_monotone(self, rng, tmp_path, capsys):
         target = rng.uniform(0, 1, (1, 1, 16, 16)).astype(np.float32)
         prior = rng.uniform(0, 1, (1, 1, 6, 10)).astype(np.float32)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from tilefuse import plan_tiles, plan_tiles_pixels, prior_resolution, snap_dim
 from tilefuse.config import apply_overrides, default_config, resolve_settings
 from tilefuse.errors import ArgumentError
+from tilefuse.planner import TilePlan
 
 
 class TestSnapDim:
@@ -61,14 +64,41 @@ class TestPlanTiles:
         assert cols == [0, 24]
         assert plan.min_coverage >= 1
 
-    def test_coverage_oracle(self):
-        plan = plan_tiles(128, 128, 60, 104, 0.3)
-        counts = np.zeros((128, 128), dtype=int)
+    @pytest.mark.parametrize("canvas, window, overlap", [
+        ((128, 128), (60, 104), 0.3),
+        ((137, 251), (40, 56), 0.5),  # flush-edge tiles on both axes
+        ((45, 77), (45, 77), 0.3),  # one tile, window = canvas
+        ((30, 40), (60, 104), 0.3),  # one clipped tile
+        ((9, 13), (2, 3), 0.0),  # strides that tile exactly, count 1 everywhere
+    ])
+    def test_coverage_oracle(self, canvas, window, overlap):
+        plan = plan_tiles(*canvas, *window, overlap)
+        counts = np.zeros(canvas, dtype=int)
         for r in plan.tiles:
             for i in range(r.row, r.row + r.height):
                 counts[i, r.col : r.col + r.width] += 1
         assert np.array_equal(counts, plan.coverage_counts())
         assert counts.min() >= 1
+        assert plan.min_coverage == counts.min()
+
+    def test_a_plan_holds_no_canvas_sized_array(self):
+        tracemalloc.start()
+        try:
+            plan = plan_tiles(4000, 4000, 4000, 4000, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(plan.tiles) == 1 and plan.min_coverage == 1
+        assert peak < 2**20  # a 4000x4000 int32 count array is 61.0 MiB
+
+    def test_tiles_off_the_grid_of_their_tops_and_lefts_are_rejected(self):
+        plan = plan_tiles(128, 128, 60, 104, 0.3)
+        fields = dict(canvas_h=128, canvas_w=128, window_h=60, window_w=104,
+                      stride_h=42, stride_w=72)
+        for tiles in (plan.tiles[:-1], plan.tiles[::-1], (*plan.tiles, plan.tiles[0])):
+            with pytest.raises(ArgumentError):
+                TilePlan(tiles=tiles, **fields)
+        assert TilePlan(tiles=plan.tiles, **fields) == plan
 
     def test_oversized_window_clips(self):
         plan = plan_tiles(30, 40, 60, 104, 0.3)
