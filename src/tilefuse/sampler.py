@@ -11,28 +11,32 @@ A run keeps two kinds of threads. A tile pool of the configured worker
 count only predicts tiles. min(workers, C) channel lanes, each one thread
 that owns a contiguous slice of the channels, add the predictions to the
 float64 numerator and merge those channels, each through a float64 tile
-channel buffer and kernel scratch of its own. The calling thread waits for
-each prediction in plan order, whatever order they finish in, and hands
-every lane the add of its channels; it submits a new prediction only once
-every lane has added the oldest one handed out, so at most 2 x workers
-predictions are alive (submitted but not yet added). The weight
-denominator is the same every step and is built once.
+channel buffer and kernel scratch of its own. The calling thread only
+submits: each prediction in plan order, and with it its add on every lane,
+which waits for the prediction itself. One window rule bounds the work:
+at most 2 x workers predictions are alive (submitted but not yet added by
+every lane), and at that many the calling thread waits, in order, for the
+lanes' tasks through the oldest one's add. The weight denominator is the
+same every step and is built once.
 
 A step streams over row bands. The plan is row-major and tile tops never
-decrease, so once the last tile of a tile row has been handed out, the
-rows above the next tile row's top are final: no later tile adds to them
-or reads them. That band goes to every lane at once, where the merge, the
-trace statistic and the Euler update run per (band, channel) and write
-the new values straight into the latent, while later tiles are still
-predicted. The same invariant lets an in-process denoiser read its tile as
-a read-only view of the latent, uncopied: no band update writes the rows
-of a tile still in flight. The numerator is a ring of window_h rows, one
+decrease, so once the last tile of a tile row has been added, the rows
+above the next tile row's top are final: no later tile adds to them or
+reads them. That band is queued on every lane behind that add, so it
+runs once every tile that reads its rows is predicted, and there the
+merge, the trace statistic and the Euler update run per (band, channel)
+and write the new values straight into the latent, while later tiles are
+still predicted. The same invariant lets an in-process denoiser read its
+tile as a read-only view of the latent, uncopied: no band update writes
+the rows of a tile still in flight. The numerator is a ring of window_h rows, one
 tile row, reused across the run's steps. It starts zeroed, and each band
 update zeroes the ring rows it has read, so rows are zero when the next
-tiles reach them. A lane runs its tasks in the order they were handed out,
-and it alone adds and merges its channels, so a band's update reads and
+tiles reach them. A lane runs its tasks in the order they are queued, and
+it alone adds and merges its channels, so a band's update reads and
 zeroes its ring rows before the same lane adds the next tile row into
-them: nothing waits for a band before ring rows are reused.
+them: nothing waits for a band before ring rows are reused. Each band
+update also adds its channel's trace sums; the lane that owns the channel
+is their one writer, so they are added in band order.
 
 The prior is held at thumbnail size: build_prior keeps a prior with the
 canvas's frames and at most its rows and columns as it is (the thumbnail
@@ -444,9 +448,9 @@ def _band_update(
 @dataclass
 class _Lane:
     """A channel lane: one thread that adds the predictions of channels cs
-    to the numerator ring and updates their bands, in the order its tasks
-    are handed out, through a float64 tile channel buffer and kernel
-    scratch of its own."""
+    to the numerator ring, each once its prediction is ready, and updates
+    their bands, in the order its tasks are queued, through a float64 tile
+    channel buffer and kernel scratch of its own."""
 
     executor: ThreadPoolExecutor
     cs: slice
@@ -588,91 +592,67 @@ class TiledSampler:
             ensure_finite(pred, f"step {i} tile {k} prediction")
         return pred
 
-    def _stream(self, state, x, i, t, sigma, band, collect):
-        """Hand every tile's prediction to the lanes in plan order while the
-        pool predicts the next ones, and as soon as a band is final hand
-        each lane band(rows, ring_rows)(c, scratch) for its channels c.
-        At most state.depth predictions are alive (submitted and not yet
-        added by every lane): a new one is submitted only once every lane
-        has added the oldest handed out. Up to half of them are handed out
-        at once, so a lane has its next add queued while the calling thread
-        waits, and the pool still has a tile per worker. The calling thread
-        neither adds nor merges, and it never waits for a band before its
-        ring rows are reused: a lane adds and merges its channels alone, in
-        the order they were handed out. Each update's result goes to
-        collect, per channel in band order, as the hand-outs are waited for
-        in order. On failure the queued tasks are cancelled and the running
+    def _stream(self, state, x, i, t, sigma, band):
+        """Submit every tile's prediction in plan order and at once queue
+        its add on every lane, which waits for the prediction itself; as
+        soon as a band is final, queue band(rows, ring_rows)(c, scratch) on
+        every lane for its channels c, behind the adds. The window holds
+        the predictions not yet added by every lane: at state.depth of
+        them, the calling thread waits for the lane tasks in order through
+        the oldest one's add, and a failed prediction or task is raised
+        there. On failure the queued tasks are cancelled and the running
         ones awaited before the error leaves."""
         pool, ring, lanes, tiles = state.pool, state.ring, state.lanes, self.plan.tiles
         size = ring.shape[2]
-        pending = deque()  # (k, rect, future) of predictions not handed out yet
-        handed = deque()  # (lane futures, whether an add) of each add or band, in order
-        adds = 0  # the adds in handed: predictions handed out and still alive
+        window = deque()  # futures of the predictions some lane has yet to add
+        queued = deque()  # (lane futures, whether an add) of each add or band, in order
 
-        def add(lane, pred, pieces):
+        def add(lane, prediction, pieces):
+            pred = prediction.result()
             for part, at in pieces:
                 add_weighted_tile(
                     ring[lane.cs], pred[lane.cs, :, part], at, self._weight[part], lane.buf
                 )
-            return ()  # no band results
 
         def merge(lane, updates):
-            cs = range(lane.cs.start, lane.cs.stop)
-            return [update(c, lane.scratch) for update in updates for c in cs]
+            for update in updates:
+                for c in range(lane.cs.start, lane.cs.stop):
+                    update(c, lane.scratch)
 
         def to_lanes(is_add, task, *args):
-            """Queue task(lane, *args) on every lane, behind its earlier tasks."""
-            handed.append(([lane.executor.submit(task, lane, *args) for lane in lanes], is_add))
+            queued.append(([lane.executor.submit(task, lane, *args) for lane in lanes], is_add))
 
         def settle(through_add=True):
-            """Wait for the hand-outs in order, up to the oldest add or all
-            of them, and collect the band results."""
-            nonlocal adds
-            while handed:
-                futures, is_add = handed[0]
-                for future in futures:
-                    for result in future.result():
-                        collect(*result)
-                handed.popleft()
+            """Wait for the lane tasks in order, through the oldest add or all."""
+            while queued:
+                for future in queued[0][0]:
+                    future.result()
+                _, is_add = queued.popleft()
                 if is_add:
-                    adds -= 1
+                    window.popleft()
                     if through_add:
                         return
 
-        def hand_out_oldest():
-            nonlocal adds
-            k, rect, future = pending.popleft()
-            pred = future.result()
-            pieces = [
-                (
-                    slice(rows.start - rect.row, rows.stop - rect.row),
-                    replace(rect, row=ring_rows.start, height=ring_rows.stop - ring_rows.start),
-                )
-                for rows, ring_rows in _ring_slices(rect.row, rect.row + rect.height, size)
-            ]
-            to_lanes(True, add, pred, pieces)
-            adds += 1
-            below = tiles[k + 1].row if k + 1 < len(tiles) else x.shape[2]
-            if below != rect.row:  # the rows above `below` are final
-                updates = list(itertools.starmap(band, _ring_slices(rect.row, below, size)))
-                to_lanes(False, merge, updates)
-
         try:
             for k, rect in enumerate(tiles):
-                while len(pending) + adds == state.depth:  # make room for one
-                    if pending and adds < state.depth // 2:
-                        hand_out_oldest()
-                    else:
-                        settle()
-                pending.append(
-                    (k, rect, pool.submit(self._predict_tile, x, i, t, sigma, k, rect))
-                )
-            while pending:
-                hand_out_oldest()
+                if len(window) == state.depth:
+                    settle()
+                window.append(pool.submit(self._predict_tile, x, i, t, sigma, k, rect))
+                pieces = [
+                    (
+                        slice(rows.start - rect.row, rows.stop - rect.row),
+                        replace(rect, row=ring_rows.start, height=ring_rows.stop - ring_rows.start),
+                    )
+                    for rows, ring_rows in _ring_slices(rect.row, rect.row + rect.height, size)
+                ]
+                to_lanes(True, add, window[-1], pieces)
+                below = tiles[k + 1].row if k + 1 < len(tiles) else x.shape[2]
+                if below != rect.row:  # the rows above `below` are final
+                    updates = list(itertools.starmap(band, _ring_slices(rect.row, below, size)))
+                    to_lanes(False, merge, updates)
             settle(through_add=False)
         finally:
-            futures = [future for *_, future in pending]
-            futures += [future for lane_futures, _ in handed for future in lane_futures]
+            futures = [*window, *(future for lane_futures, _ in queued for future in lane_futures)]
             for future in futures:
                 future.cancel()
             wait(futures)
@@ -701,10 +681,6 @@ class TiledSampler:
                 )
             x = x.copy()
         sums = np.zeros((x.shape[0], 4))  # per channel: fg sum, cells, bg sum, cells
-
-        def collect(c, *values):
-            sums[c] += values
-
         with self._executor() as state:
             ring = state.ring  # for the lanes
 
@@ -728,18 +704,19 @@ class TiledSampler:
 
                 def update(c, scratch):
                     """Merge, trace and Euler-update channel c of the band in
-                    place, through the lane's scratch; returns c and the
-                    trace's (sum, cells) per part."""
+                    place, through the lane's scratch, and add the trace's
+                    (sum, cells) per part to sums[c]. The lane that owns c is
+                    its one writer and runs c's bands in order."""
                     fg, bg = _band_update(
                         x[c, :, rows], self.prior[c, :, top:bottom], blend, self._columns,
                         ring[c, :, ring_rows], den, slam, sigma, dsigma, masks, scratch,
                         trace=self.trace,
                     )
-                    return c, fg, n_fg, bg, cells - n_fg
+                    sums[c] += fg, n_fg, bg, cells - n_fg
 
                 return update
 
-            self._stream(state, x, i, t, sigma, band, collect)
+            self._stream(state, x, i, t, sigma, band)
         if not self.trace:
             return x, None
         record = StepRecord(

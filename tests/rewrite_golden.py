@@ -18,11 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from tilefuse import GaussianAnalytic, PriorScheduleConfig, SamplerConfig, TargetDriver, TiledSampler
+from tilefuse import (
+    ExternalDenoiser, GaussianAnalytic, PriorScheduleConfig, SamplerConfig, TargetDriver, TiledSampler,
+)
 from tilefuse.sampler import fill_noise
 
 TABLE = Path(__file__).resolve().parent / "golden_latents.json"
@@ -82,6 +85,27 @@ CONFIGS = {
         (3, 2, 16, 24), (16, 24), 0.3, (3, 2, 4, 6),
         dict(lambda_base=0.5, mode="gated_cosine", tau=0.4), "gaussian", 3,
     ),
+    "fd_echo_slab_w3": (  # FDP1 echo workers, tiles through shared memory
+        (3, 2, 24, 37), (8, 12), 0.5, (3, 2, 6, 9),
+        dict(lambda_base=1.5, mode="constant"), "echo_slab", 3,
+    ),
+    "fd_echo_pipe_w1": (  # the same run through a worker that takes the pipe
+        (3, 2, 24, 37), (8, 12), 0.5, (3, 2, 6, 9),
+        dict(lambda_base=1.5, mode="constant"), "echo_pipe", 1,
+    ),
+}
+
+# echo_worker --scale 0.5, and the same with the shared-memory handoff
+# dropped before serve, so that the worker takes its tiles over the pipe
+ECHO = {
+    "echo_slab": [sys.executable, "-m", "tilefuse.echo_worker", "--scale", "0.5"],
+    "echo_pipe": [
+        sys.executable, "-c",
+        "import os, sys\n"
+        "from tilefuse import echo_worker, protocol\n"
+        "del os.environ[protocol.SLAB_ENV]\n"
+        "sys.exit(echo_worker.main(['--scale', '0.5']))\n",
+    ],
 }
 
 
@@ -94,12 +118,19 @@ def run_config(name: str) -> np.ndarray:
         canvas_shape=canvas, steps=4, window_h=wh, window_w=ww, overlap=overlap,
         prior=PriorScheduleConfig(**schedule), workers=workers,
     )
+    prior = None if prior_shape is None else integer_noise(prior_shape, 5)
+    noise = integer_noise(canvas, 1)
+    if kind in ECHO:
+        with ExternalDenoiser(ECHO[kind], size=workers, timeout=30) as denoiser:
+            shared = [client._slab is not None for client in denoiser._clients]
+            assert shared == [kind == "echo_slab"] * workers, shared
+            x_final, _ = TiledSampler(cfg, denoiser, prior).run(noise)
+        return x_final
     if kind == "gaussian":
         denoiser = GaussianAnalytic(0.25, 0.8)
     else:
         denoiser = TargetDriver(integer_noise(canvas, 3))
-    prior = None if prior_shape is None else integer_noise(prior_shape, 5)
-    x_final, _ = TiledSampler(cfg, denoiser, prior).run(integer_noise(canvas, 1))
+    x_final, _ = TiledSampler(cfg, denoiser, prior).run(noise)
     return x_final
 
 

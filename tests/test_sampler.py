@@ -550,9 +550,9 @@ class TestPooledStep:
 class TestTilePool:
     SHAPE = (1, 1, 40, 40)  # 25 tiles of 8x8
 
-    def config(self, workers):
-        return md_config(self.SHAPE, steps=2, window_h=8, window_w=8, overlap=0.0,
-                         workers=workers)
+    def config(self, workers, channels=1):
+        return md_config((channels, *self.SHAPE[1:]), steps=2, window_h=8, window_w=8,
+                         overlap=0.0, workers=workers)
 
     def test_in_flight_predictions_bounded(self, monkeypatch):
         workers = 2
@@ -585,8 +585,41 @@ class TestTilePool:
         assert counts["while_blocked"] == 2 * workers
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_tile_stops_the_queue(self, rng, workers):
+    def test_slow_lanes_hold_the_pool_to_the_window(self, monkeypatch, workers):
         cfg = self.config(workers)
+        lock = threading.Lock()
+        counts = {"started": 0, "added": 0, "ahead": 0, "while_held": None}
+        add = sampler_module.add_weighted_tile
+
+        def slow_add(*args):
+            if counts["added"] == 0:  # step 0's first tile: hold the one lane
+                time.sleep(0.3)
+                with lock:
+                    counts["while_held"] = counts["started"]
+            add(*args)
+            with lock:
+                counts["added"] += 1
+
+        def denoiser(req):
+            with lock:
+                counts["started"] += 1
+                counts["ahead"] = max(counts["ahead"], counts["started"] - counts["added"])
+            return np.zeros_like(req.tile)
+
+        monkeypatch.setattr(sampler_module, "add_weighted_tile", slow_add)
+        run(cfg, denoiser)
+        assert counts["added"] == counts["started"] == 2 * len(cfg.plan().tiles)
+        assert counts["ahead"] <= 2 * workers
+        assert counts["while_held"] == 2 * workers
+
+    # C = 3 runs min(workers, 3) lanes, and each lane's add raises the failure
+    @pytest.mark.parametrize(
+        "workers, channels",
+        [pytest.param(1, 1, id="1"), pytest.param(2, 1, id="2"),
+         pytest.param(2, 3, id="2-lanes"), pytest.param(3, 3, id="3-lanes")],
+    )
+    def test_failing_tile_stops_the_queue(self, rng, workers, channels):
+        cfg = self.config(workers, channels)
         plan = cfg.plan()
         bad = 3
         calls = []

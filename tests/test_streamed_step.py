@@ -162,20 +162,22 @@ def test_step_never_writes_to_its_argument(case, i):
 def test_more_threads_than_cores_match_one_thread():
     """Bands are updated on channel lanes while the pool predicts later
     tiles; with frequent thread switches and more threads than cores, the
-    latent must still equal a one-thread run byte for byte."""
+    latent must still equal a one-thread run byte for byte, and so must the
+    trace, whose sums each lane adds for its own channels."""
     case = dict(
         shape=(3, 2, 64, 20), window=(6, 8), overlap=0.5, ramp=2,
         mode="fd_regional", seed=3,
     )
     one, noise = build(dict(case, workers=1))
-    expected, _ = one.run(initial_noise=noise.copy())
+    expected, expected_trace = one.run(initial_noise=noise.copy())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             many, _ = build(dict(case, workers=6))
-            x, _ = many.run(initial_noise=noise.copy())
+            x, trace = many.run(initial_noise=noise.copy())
             assert x.tobytes() == expected.tobytes()
+            assert trace.to_tsv() == expected_trace.to_tsv()
     finally:
         sys.setswitchinterval(interval)
 
